@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .lattice import DEFAULT_TOL, eval_implication, lattice_grid
+from .lattice import DEFAULT_TOL, eval_implication, lattice_grid, truth_value
 from .parser import parse_program, serialize_program
 from .program import (
     MalpError,
@@ -89,7 +89,7 @@ def _load_interpretation(path: str, program: Program) -> dict[str, float]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise MalpError("interpretation file must hold a JSON object {atom: number}")
-    I = {k: float(v) for k, v in data.items()}
+    I = {k: truth_value(v, f"interpretation value of {k!r}") for k, v in data.items()}
     require_total(I, program)
     return I
 

@@ -40,7 +40,6 @@ DEFAULT_TOL = 1e-9
 
 ADJOINT_KINDS = ("godel", "product", "lukasiewicz")
 NEGATION_KINDS = ("neg1", "neg2")
-THRESHOLD_KINDS = ("f", "g")
 
 
 class LatticeError(MalpError):
@@ -115,12 +114,11 @@ def eval_threshold(kind: str, c: float, x: float, tol: float = DEFAULT_TOL) -> f
     raise LatticeError(f"unknown threshold: {kind!r}")
 
 
-# Continuity flags used by the hypothesis checker in `transform`.  The
-# threshold maps jump at c; everything else used in rule bodies is
-# continuous on the unit interval.
-CONTINUOUS_NEGATIONS = {"neg1": True, "neg2": True}
-CONTINUOUS_CONJUNCTORS = {k: True for k in ADJOINT_KINDS}
-CONTINUOUS_THRESHOLDS = {"f": False, "g": False}
+def truth_value(x, what: str) -> float:
+    """x as a float when it is a finite number in [0, 1] (not a bool); else LatticeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0.0 <= x <= 1.0:
+        raise LatticeError(f"{what} must be a number in [0, 1], got {x!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)

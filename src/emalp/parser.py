@@ -204,14 +204,6 @@ def parse_program(text: str, allow_repeats: bool = False, tol: float = DEFAULT_T
     return program
 
 
-def serialize_expr(e: BodyExpr) -> str:
-    return str(e)
-
-
-def serialize_rule(r: Rule) -> str:
-    return str(r)
-
-
 def serialize_program(program: Program) -> str:
     """Canonical DSL text; parse_program(serialize_program(P)) == P."""
     if not program.rules:

@@ -34,6 +34,7 @@ from .program import (
     MalpError,
     Program,
     Rule,
+    body_atoms,
     eval_body,
     eval_expr,
     occurrences,
@@ -222,28 +223,94 @@ def _dedup(models: list[Interpretation], tol: float) -> list[Interpretation]:
     return kept
 
 
-def _grid_candidates(program: Program, step: float, pre_tol: float, tol: float):
+def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
+    """(atoms read, test) for every head equation T(M)[a] = M[a] and constraint.
+
+    A head reads itself and the bodies of its rules; an atom that heads
+    no rule reads only itself, so its test pins it to 0 (the sup over an
+    empty set).  A constraint reads its body.
+    """
+    by_head: dict[str, list[Rule]] = {a: [] for a in atoms}
+    for r in program.definite_rules():
+        by_head[r.head.name].append(r)
+
+    def head_test(a, rules):
+        def test(M):
+            t = 0.0
+            for r in rules:
+                v = eval_conjunctor(r.impl, r.weight, eval_body(r.body, M, tol))
+                if v > t:
+                    t = v
+            return abs(t - M[a]) <= pre_tol
+        return test
+
+    checks = []
+    for a, rules in by_head.items():
+        reads = {a}.union(*(body_atoms(r.body) for r in rules))
+        checks.append((reads, head_test(a, rules)))
+    for r in program.constraints():
+        checks.append((body_atoms(r.body), lambda M, r=r: satisfies(M, r, tol)))
+    return checks
+
+
+def _assignment_order(atoms, read_sets) -> list[str]:
+    """Greedy order for the depth-first walk, so that checks fire early.
+
+    Next comes the atom that leaves the fewest atoms unassigned in some
+    read set; ties go by name.
+    """
+    order: list[str] = []
+    left = [set(s) for s in read_sets]
+    free = set(atoms)
+    while free:
+        nxt = min(free, key=lambda x: (min(len(s) - 1 for s in left if x in s), x))
+        order.append(nxt)
+        free.discard(nxt)
+        for s in left:
+            s.discard(nxt)
+        left = [s for s in left if s]
+    return order
+
+
+def _grid_candidates(program: Program, step: float, pre_tol: float,
+                     tol: float) -> list[Interpretation]:
     """Grid points that are fixpoints of T and satisfy all constraints.
 
     At I = M the frozen and live readings of a body coincide, so the
-    prune needs no reduct: it evaluates the original bodies at M.
+    prune needs no reduct: it evaluates the original bodies at M.  The
+    grid is walked depth first, one atom per level, and each head
+    equation or constraint is tested once, at the shallowest level where
+    every atom it reads is assigned; a failing test cuts the subtree.
+    Candidates come back in lexicographic grid order over the sorted
+    atoms, so `_dedup` keeps the same point as a full enumeration would.
     """
     atoms = program.atoms()
     values = lattice_grid(step)
-    definite = program.definite_rules()
-    constraints = program.constraints()
-    for point in itertools.product(values, repeat=len(atoms)):
-        M = dict(zip(atoms, point))
-        consequence = {a: 0.0 for a in atoms}
-        for r in definite:
-            v = eval_conjunctor(r.impl, r.weight, eval_body(r.body, M, tol))
-            if v > consequence[r.head.name]:
-                consequence[r.head.name] = v
-        if any(abs(consequence[a] - M[a]) > pre_tol for a in atoms):
-            continue
-        if any(not satisfies(M, r, tol) for r in constraints):
-            continue
-        yield M
+    checks = _grid_checks(program, atoms, pre_tol, tol)
+    order = _assignment_order(atoms, [reads for reads, _ in checks])
+    level = {a: i + 1 for i, a in enumerate(order)}
+    tests_at: list[list] = [[] for _ in range(len(order) + 1)]
+    for reads, test in checks:
+        tests_at[max((level[a] for a in reads), default=0)].append(test)
+
+    M: Interpretation = {}    # the partial assignment, atoms order[:depth]
+    found: list[Interpretation] = []
+
+    def extend(depth: int) -> None:
+        if not all(test(M) for test in tests_at[depth]):
+            return
+        if depth == len(order):
+            found.append({a: M[a] for a in atoms})
+            return
+        a = order[depth]
+        for v in values:
+            M[a] = v
+            extend(depth + 1)
+        del M[a]
+
+    extend(0)
+    found.sort(key=lambda m: tuple(m[a] for a in atoms))
+    return found
 
 
 def find_stable_models(program: Program, cfg: StableSearchConfig) -> list[Interpretation]:

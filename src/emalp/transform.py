@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .lattice import DEFAULT_TOL, eval_negation, lattice_grid
+from .lattice import DEFAULT_TOL, NEGATION_KINDS, eval_negation, lattice_grid, truth_value
 from .program import (
     Apply,
     Atom,
@@ -113,12 +113,37 @@ class TranslationRecord:
         }
 
 
-def record_from_json(data: Mapping, source: Program, target: Program) -> TranslationRecord:
-    fresh = tuple(
-        FreshAtom(d["name"], d["role"], d.get("source_atom"), d.get("value"))
-        for d in data.get("fresh_atoms", ())
-    )
-    return TranslationRecord(data["method"], source, target, fresh, data.get("negation", "neg1"))
+def _fresh_atom_from_json(d, source: Program) -> FreshAtom:
+    if not isinstance(d, Mapping) or not isinstance(d.get("name"), str):
+        raise MalpError(f"record: fresh atom {d!r} needs a string name")
+    name, role = d["name"], d.get("role")
+    if role == "bottom_witness":
+        return FreshAtom(name, role)
+    if role == "constant_witness":
+        value = truth_value(d.get("value"), f"record: value of {name}")
+        return FreshAtom(name, role, value=value)
+    if role == "negation_witness":
+        q = d.get("source_atom")
+        if not isinstance(q, str) or q not in source.atoms():
+            raise MalpError(f"record: {name} negates {q!r}, which is not a source atom")
+        return FreshAtom(name, role, source_atom=q)
+    raise MalpError(f"record: fresh atom {name} has unknown role {role!r}")
+
+
+def record_from_json(data, source: Program, target: Program) -> TranslationRecord:
+    """Rebuild a record from its JSON form; a malformed record raises MalpError."""
+    if not isinstance(data, Mapping):
+        raise MalpError("record must be a JSON object")
+    method, negation = data.get("method"), data.get("negation", "neg1")
+    if method not in ("fc", "janssen", "manlp"):
+        raise MalpError(f"record: unknown method {method!r}")
+    if negation not in NEGATION_KINDS:
+        raise MalpError(f"record: unknown negation {negation!r}")
+    entries = data.get("fresh_atoms", [])
+    if not isinstance(entries, list):
+        raise MalpError("record: fresh_atoms must be a list")
+    fresh = tuple(_fresh_atom_from_json(d, source) for d in entries)
+    return TranslationRecord(method, source, target, fresh, negation)
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:

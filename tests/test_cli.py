@@ -227,3 +227,58 @@ def test_bad_grid_step_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "stable", "search", path, "--grid", "0.3")
     assert code == 1
     assert "divide" in err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "true", '"0.8"', "7", "-3", "null"])
+def test_interpretation_value_outside_unit_interval_exits_one(capsys, tmp_path, value):
+    path = tmp_path / "mutual.malp"
+    path.write_text(MUTUAL)
+    interp = tmp_path / "i.json"
+    interp.write_text('{"p": 0.5, "q": %s}' % value)
+    for command in (("stable", "verify"), ("eval",), ("reduct",)):
+        code, out, err = run(capsys, *command, path, "-i", interp)
+        assert code == 1
+        assert out == ""
+        assert "interpretation value of 'q' must be a number in [0, 1]" in err
+
+
+def test_interpretation_accepts_integer_endpoints(capsys, tmp_path):
+    path = tmp_path / "mutual.malp"
+    path.write_text(MUTUAL)
+    interp = tmp_path / "i.json"
+    interp.write_text('{"p": 1, "q": 0}')
+    code, out, _ = run(capsys, "stable", "verify", path, "-i", interp)
+    assert code == 0
+    assert json.loads(out)["stable"] is True
+
+
+@pytest.mark.parametrize("record", [
+    [1],
+    {"method": "fc", "fresh_atoms": [{"name": "p_bot"}]},
+])
+def test_equiv_malformed_record_exits_one(capsys, tmp_path, record):
+    src = tmp_path / "c.malp"
+    src.write_text(CONSTRAINED)
+    out_path = tmp_path / "c.fc.malp"
+    rec_path = tmp_path / "c.fc.record.json"
+    run(capsys, "transform", src, "--method", "fc", "-o", out_path, "--record", rec_path)
+    rec_path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "record" in err
+
+
+def test_chain_equiv_at_quarter_grid(capsys, motor_file, tmp_path):
+    # 5^5 + 5^9 = 1,956,250 nominal points, just inside the default budget
+    fc_out, fc_rec = tmp_path / "m.fc.malp", tmp_path / "m.fc.json"
+    nl_out, nl_rec = tmp_path / "m.manlp.malp", tmp_path / "m.manlp.json"
+    assert run(capsys, "transform", motor_file, "--method", "fc",
+               "-o", fc_out, "--record", fc_rec)[0] == 0
+    assert run(capsys, "transform", fc_out, "--method", "manlp",
+               "-o", nl_out, "--record", nl_rec)[0] == 0
+    code, out, _ = run(capsys, "equiv", fc_out, nl_out, "--record", nl_rec, "--grid", "0.25")
+    assert code == 0
+    data = json.loads(out)
+    assert data["bijection"] is True
+    assert data["points_checked"] == 1956250

@@ -348,3 +348,22 @@ def test_record_json_round_trip(motor):
     assert back.method == rec.method
     assert back.fresh_atoms == rec.fresh_atoms
     assert back.negation == rec.negation
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1], "JSON object"),
+    ({"fresh_atoms": []}, "unknown method"),
+    ({"method": "fc", "negation": "neg3"}, "unknown negation"),
+    ({"method": "fc", "fresh_atoms": {"name": "p_bot"}}, "must be a list"),
+    ({"method": "fc", "fresh_atoms": [{"role": "bottom_witness"}]}, "needs a string name"),
+    ({"method": "fc", "fresh_atoms": [{"name": "p_bot"}]}, "unknown role None"),
+    ({"method": "janssen", "fresh_atoms": [{"name": "p_c_1", "role": "constant_witness"}]},
+     "must be a number in"),
+    ({"method": "manlp", "fresh_atoms": [{"name": "not_z", "role": "negation_witness",
+                                          "source_atom": "z"}]}, "not a source atom"),
+])
+def test_malformed_record_raises(motor, data, message):
+    from emalp import MalpError
+
+    with pytest.raises(MalpError, match=message):
+        record_from_json(data, motor, motor)
