@@ -30,12 +30,11 @@ from .semantics import (
     StableSearchConfig,
     find_stable_models,
     is_model,
-    is_stable,
     least_model,
     reduct,
     require_total,
     satisfies,
-    stable_operator,
+    stable_check,
 )
 from .transform import (
     BudgetExceeded,
@@ -176,8 +175,7 @@ def cmd_lfp(args) -> int:
 def cmd_stable_verify(args) -> int:
     program = _load_program(args.file, args.allow_repeats)
     I = _load_interpretation(args.interpretation, program)
-    verdict = is_stable(program, I, args.tol, args.max_iter)
-    _, trace = stable_operator(program, I, args.tol, args.max_iter)
+    verdict, trace = stable_check(program, I, args.tol, args.max_iter)
     result = {True: True, False: False, None: "indeterminate"}[verdict]
     if args.output == "table":
         print(f"stable: {result}")

@@ -33,6 +33,14 @@ from .program import (
 )
 
 
+# Deepest nesting of operator applications in one body.  Parsing,
+# validation, evaluation, serialization and `==` all recurse on the tree,
+# at up to four interpreter frames per level (str and the dataclass
+# equality), so this keeps every walk well inside Python's default
+# recursion limit of 1000 even when called from a deep stack.
+MAX_DEPTH = 128
+
+
 class ParseError(MalpError):
     def __init__(self, message: str, line: int, col: int):
         self.line = line
@@ -89,6 +97,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0   # operator applications open around the current token
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -139,12 +148,17 @@ class _Parser:
             return Atom(tok.text)
         if tok.text not in BUILTINS:
             raise ParseError(f"unknown builtin: {tok.text!r}", tok.line, tok.col)
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} applications",
+                             tok.line, tok.col)
         self.next()
+        self.depth += 1
         args = [self.expr()]
         while self.peek().kind == ",":
             self.next()
             args.append(self.expr())
         self.expect(")")
+        self.depth -= 1
         spec = BUILTINS[tok.text]
         if len(args) < spec.min_arity or (spec.max_arity is not None and len(args) > spec.max_arity):
             raise ParseError(f"{tok.text} applied to {len(args)} arguments", tok.line, tok.col)

@@ -380,12 +380,18 @@ class Program:
         return "\n".join(str(r) for r in self.rules)
 
     def atoms(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for r in self.rules:
-            if isinstance(r.head, Atom):
-                names.add(r.head.name)
-            names.update(body_atoms(r.body))
-        return tuple(sorted(names))
+        # computed on first use and kept outside the fields, so equality
+        # and hashing still see only the (immutable) rules
+        cached = self.__dict__.get("_atoms")
+        if cached is None:
+            names: set[str] = set()
+            for r in self.rules:
+                if isinstance(r.head, Atom):
+                    names.add(r.head.name)
+                names.update(body_atoms(r.body))
+            cached = tuple(sorted(names))
+            object.__setattr__(self, "_atoms", cached)
+        return cached
 
     def constraints(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.is_constraint)

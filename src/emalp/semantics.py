@@ -181,19 +181,26 @@ def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAU
     return least_model(rest, tol, max_iter, atoms=program.atoms())
 
 
+def stable_check(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
+                 max_iter: int = DEFAULT_MAX_ITER) -> tuple[Optional[bool], FixpointTrace]:
+    """The `is_stable` verdict together with the trace of the stable operator at M.
+
+    One reduct and one least model serve both; the trace is computed
+    even when a constraint fails.  At M a frozen constraint body and the
+    live one evaluate alike, so the constraints are checked unfrozen.
+    """
+    lfp, trace = stable_operator(program, M, tol, max_iter)
+    if not all(satisfies(M, r, tol) for r in program.constraints()):
+        return False, trace
+    if not trace.converged:
+        return None, trace
+    return interp_distance(lfp, M) <= tol, trace
+
+
 def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> Optional[bool]:
     """True/False verdict, or None when the inner fixpoint fails to converge."""
-    require_total(M, program)
-    frozen = reduct(program, M, tol)
-    for r in frozen.constraints():
-        if not satisfies(M, r, tol):
-            return False
-    lfp, trace = least_model(Program(frozen.definite_rules()), tol, max_iter,
-                             atoms=program.atoms())
-    if not trace.converged:
-        return None
-    return interp_distance(lfp, M) <= tol
+    return stable_check(program, M, tol, max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +326,12 @@ def find_stable_models(program: Program, cfg: StableSearchConfig) -> list[Interp
     Grid mode enumerates every grid interpretation and keeps those that
     verify stable (complete on the grid).  Iterate mode runs the stable
     operator to a fixpoint from bottom, top, and seeded random starts,
-    then verifies the candidates.  Results are deduplicated within tol
-    (earliest kept) and sorted lexicographically by atom values.
+    then verifies the candidates.  The operator is a pure function, so a
+    start whose orbit revisits a state exactly (the two-cycle of an even
+    negation cycle) is dropped at once: every later step would replay a
+    step that neither settled nor failed.  Results are deduplicated
+    within tol (earliest kept) and sorted lexicographically by atom
+    values.
     """
     atoms = program.atoms()
     found: list[Interpretation] = []
@@ -337,6 +348,7 @@ def find_stable_models(program: Program, cfg: StableSearchConfig) -> list[Interp
         outer_cap = min(cfg.max_iter, 100)
         for I in starts:
             M = I
+            seen = {tuple(M[a] for a in atoms)}
             for _ in range(outer_cap):
                 N, trace = stable_operator(program, M, cfg.tol, cfg.max_iter)
                 if not trace.converged:
@@ -345,6 +357,10 @@ def find_stable_models(program: Program, cfg: StableSearchConfig) -> list[Interp
                     if is_stable(program, N, cfg.tol, cfg.max_iter) is True:
                         found.append(N)
                     break
+                key = tuple(N[a] for a in atoms)
+                if key in seen:
+                    break   # the orbit repeats and never settles (an even cycle)
+                seen.add(key)
                 M = N
     else:
         raise MalpError(f"unknown search mode: {cfg.mode!r}")

@@ -282,3 +282,72 @@ def test_chain_equiv_at_quarter_grid(capsys, motor_file, tmp_path):
     data = json.loads(out)
     assert data["bijection"] is True
     assert data["points_checked"] == 1956250
+
+
+def _legacy_verify_output(program, I, output, tol=1e-9, max_iter=10_000):
+    """stable verify as composed from is_stable and stable_operator."""
+    from emalp import is_stable, stable_operator
+    from emalp.cli import _trace_table
+
+    verdict = is_stable(program, I, tol, max_iter)
+    _, trace = stable_operator(program, I, tol, max_iter)
+    result = {True: True, False: False, None: "indeterminate"}[verdict]
+    if output == "table":
+        return "".join(line + "\n" for line in
+                       [f"stable: {result}"] + _trace_table(program.atoms(), trace))
+    return json.dumps({"stable": result, "trace": trace.to_json()},
+                      indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+@pytest.mark.parametrize("interp, max_iter, verdict", [
+    ({"p": 9 / 85, "q": 0.36, "s": 0.8, "t": 0.8}, 10_000, True),
+    ({"p": 0.25, "q": 0.4, "s": 0.9, "t": 0.85}, 10_000, False),
+    ({"p": 0.1, "q": 0.1, "s": 0.8, "t": 0.8}, 10_000, False),   # the constraint fails
+    ({"p": 9 / 85, "q": 0.36, "s": 0.8, "t": 0.8}, 2, "indeterminate"),
+])
+def test_stable_verify_output_unchanged(capsys, motor, motor_file, tmp_path,
+                                        output, interp, max_iter, verdict):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(interp))
+    code, out, _ = run(capsys, "stable", "verify", motor_file, "-i", path,
+                       "--output", output, "--max-iter", max_iter)
+    assert code == 0
+    assert out == _legacy_verify_output(motor, interp, output, max_iter=max_iter)
+    assert f"{verdict}".lower() in out.splitlines()[1 if output == "json" else 0].lower()
+
+
+def _nested_file(tmp_path, depth):
+    from emalp.parser import MAX_DEPTH
+
+    body = "neg1(" * (MAX_DEPTH + depth) + "q" + ")" * (MAX_DEPTH + depth)
+    path = tmp_path / f"deep{depth}.malp"
+    path.write_text(f"p <-g {body} with 1;\nq <-g 0.5 with 1;\n0.5 <-l {body} with 1;\n")
+    return path
+
+
+@pytest.mark.parametrize("depth", [1, 3000])
+@pytest.mark.parametrize("argv", [["check"], ["stable", "search"],
+                                  ["stable", "search", "--grid", "0.5"]])
+def test_too_deep_body_exits_one(capsys, tmp_path, depth, argv):
+    code, out, err = run(capsys, *argv, _nested_file(tmp_path, depth))
+    assert code == 1
+    assert out == ""
+    assert "nested deeper than" in err and "Traceback" not in err
+
+
+def test_body_at_depth_limit_runs(capsys, tmp_path):
+    path = _nested_file(tmp_path, 0)
+    code, out, _ = run(capsys, "check", path)
+    assert code == 0 and json.loads(out)["valid"] is True
+    code, out, _ = run(capsys, "stable", "search", path, "--grid", "0.5")
+    assert code == 0 and json.loads(out)["count"] == 1
+    interp = tmp_path / "i.json"
+    interp.write_text(json.dumps({"p": 0.5, "q": 0.5}))
+    code, out, _ = run(capsys, "stable", "verify", path, "-i", interp)
+    assert code == 0 and json.loads(out)["stable"] is True
+    # the fc target nests the constraint body deeper: it re-parses or is refused
+    code, out, _ = run(capsys, "transform", path, "--method", "fc")
+    assert code == 0
+    code, out, err = run(capsys, "check", json.loads(out)["target_file"])
+    assert code == 0 or (code == 1 and "nested deeper than" in err)

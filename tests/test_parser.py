@@ -140,3 +140,29 @@ def test_parse_body_helper():
     assert parse_body("min(p, q, 0.5)") == Apply("min", (Atom("p"), Atom("q"), Const(0.5)))
     with pytest.raises(ParseError):
         parse_body("min(p, q) trailing")
+
+
+def _nested(depth, op="neg1"):
+    return f"{op}(" * depth + "p" + ")" * depth
+
+
+def test_depth_limit_accepts_a_body_at_the_limit():
+    from emalp.parser import MAX_DEPTH
+
+    program = parse_program(f"q <-g {_nested(MAX_DEPTH)} with 1;\n")
+    assert parse_program(serialize_program(program)) == program
+    body = "max(" * MAX_DEPTH + "p" + ", 0.5)" * MAX_DEPTH
+    assert str(parse_body(body)) == body
+
+
+@pytest.mark.parametrize("extra", [1, 3000])
+def test_depth_limit_raises_parse_error(extra):
+    from emalp.parser import MAX_DEPTH
+
+    with pytest.raises(ParseError) as info:
+        parse_program(f"q <-g {_nested(MAX_DEPTH + extra)} with 1;\n")
+    err = info.value
+    assert (err.line, err.col) == (1, 7 + 5 * MAX_DEPTH)   # the first application too deep
+    assert "nested deeper" in str(err)
+    with pytest.raises(ParseError):
+        parse_body(_nested(MAX_DEPTH + extra, "neg2"))

@@ -176,3 +176,28 @@ def test_polarity_soundness_by_sampling(seed):
             assert lo <= hi + 1e-9
         elif pol is Polarity.NEGATIVE:
             assert hi <= lo + 1e-9
+
+
+def test_atoms_cache_keeps_equality_and_hash(motor_text):
+    from emalp import parse_program
+
+    program, fresh = parse_program(motor_text), parse_program(motor_text)
+    first = program.atoms()
+    assert program.atoms() is first
+    assert first == ("p", "q", "s", "t")
+    assert program == fresh and hash(program) == hash(fresh)
+    assert repr(program) == repr(fresh)
+    assert fresh.atoms() == first
+
+
+def test_reduct_atoms_drop_atoms_frozen_out_of_every_body():
+    from emalp import parse_program, reduct, stable_operator
+
+    program = parse_program("p <-g neg1(r) with 1;\nq <-g min(p, neg2(r)) with 1;\n")
+    M = {"p": 0.5, "q": 0.5, "r": 0.25}
+    assert program.atoms() == ("p", "q", "r")
+    frozen = reduct(program, M)
+    assert frozen.atoms() == ("p", "q")
+    assert Program(frozen.rules).atoms() == ("p", "q")
+    value, _ = stable_operator(program, M)
+    assert sorted(value) == ["p", "q", "r"] and value["r"] == 0.0
