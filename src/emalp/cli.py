@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .lattice import DEFAULT_TOL, eval_implication, lattice_grid, truth_value
+from .lattice import ADJOINT_KINDS, DEFAULT_TOL, NEGATION_KINDS, eval_implication, truth_value
 from .parser import parse_program, serialize_program
 from .program import (
     MalpError,
@@ -26,8 +26,10 @@ from .program import (
 )
 from .semantics import (
     DEFAULT_MAX_ITER,
+    BudgetExceeded,
     FixpointTrace,
     StableSearchConfig,
+    check_grid_budget,
     find_stable_models,
     is_model,
     least_model,
@@ -37,7 +39,6 @@ from .semantics import (
     stable_check,
 )
 from .transform import (
-    BudgetExceeded,
     check_continuity,
     eliminate_constraints_fc,
     eliminate_constraints_janssen,
@@ -80,8 +81,9 @@ def _trace_table(atoms: tuple[str, ...], trace: FixpointTrace) -> list[str]:
     return lines
 
 
-def _load_program(path: str, allow_repeats: bool) -> Program:
-    return parse_program(Path(path).read_text(encoding="utf-8"), allow_repeats=allow_repeats)
+def _load_program(path: str, args) -> Program:
+    return parse_program(Path(path).read_text(encoding="utf-8"),
+                         allow_repeats=args.allow_repeats, tol=args.tol)
 
 
 def _load_interpretation(path: str, program: Program) -> dict[str, float]:
@@ -130,7 +132,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    program = _load_program(args.file, args.allow_repeats)
+    program = _load_program(args.file, args)
     I = _load_interpretation(args.interpretation, program)
     rows = []
     for idx, rule in enumerate(program.rules):
@@ -147,7 +149,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reduct(args) -> int:
-    program = _load_program(args.file, args.allow_repeats)
+    program = _load_program(args.file, args)
     I = _load_interpretation(args.interpretation, program)
     text = serialize_program(reduct(program, I, args.tol))
     if args.out:
@@ -159,7 +161,7 @@ def cmd_reduct(args) -> int:
 
 
 def cmd_lfp(args) -> int:
-    program = _load_program(args.file, args.allow_repeats)
+    program = _load_program(args.file, args)
     if program.classify() is not ProgramClass.POSITIVE:
         print("note: program is not positive; the fixpoint is not guaranteed "
               "to be a least model", file=sys.stderr)
@@ -173,7 +175,7 @@ def cmd_lfp(args) -> int:
 
 
 def cmd_stable_verify(args) -> int:
-    program = _load_program(args.file, args.allow_repeats)
+    program = _load_program(args.file, args)
     I = _load_interpretation(args.interpretation, program)
     verdict, trace = stable_check(program, I, args.tol, args.max_iter)
     result = {True: True, False: False, None: "indeterminate"}[verdict]
@@ -187,11 +189,9 @@ def cmd_stable_verify(args) -> int:
 
 
 def cmd_stable_search(args) -> int:
-    program = _load_program(args.file, args.allow_repeats)
+    program = _load_program(args.file, args)
     if args.grid is not None:
-        points = len(lattice_grid(args.grid)) ** len(program.atoms())
-        if points > args.budget:
-            raise BudgetExceeded(f"{points} grid points exceed the budget of {args.budget}")
+        check_grid_budget((program,), args.grid, args.budget)
     cfg = StableSearchConfig(
         mode="grid" if args.grid is not None else "iterate",
         grid_step=args.grid if args.grid is not None else 0.5,
@@ -216,7 +216,7 @@ _TRANSFORMS = {
 
 
 def cmd_transform(args) -> int:
-    program = _load_program(args.file, args.allow_repeats)
+    program = _load_program(args.file, args)
     if args.method == "manlp":
         rec = to_manlp(program, args.neg)
     else:
@@ -240,8 +240,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    source = _load_program(args.source, args.allow_repeats)
-    target = _load_program(args.target, args.allow_repeats)
+    source = _load_program(args.source, args)
+    target = _load_program(args.target, args)
     data = json.loads(Path(args.record).read_text(encoding="utf-8"))
     rec = record_from_json(data, source, target)
     report = verify_equivalence(source, rec, args.grid, args.tol,
@@ -307,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="rewrite a program, writing target and record")
     p.add_argument("file")
     p.add_argument("--method", choices=("fc", "janssen", "manlp"), required=True)
-    p.add_argument("--impl", choices=("godel", "product", "lukasiewicz"), default="lukasiewicz")
-    p.add_argument("--conj", choices=("godel", "product", "lukasiewicz"), default="godel")
-    p.add_argument("--neg", choices=("neg1", "neg2"), default="neg1")
+    p.add_argument("--impl", choices=ADJOINT_KINDS, default="lukasiewicz")
+    p.add_argument("--conj", choices=ADJOINT_KINDS, default="godel")
+    p.add_argument("--neg", choices=NEGATION_KINDS, default="neg1")
     p.add_argument("-o", "--out")
     p.add_argument("--record")
     _add_common(p)

@@ -39,7 +39,6 @@ from .errors import MalpError
 DEFAULT_TOL = 1e-9
 
 ADJOINT_KINDS = ("godel", "product", "lukasiewicz")
-NEGATION_KINDS = ("neg1", "neg2")
 
 
 class LatticeError(MalpError):
@@ -98,12 +97,23 @@ def eval_implication(kind: str, z: float, y: float) -> float:
         raise LatticeError(f"unknown adjoint pair: {kind!r}") from None
 
 
+def neg1(x: float) -> float:
+    return 1.0 - x
+
+
+def neg2(x: float) -> float:
+    return math.sqrt(max(0.0, 1.0 - x * x))
+
+
+_NEGATIONS = {"neg1": neg1, "neg2": neg2}
+NEGATION_KINDS = tuple(_NEGATIONS)
+
+
 def eval_negation(kind: str, x: float) -> float:
-    if kind == "neg1":
-        return 1.0 - x
-    if kind == "neg2":
-        return math.sqrt(max(0.0, 1.0 - x * x))
-    raise LatticeError(f"unknown negation: {kind!r}")
+    try:
+        return _NEGATIONS[kind](x)
+    except KeyError:
+        raise LatticeError(f"unknown negation: {kind!r}") from None
 
 
 def eval_threshold(kind: str, c: float, x: float, tol: float = DEFAULT_TOL) -> float:

@@ -18,6 +18,7 @@ those are operators of the truth-value lattice proper.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Union
@@ -25,8 +26,10 @@ from typing import Callable, Iterator, Mapping, Optional, Union
 from .errors import MalpError
 from .lattice import (
     DEFAULT_TOL,
-    eval_negation,
+    NEGATION_KINDS,
     eval_threshold,
+    neg1,
+    neg2,
     t_godel,
     t_lukasiewicz,
     t_product,
@@ -136,7 +139,7 @@ def _iv_neg1(ivs: list[Interval]) -> Interval:
 
 def _iv_neg2(ivs: list[Interval]) -> Interval:
     lo, hi = ivs[0]
-    return (eval_negation("neg2", _clamp01(hi)), eval_negation("neg2", _clamp01(lo)))
+    return (neg2(_clamp01(hi)), neg2(_clamp01(lo)))
 
 
 def _iv_threshold(ivs: list[Interval]) -> Interval:
@@ -166,58 +169,34 @@ class OpSpec:
         return self.polarities[i]
 
 
-def _fn_min(*vs: float) -> float:
-    return min(vs)
-
-
-def _fn_max(*vs: float) -> float:
-    return max(vs)
-
-
-def _fn_or_l(x: float, y: float) -> float:
+def _or_l(x: float, y: float) -> float:
     return min(1.0, x + y)
 
 
-def _fn_add(x: float, y: float) -> float:
-    return x + y
-
-
-def _fn_sub(x: float, y: float) -> float:
-    return x - y
-
-
-def _fn_mul(x: float, y: float) -> float:
-    return x * y
-
-
-def _fn_div1(x: float, y: float) -> float:
+def _div1(x: float, y: float) -> float:
     if y == 0.0:
         return 1.0
     return min(1.0, x / y)
 
 
 BUILTINS: dict[str, OpSpec] = {
-    "min": OpSpec("min", 2, None, None, True, _fn_min, _iv_min),
-    "max": OpSpec("max", 2, None, None, True, _fn_max, _iv_max),
+    "min": OpSpec("min", 2, None, None, True, min, _iv_min),
+    "max": OpSpec("max", 2, None, None, True, max, _iv_max),
     "and_g": OpSpec("and_g", 2, 2, (1, 1), True, t_godel, _iv_min),
     "and_p": OpSpec("and_p", 2, 2, (1, 1), True, t_product, _iv_mul),
     "and_l": OpSpec("and_l", 2, 2, (1, 1), True, t_lukasiewicz, _iv_and_l),
-    "or_l": OpSpec("or_l", 2, 2, (1, 1), True, _fn_or_l, _iv_or_l),
-    "add": OpSpec("add", 2, 2, (1, 1), True, _fn_add, _iv_add),
-    "sub": OpSpec("sub", 2, 2, (1, -1), True, _fn_sub, _iv_sub),
-    "mul": OpSpec("mul", 2, 2, (1, 1), True, _fn_mul, _iv_mul),
-    "div1": OpSpec("div1", 2, 2, (1, -1), True, _fn_div1, _iv_div1),
-    "neg1": OpSpec("neg1", 1, 1, (-1,), True,
-                   lambda x: eval_negation("neg1", x), _iv_neg1, lattice_domain=(0,)),
-    "neg2": OpSpec("neg2", 1, 1, (-1,), True,
-                   lambda x: eval_negation("neg2", x), _iv_neg2, lattice_domain=(0,)),
+    "or_l": OpSpec("or_l", 2, 2, (1, 1), True, _or_l, _iv_or_l),
+    "add": OpSpec("add", 2, 2, (1, 1), True, operator.add, _iv_add),
+    "sub": OpSpec("sub", 2, 2, (1, -1), True, operator.sub, _iv_sub),
+    "mul": OpSpec("mul", 2, 2, (1, 1), True, operator.mul, _iv_mul),
+    "div1": OpSpec("div1", 2, 2, (1, -1), True, _div1, _iv_div1),
+    "neg1": OpSpec("neg1", 1, 1, (-1,), True, neg1, _iv_neg1, lattice_domain=(0,)),
+    "neg2": OpSpec("neg2", 1, 1, (-1,), True, neg2, _iv_neg2, lattice_domain=(0,)),
     "f": OpSpec("f", 2, 2, (1, 1), False, None, _iv_threshold,
                 lattice_domain=(1,), const_first=True),
     "g": OpSpec("g", 2, 2, (1, 1), False, None, _iv_threshold,
                 lattice_domain=(1,), const_first=True),
 }
-
-NEGATION_OPS = ("neg1", "neg2")
 
 
 def op_spec(name: str) -> OpSpec:
@@ -267,7 +246,6 @@ class Polarity(enum.Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
     MIXED = "mixed"
-    ABSENT = "absent"
 
 
 @dataclass(frozen=True)
@@ -291,7 +269,7 @@ def _collect(node: BodyExpr, sign: int, direct_neg: bool, out: list[Occurrence])
         return
     spec = op_spec(node.op)
     for i, arg in enumerate(node.args):
-        _collect(arg, sign * spec.polarity(i), node.op in NEGATION_OPS and sign > 0, out)
+        _collect(arg, sign * spec.polarity(i), node.op in NEGATION_KINDS and sign > 0, out)
 
 
 def polarity_of(body: BodyExpr) -> dict[str, Polarity]:
@@ -325,14 +303,27 @@ def body_ops(body: BodyExpr) -> Iterator[Apply]:
             yield from body_ops(a)
 
 
-def body_interval(body: BodyExpr) -> Interval:
-    """Natural interval extension with atoms ranging over [0, 1]."""
-    if isinstance(body, Const):
-        return (body.value, body.value)
-    if isinstance(body, Atom):
-        return (0.0, 1.0)
+def rewrite(body: BodyExpr, replace: Callable[[BodyExpr, int], Optional[BodyExpr]],
+            sign: int = 1) -> BodyExpr:
+    """Rebuild a body top down, passing each node with its sign to `replace`.
+
+    `replace(node, sign)` returns the node's substitute, or None to keep
+    the node and descend into its arguments.
+    """
+    new = replace(body, sign)
+    if new is not None:
+        return new
+    if not isinstance(body, Apply):
+        return body
     spec = op_spec(body.op)
-    return spec.interval([body_interval(a) for a in body.args])
+    return Apply(body.op, tuple(
+        rewrite(a, replace, sign * spec.polarity(i)) for i, a in enumerate(body.args)
+    ))
+
+
+def body_interval(body: BodyExpr) -> Interval:
+    """Natural interval extension over atoms in [0, 1], clamped as validation clamps it."""
+    return _check_expr(body, [])
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +460,6 @@ def _check_expr(node: BodyExpr, issues: list[str]) -> Interval:
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _check_atom_names(rule: Rule, local: list[str]) -> None:
-    names = set(body_atoms(rule.body))
-    if isinstance(rule.head, Atom):
-        names.add(rule.head.name)
-    for name in sorted(names):
-        if name == "with" or not _IDENT_RE.match(name):
-            local.append(f"invalid atom name {name!r}")
-
-
 def validate_program(program: Program, allow_repeats: bool = False,
                      tol: float = DEFAULT_TOL) -> ValidationReport:
     """Collect every invariant violation and classify the program.
@@ -488,7 +470,14 @@ def validate_program(program: Program, allow_repeats: bool = False,
     issues: list[ValidationIssue] = []
     for idx, rule in enumerate(program.rules):
         local: list[str] = []
-        _check_atom_names(rule, local)
+        counts: dict[tuple[str, int], int] = {}   # (atom, sign), in order of first occurrence
+        for occ in occurrences(rule.body):
+            counts[occ.atom, occ.sign] = counts.get((occ.atom, occ.sign), 0) + 1
+        atoms = dict.fromkeys(atom for atom, _ in counts)
+        head = [rule.head.name] if isinstance(rule.head, Atom) else []
+        for name in sorted(set(atoms).union(head)):
+            if name == "with" or not _IDENT_RE.match(name):
+                local.append(f"invalid atom name {name!r}")
         if not -tol <= rule.weight <= 1.0 + tol:
             local.append(f"weight {rule.weight} outside [0, 1]")
         if rule.is_constraint:
@@ -499,11 +488,8 @@ def validate_program(program: Program, allow_repeats: bool = False,
         top = _check_expr(rule.body, local)
         if top[0] < -tol or top[1] > 1.0 + tol:
             local.append(f"body may leave [0, 1] (interval [{top[0]}, {top[1]}])")
-        counts: dict[tuple[str, int], int] = {}
-        for occ in occurrences(rule.body):
-            counts[(occ.atom, occ.sign)] = counts.get((occ.atom, occ.sign), 0) + 1
-        for atom, pol in polarity_of(rule.body).items():
-            if pol is Polarity.MIXED:
+        for atom in atoms:
+            if (atom, 1) in counts and (atom, -1) in counts:
                 local.append(f"atom {atom!r} occurs with both polarities")
         if not allow_repeats:
             for (atom, sign), n in sorted(counts.items()):

@@ -25,11 +25,9 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .lattice import DEFAULT_TOL, eval_conjunctor, eval_implication, lattice_grid
+from .lattice import DEFAULT_TOL, NEGATION_KINDS, eval_conjunctor, eval_implication, lattice_grid
 from .program import (
     Apply,
-    Atom,
-    BodyExpr,
     Const,
     MalpError,
     Program,
@@ -38,11 +36,11 @@ from .program import (
     eval_body,
     eval_expr,
     occurrences,
-    op_spec,
-    NEGATION_OPS,
+    rewrite,
 )
 
 DEFAULT_MAX_ITER = 10_000
+PREFILTER_TOL = 1e-6   # slack of the grid fixpoint prune |T(M)[a] - M[a]|
 
 Interpretation = dict[str, float]
 
@@ -87,24 +85,18 @@ def is_model(I: Mapping[str, float], program: Program, tol: float = DEFAULT_TOL)
 # reduct
 
 
-def _freeze(node: BodyExpr, sign: int, M: Mapping[str, float], tol: float) -> BodyExpr:
-    if isinstance(node, (Const, Atom)):
-        return node
-    if node.op in NEGATION_OPS:
-        occs = occurrences(node, sign)
-        if occs and all(o.sign < 0 for o in occs):
-            return Const(eval_expr(node, M, tol))
-    spec = op_spec(node.op)
-    return Apply(node.op, tuple(
-        _freeze(arg, sign * spec.polarity(i), M, tol) for i, arg in enumerate(node.args)
-    ))
-
-
 def reduct(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL) -> Program:
     """Freeze every negation subtree at its value under M; heads and weights unchanged."""
     require_total(M, program)
+
+    def freeze(node, sign):
+        if isinstance(node, Apply) and node.op in NEGATION_KINDS:
+            occs = occurrences(node, sign)
+            if occs and all(o.sign < 0 for o in occs):
+                return Const(eval_expr(node, M, tol))
+
     return Program(tuple(
-        Rule(r.head, r.impl, _freeze(r.body, 1, M, tol), r.weight) for r in program.rules
+        Rule(r.head, r.impl, rewrite(r.body, freeze), r.weight) for r in program.rules
     ))
 
 
@@ -207,6 +199,22 @@ def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL
 # stable-model search
 
 
+class BudgetExceeded(MalpError):
+    pass
+
+
+def check_grid_budget(programs, step: float, budget: int) -> int:
+    """The nominal grid size, (1/step + 1) ** |atoms| summed over the programs.
+
+    Raises BudgetExceeded when it is above the budget.
+    """
+    n_values = len(lattice_grid(step))
+    points = sum(n_values ** len(p.atoms()) for p in programs)
+    if points > budget:
+        raise BudgetExceeded(f"{points} grid points exceed the budget of {budget}")
+    return points
+
+
 @dataclass(frozen=True)
 class StableSearchConfig:
     mode: str = "grid"            # "grid" | "iterate"
@@ -215,7 +223,6 @@ class StableSearchConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     rng_seed: int = 0
-    prefilter_tol: float = 1e-6   # slack for the grid fixpoint prune
 
 
 def _sort_models(models: list[Interpretation], atoms) -> list[Interpretation]:
@@ -336,7 +343,7 @@ def find_stable_models(program: Program, cfg: StableSearchConfig) -> list[Interp
     atoms = program.atoms()
     found: list[Interpretation] = []
     if cfg.mode == "grid":
-        for M in _grid_candidates(program, cfg.grid_step, cfg.prefilter_tol, cfg.tol):
+        for M in _grid_candidates(program, cfg.grid_step, PREFILTER_TOL, cfg.tol):
             if is_stable(program, M, cfg.tol, cfg.max_iter) is True:
                 found.append(M)
     elif cfg.mode == "iterate":

@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .lattice import DEFAULT_TOL, NEGATION_KINDS, eval_negation, lattice_grid, truth_value
+from .lattice import DEFAULT_TOL, NEGATION_KINDS, eval_negation, truth_value
 from .program import (
     Apply,
     Atom,
-    BodyExpr,
     Const,
     MalpError,
     Polarity,
@@ -44,20 +43,19 @@ from .program import (
     body_ops,
     op_spec,
     polarity_of,
+    rewrite,
 )
 from .semantics import (
     DEFAULT_MAX_ITER,
+    BudgetExceeded,
     StableSearchConfig,
+    check_grid_budget,
     find_stable_models,
     interp_distance,
 )
 
 
 class TransformError(MalpError):
-    pass
-
-
-class BudgetExceeded(MalpError):
     pass
 
 
@@ -156,6 +154,14 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name
 
 
+def _bottom_rule(p_bot: str, threshold: str, c: float, arg, impl: str, conj: str,
+                 neg: str) -> Rule:
+    """<p_bot <-impl threshold(0, neg(p_bot)) &conj threshold(c, arg); 1>."""
+    guard = Apply(threshold, (Const(0.0), Apply(neg, (Atom(p_bot),))))
+    bound = Apply(threshold, (Const(c), arg))
+    return Rule(Atom(p_bot), impl, Apply(_CONJ_OPS[conj], (guard, bound)), 1.0)
+
+
 def eliminate_constraints_fc(program: Program, impl_choice: str = "lukasiewicz",
                              conj_choice: str = "godel",
                              neg_choice: str = "neg1") -> TranslationRecord:
@@ -164,21 +170,14 @@ def eliminate_constraints_fc(program: Program, impl_choice: str = "lukasiewicz",
     Non-constraint rules are copied verbatim, so the target has exactly
     as many rules as the source and is constraint-free.
     """
-    conj = _CONJ_OPS[conj_choice]
-    constraints = program.constraints()
-    if not constraints:
+    if not program.constraints():
         return TranslationRecord("fc", program, program)
-    taken = set(program.atoms())
-    p_bot = _fresh_name("p_bot", taken)
-    rules = []
-    for r in program.rules:
-        if not r.is_constraint:
-            rules.append(r)
-            continue
-        guard = Apply("f", (Const(0.0), Apply(neg_choice, (Atom(p_bot),))))
-        bound = Apply("f", (Const(r.head.value), r.body))
-        rules.append(Rule(Atom(p_bot), impl_choice, Apply(conj, (guard, bound)), 1.0))
-    target = Program(tuple(rules))
+    p_bot = _fresh_name("p_bot", set(program.atoms()))
+    target = Program(tuple(
+        _bottom_rule(p_bot, "f", r.head.value, r.body, impl_choice, conj_choice, neg_choice)
+        if r.is_constraint else r
+        for r in program.rules
+    ))
     return TranslationRecord("fc", program, target,
                              (FreshAtom(p_bot, "bottom_witness"),), neg_choice)
 
@@ -191,7 +190,6 @@ def eliminate_constraints_janssen(program: Program, impl_choice: str = "lukasiew
     Per distinct constraint-head constant c, two rules create and guard
     the witness, so the target has 2 * |distinct constants| extra rules.
     """
-    conj = _CONJ_OPS[conj_choice]
     constraints = program.constraints()
     if not constraints:
         return TranslationRecord("janssen", program, program)
@@ -201,35 +199,17 @@ def eliminate_constraints_janssen(program: Program, impl_choice: str = "lukasiew
     for r in constraints:
         if r.head.value not in witnesses:
             witnesses[r.head.value] = _fresh_name(f"p_c_{len(witnesses) + 1}", taken)
-    rules = []
-    for r in program.rules:
-        if r.is_constraint:
-            rules.append(Rule(Atom(witnesses[r.head.value]), r.impl, r.body, 1.0))
-        else:
-            rules.append(r)
+    rules = [Rule(Atom(witnesses[r.head.value]), r.impl, r.body, 1.0) if r.is_constraint else r
+             for r in program.rules]
     for c, name in witnesses.items():
         rules.append(Rule(Atom(name), impl_choice, Const(c), 1.0))
-        guard = Apply("g", (Const(0.0), Apply(neg_choice, (Atom(p_bot),))))
-        bound = Apply("g", (Const(c), Atom(name)))
-        rules.append(Rule(Atom(p_bot), impl_choice, Apply(conj, (guard, bound)), 1.0))
+        rules.append(_bottom_rule(p_bot, "g", c, Atom(name), impl_choice, conj_choice,
+                                  neg_choice))
     target = Program(tuple(rules))
     fresh = (FreshAtom(p_bot, "bottom_witness"),) + tuple(
         FreshAtom(name, "constant_witness", value=c) for c, name in witnesses.items()
     )
     return TranslationRecord("janssen", program, target, fresh, neg_choice)
-
-
-def _rewire(node: BodyExpr, sign: int, witnesses: dict[str, str], neg: str) -> BodyExpr:
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Atom):
-        if sign < 0 and node.name in witnesses:
-            return Apply(neg, (Atom(witnesses[node.name]),))
-        return node
-    spec = op_spec(node.op)
-    return Apply(node.op, tuple(
-        _rewire(a, sign * spec.polarity(i), witnesses, neg) for i, a in enumerate(node.args)
-    ))
 
 
 def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
@@ -250,8 +230,12 @@ def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
         return TranslationRecord("manlp", program, program, (), neg_choice)
     taken = set(program.atoms())
     witnesses = {q: _fresh_name(f"not_{q}", taken) for q in sorted(negative)}
-    rules = [Rule(r.head, r.impl, _rewire(r.body, 1, witnesses, neg_choice), r.weight)
-             for r in program.rules]
+
+    def rewire(node, sign):
+        if isinstance(node, Atom) and sign < 0 and node.name in witnesses:
+            return Apply(neg_choice, (Atom(witnesses[node.name]),))
+
+    rules = [Rule(r.head, r.impl, rewrite(r.body, rewire), r.weight) for r in program.rules]
     for q in sorted(negative):
         rules.append(Rule(Atom(witnesses[q]), "godel", Apply(neg_choice, (Atom(q),)), 1.0))
     target = Program(tuple(rules))
@@ -355,13 +339,12 @@ def verify_equivalence(source: Program, rec: TranslationRecord, grid_step: float
     model whose bottom witness is not exactly 0, and any negation
     witness that differs from the negation of its atom.
     """
-    expected = set(source.atoms()) | {a.name for a in rec.fresh_atoms}
-    if set(rec.target.atoms()) - expected or set(source.atoms()) != set(rec.source.atoms()):
+    atoms = set(source.atoms())
+    fresh = [a.name for a in rec.fresh_atoms]
+    if (atoms != set(rec.source.atoms()) or len(set(fresh)) < len(fresh)
+            or atoms.intersection(fresh) or set(rec.target.atoms()) != atoms.union(fresh)):
         raise MalpError("record does not link the given source and target programs")
-    n_values = len(lattice_grid(grid_step))
-    points = n_values ** len(source.atoms()) + n_values ** len(rec.target.atoms())
-    if points > max_points:
-        raise BudgetExceeded(f"{points} grid points exceed the budget of {max_points}")
+    points = check_grid_budget((source, rec.target), grid_step, max_points)
     cfg = StableSearchConfig(mode="grid", grid_step=grid_step, tol=tol, max_iter=max_iter)
     source_models = find_stable_models(source, cfg)
     target_models = find_stable_models(rec.target, cfg)

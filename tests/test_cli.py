@@ -351,3 +351,60 @@ def test_body_at_depth_limit_runs(capsys, tmp_path):
     assert code == 0
     code, out, err = run(capsys, "check", json.loads(out)["target_file"])
     assert code == 0 or (code == 1 and "nested deeper than" in err)
+
+
+# 0.505 + [0, 0.5] may exceed 1 by 0.005: valid at --tol 0.01 only
+TOL_EDGE = "p <-g add(mul(q, 0.5), 0.505) with 1;\nq <-g 0.5 with 1;\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check",),
+    ("lfp",),
+    ("stable", "search", "--grid", "0.5"),
+    ("stable", "search", "--seeds", "2"),
+])
+def test_tol_reaches_validation(capsys, tmp_path, argv):
+    path = tmp_path / "edge.malp"
+    path.write_text(TOL_EDGE)
+    code, out, _ = run(capsys, *argv, path, "--tol", "0.01")
+    assert code == 0
+    code, out, err = run(capsys, *argv, path)
+    assert code == 1
+    assert "body may leave [0, 1]" in err
+
+
+def _fc_files(capsys, tmp_path, source_text=CONSTRAINED):
+    src, out_path, rec_path = (tmp_path / "c.malp", tmp_path / "c.fc.malp",
+                               tmp_path / "c.fc.record.json")
+    src.write_text(source_text)
+    assert run(capsys, "transform", src, "--method", "fc",
+               "-o", out_path, "--record", rec_path)[0] == 0
+    return src, out_path, rec_path
+
+
+@pytest.mark.parametrize("fresh", [
+    # a fresh atom the target does not mention
+    [{"name": "p_bot", "role": "bottom_witness"}, {"name": "ghost", "role": "bottom_witness"}],
+    # a fresh atom named after a source atom
+    [{"name": "p_bot", "role": "bottom_witness"},
+     {"name": "p", "role": "constant_witness", "value": 0.5}],
+    # the same fresh atom twice
+    [{"name": "p_bot", "role": "bottom_witness"}, {"name": "p_bot", "role": "bottom_witness"}],
+])
+def test_equiv_rejects_record_with_bad_fresh_atoms(capsys, tmp_path, fresh):
+    src, out_path, rec_path = _fc_files(capsys, tmp_path)
+    record = json.loads(rec_path.read_text())
+    rec_path.write_text(json.dumps(dict(record, fresh_atoms=fresh)))
+    code, out, err = run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "record does not link" in err
+
+
+def test_equiv_rejects_target_missing_a_source_atom(capsys, tmp_path):
+    src, out_path, rec_path = _fc_files(capsys, tmp_path)
+    out_path.write_text("p <-g neg1(p_bot) with 1;\np_bot <-g 0 with 1;\n")
+    code, out, err = run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "record does not link" in err

@@ -24,11 +24,11 @@ from emalp import (
     satisfies,
     to_manlp,
 )
-from emalp.semantics import _dedup, _grid_candidates, _sort_models
+from emalp.semantics import PREFILTER_TOL, _dedup, _grid_candidates, _sort_models
 
 from genprog import random_emalp
 
-PRE_TOL = StableSearchConfig().prefilter_tol
+PRE_TOL = PREFILTER_TOL
 TOL = StableSearchConfig().tol
 
 
@@ -115,7 +115,7 @@ def test_search_with_coarse_tol_keeps_the_earliest_point(text):
     # nearby stable points, so the candidates' order decides the answer.
     program = parse_program(text)
     cfg = StableSearchConfig(mode="grid", grid_step=0.25, tol=0.3)
-    stable = [M for M in brute_force_candidates(program, 0.25, cfg.prefilter_tol, cfg.tol)
+    stable = [M for M in brute_force_candidates(program, 0.25, PREFILTER_TOL, cfg.tol)
               if is_stable(program, M, cfg.tol, cfg.max_iter) is True]
     want = _sort_models(_dedup(stable, cfg.tol), program.atoms())
     assert find_stable_models(program, cfg) == want

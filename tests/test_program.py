@@ -201,3 +201,43 @@ def test_reduct_atoms_drop_atoms_frozen_out_of_every_body():
     assert Program(frozen.rules).atoms() == ("p", "q")
     value, _ = stable_operator(program, M)
     assert sorted(value) == ["p", "q", "r"] and value["r"] == 0.0
+
+
+def test_validation_issue_list_and_order():
+    # one program that raises every message validation can report, in order:
+    # names sorted, then weight, head, structure, range, mixed polarity in
+    # order of first occurrence, repeats sorted by (atom, sign)
+    def ap(op, *args):
+        return Apply(op, args)
+
+    program = Program((
+        Rule(Atom("with"), "godel", ap("min", Atom("1x")), 1.5),
+        Rule(Const(1.5), "lukasiewicz", ap("f", Atom("p"), Atom("q")), 0.5),
+        Rule(Atom("p"), "godel", ap(
+            "add",
+            ap("add", Const(1.25), ap("neg1", ap("add", Atom("q"), Atom("q")))),
+            ap("add", ap("sub", Atom("s"), Atom("s")),
+               ap("mul", ap("sub", Atom("r"), Atom("r")), ap("min", Atom("p"), Atom("p"))))),
+            1.0),
+    ))
+    repeats = [(2, "atom 'p' occurs 2 times with the same polarity"),
+               (2, "atom 'q' occurs 2 times with the same polarity")]
+    want = [
+        (0, "invalid atom name '1x'"),
+        (0, "invalid atom name 'with'"),
+        (0, "weight 1.5 outside [0, 1]"),
+        (0, "min applied to 1 arguments"),
+        (1, "constraint head 1.5 outside [0, 1]"),
+        (1, "constraint weight must be 1, got 0.5"),
+        (1, "first argument of f must be a constant"),
+        (2, "constant 1.25 outside [0, 1]"),
+        (2, "argument of neg1 may leave [0, 1] (interval [0.0, 2.0])"),
+        (2, "body may leave [0, 1] (interval [-0.75, 4.25])"),
+        (2, "atom 's' occurs with both polarities"),
+        (2, "atom 'r' occurs with both polarities"),
+    ]
+    report = validate_program(program)
+    assert [(i.rule, i.message) for i in report.issues] == want + repeats
+    assert report.program_class is ProgramClass.EMALP
+    lenient = validate_program(program, allow_repeats=True)
+    assert [(i.rule, i.message) for i in lenient.issues] == want
