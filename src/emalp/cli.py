@@ -25,6 +25,7 @@ from .program import (
     validate_program,
 )
 from .semantics import (
+    DEFAULT_BUDGET,
     DEFAULT_MAX_ITER,
     BudgetExceeded,
     FixpointTrace,
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grid", type=float, default=None, help="grid step for exhaustive search")
     s.add_argument("--seeds", type=int, default=16)
     s.add_argument("--rng-seed", type=int, default=0)
-    s.add_argument("--budget", type=int, default=2_000_000)
+    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_common(s)
     s.set_defaults(fn=cmd_stable_search)
 
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--record", required=True)
     p.add_argument("--grid", type=float, required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_common(p)
     p.set_defaults(fn=cmd_equiv)
 

@@ -1,5 +1,5 @@
 """Program data model: body expression trees, polarity analysis,
-rules, programs, and validation.
+compilation of bodies into closures, rules, programs, and validation.
 
 A rule body is a tree over atoms, constants in [0, 1], and builtin
 operators.  Every atom occurrence has a polarity computed by structural
@@ -21,7 +21,7 @@ import enum
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import MalpError
 from .lattice import (
@@ -218,7 +218,7 @@ def eval_expr(node: BodyExpr, env: Mapping[str, float], tol: float = DEFAULT_TOL
         try:
             return env[node.name]
         except KeyError:
-            raise MalpError(f"interpretation is not total: missing atom {node.name!r}") from None
+            raise _missing_atom(node.name) from None
     spec = op_spec(node.op)
     vals = [eval_expr(a, env, tol) for a in node.args]
     if spec.const_first:
@@ -234,8 +234,16 @@ def eval_body(body: BodyExpr, env: Mapping[str, float], tol: float = DEFAULT_TOL
     """
     v = eval_expr(body, env, tol)
     if v < -tol or v > 1.0 + tol:
-        raise RangeViolation(f"body value {v} outside [0, 1]: {body}")
+        raise _range_violation(v, body)
     return _clamp01(v)
+
+
+def _missing_atom(name: str) -> MalpError:
+    return MalpError(f"interpretation is not total: missing atom {name!r}")
+
+
+def _range_violation(v: float, body: BodyExpr) -> RangeViolation:
+    return RangeViolation(f"body value {v} outside [0, 1]: {body}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +275,9 @@ def _collect(node: BodyExpr, sign: int, direct_neg: bool, out: list[Occurrence])
         return
     if isinstance(node, Const):
         return
-    spec = op_spec(node.op)
+    spec = BUILTINS.get(node.op)
+    if spec is None or (spec.polarities is not None and len(node.args) > len(spec.polarities)):
+        return   # some argument has no sign; validation's _check_expr reports the node
     for i, arg in enumerate(node.args):
         _collect(arg, sign * spec.polarity(i), node.op in NEGATION_KINDS and sign > 0, out)
 
@@ -321,9 +331,90 @@ def rewrite(body: BodyExpr, replace: Callable[[BodyExpr, int], Optional[BodyExpr
     ))
 
 
+def is_freeze_site(node: BodyExpr, sign: int) -> bool:
+    """A negation node, at the given sign, all of whose atoms have sign < 0.
+
+    The reduct freezes exactly these subtrees (the outermost ones) at
+    their value under M.  Which subtrees they are depends on polarity
+    alone, never on M.
+    """
+    if not (isinstance(node, Apply) and node.op in NEGATION_KINDS):
+        return False
+    occs = occurrences(node, sign)
+    return bool(occs) and all(o.sign < 0 for o in occs)
+
+
 def body_interval(body: BodyExpr) -> Interval:
     """Natural interval extension over atoms in [0, 1], clamped as validation clamps it."""
     return _check_expr(body, [])
+
+
+# ---------------------------------------------------------------------------
+# compilation
+
+Compiled = Callable[[Mapping[str, float], Sequence[float]], float]
+
+
+def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
+                 sites: Optional[list[Compiled]] = None) -> Compiled:
+    """Compile a body into f(env, frozen) -> float, evaluated as eval_body does.
+
+    With a `sites` list, each freeze site becomes a read of frozen[k], and
+    the closure that evaluates the site's subtree is appended to `sites`
+    as entry k; `f` is then the reduct's body when frozen holds
+    [site(M, ()) for site in sites].  Bodies may share one list.  Without
+    it, `f` is the live body.  Each operator calls the function eval_expr
+    calls, on the same arguments in the same order, so the floats are
+    the same, as are the range check, the clamp and the RangeViolation
+    message, whose reduct body is built only on error.
+    """
+    first = None if sites is None else len(sites)
+    expr = _compile(body, 1, tol, sites)
+
+    def evaluate(env, frozen):
+        v = expr(env, frozen)
+        if v < -tol or v > 1.0 + tol:
+            shown = body if first is None else _frozen_body(body, frozen[first:])
+            raise _range_violation(v, shown)
+        return _clamp01(v)
+    return evaluate
+
+
+def _frozen_body(body: BodyExpr, values: Sequence[float]) -> BodyExpr:
+    it = iter(values)
+    return rewrite(body, lambda node, sign: Const(next(it)) if is_freeze_site(node, sign) else None)
+
+
+def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compiled]]) -> Compiled:
+    if isinstance(node, Const):
+        value = node.value
+        return lambda env, frozen: value
+    if isinstance(node, Atom):
+        name = node.name
+
+        def atom(env, frozen):
+            try:
+                return env[name]
+            except KeyError:
+                raise _missing_atom(name) from None
+        return atom
+    if sites is not None and is_freeze_site(node, sign):
+        k = len(sites)
+        sites.append(_compile(node, sign, tol, None))
+        return lambda env, frozen: frozen[k]
+    spec = op_spec(node.op)
+    args = [_compile(a, sign * spec.polarity(i), tol, sites) for i, a in enumerate(node.args)]
+    if spec.const_first:
+        op, (c, x) = node.op, args
+        return lambda env, frozen: eval_threshold(op, c(env, frozen), x(env, frozen), tol)
+    fn = spec.fn
+    if len(args) == 1:
+        (a,) = args
+        return lambda env, frozen: fn(a(env, frozen))
+    if len(args) == 2:
+        a, b = args
+        return lambda env, frozen: fn(a(env, frozen), b(env, frozen))
+    return lambda env, frozen: fn(*[a(env, frozen) for a in args])
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +460,10 @@ class Program:
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)
+
+    def __getstate__(self) -> dict:
+        # derived caches (atoms, semantics' compiled analyses) are rebuilt on use
+        return {"rules": self.rules}
 
     def atoms(self) -> tuple[str, ...]:
         # computed on first use and kept outside the fields, so equality

@@ -14,32 +14,37 @@ for programs whose order-reversing occurrences are all negation-mediated
 Least models are computed by Kleene iteration of the immediate
 consequence operator from the bottom interpretation, with a tolerance
 and an iteration cap; non-convergence is a flagged result, never an
-exception.  Constraints never feed the operator (they have no head atom
+exception.  The operators run on an analysis made once per program and
+tolerance: rules grouped by head, bodies compiled to closures, and the
+freeze sites of the reduct, so the stable operator never builds it.  Constraints never feed the operator (they have no head atom
 to update); they act as satisfaction filters on stable-model checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
-from .lattice import DEFAULT_TOL, NEGATION_KINDS, eval_conjunctor, eval_implication, lattice_grid
+from .lattice import DEFAULT_TOL, conjunctor, eval_implication, lattice_grid
 from .program import (
-    Apply,
+    Compiled,
     Const,
     MalpError,
     Program,
     Rule,
     body_atoms,
+    compile_body,
     eval_body,
     eval_expr,
-    occurrences,
+    is_freeze_site,
     rewrite,
 )
 
 DEFAULT_MAX_ITER = 10_000
+DEFAULT_BUDGET = 2_000_000   # grid points one search or check may enumerate
 PREFILTER_TOL = 1e-6   # slack of the grid fixpoint prune |T(M)[a] - M[a]|
 
 Interpretation = dict[str, float]
@@ -90,14 +95,50 @@ def reduct(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL) -
     require_total(M, program)
 
     def freeze(node, sign):
-        if isinstance(node, Apply) and node.op in NEGATION_KINDS:
-            occs = occurrences(node, sign)
-            if occs and all(o.sign < 0 for o in occs):
-                return Const(eval_expr(node, M, tol))
+        if is_freeze_site(node, sign):
+            return Const(eval_expr(node, M, tol))
 
     return Program(tuple(
         Rule(r.head, r.impl, rewrite(r.body, freeze), r.weight) for r in program.rules
     ))
+
+
+# ---------------------------------------------------------------------------
+# the compiled analysis
+
+
+Group = dict[str, list[tuple[Callable[[float, float], float], float, Compiled]]]
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """What the operators need of a program, derived once per (program, tol).
+
+    Definite rules are grouped by head, in order of first occurrence, as
+    (conjunctor, weight, compiled body).  The `frozen` bodies are the
+    reduct's: they read the values of the freeze `sites` at M.  The
+    `live` bodies are the program's as written.
+    """
+    atoms: tuple[str, ...]
+    sites: tuple[Compiled, ...]
+    frozen: Group
+    live: Group
+
+
+def _analysis(program: Program, tol: float) -> _Analysis:
+    # kept outside the fields, like Program.atoms; a lost race compiles twice
+    cache = program.__dict__.setdefault("_analyses", {})
+    found = cache.get(tol)
+    if found is None:
+        sites: list[Compiled] = []
+        frozen: Group = {}
+        live: Group = {}
+        for r in program.definite_rules():
+            conj, head = conjunctor(r.impl), r.head.name
+            frozen.setdefault(head, []).append((conj, r.weight, compile_body(r.body, tol, sites)))
+            live.setdefault(head, []).append((conj, r.weight, compile_body(r.body, tol)))
+        found = cache[tol] = _Analysis(program.atoms(), tuple(sites), frozen, live)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +159,47 @@ class FixpointTrace:
         }
 
 
+def _step(rules: Group, I: Mapping[str, float], frozen) -> Interpretation:
+    """T(I) over compiled rules: the atom-wise sup of weight &_i body."""
+    out = dict.fromkeys(I, 0.0)
+    for head, group in rules.items():
+        out[head] = _sup(group, I, frozen, out.get(head))
+    return out
+
+
+def _sup(group, I: Mapping[str, float], frozen, t: Optional[float]) -> float:
+    """The sup of t and weight &_i body over one head's rules (t None: no floor)."""
+    for conj, weight, body in group:
+        v = conj(weight, body(I, frozen))
+        if t is None or v > t:
+            t = v
+    return t
+
+
+def _kleene(rules: Group, names, frozen, tol: float,
+            max_iter: int) -> tuple[Interpretation, FixpointTrace]:
+    I = bottom_interpretation(names)
+    if not names:
+        return I, FixpointTrace((dict(I),), True, 0)
+    iterates = [I]
+    converged = False
+    for _ in range(max_iter):
+        J = _step(rules, I, frozen)
+        iterates.append(J)
+        if interp_distance(I, J) < tol:
+            converged = True
+            break
+        I = J
+    return iterates[-1], FixpointTrace(tuple(iterates), converged, len(iterates) - 1)
+
+
 def immediate_consequence(program: Program, I: Mapping[str, float],
                           tol: float = DEFAULT_TOL) -> Interpretation:
     """T(I): atom-wise sup of weight &_i body over the atom-headed rules.
 
     Atoms with no rule map to bottom (the sup over an empty set).
     """
-    out = {a: 0.0 for a in I}
-    for r in program.rules:
-        if r.is_constraint:
-            continue
-        v = eval_conjunctor(r.impl, r.weight, eval_body(r.body, I, tol))
-        name = r.head.name
-        if name not in out or v > out[name]:
-            out[name] = v
-    return out
+    return _step(_analysis(program, tol).live, I, ())
 
 
 def least_model(program: Program, tol: float = DEFAULT_TOL,
@@ -145,20 +212,9 @@ def least_model(program: Program, tol: float = DEFAULT_TOL,
     in which case the trace is flagged unconverged.  The result is the
     least model when the program is positive.
     """
-    names = program.atoms() if atoms is None else tuple(sorted(atoms))
-    I = bottom_interpretation(names)
-    iterates = [dict(I)]
-    if not names:
-        return I, FixpointTrace((dict(I),), True, 0)
-    converged = False
-    for _ in range(max_iter):
-        J = immediate_consequence(program, I, tol)
-        iterates.append(dict(J))
-        if interp_distance(I, J) < tol:
-            converged = True
-            break
-        I = J
-    return iterates[-1], FixpointTrace(tuple(iterates), converged, len(iterates) - 1)
+    analysis = _analysis(program, tol)
+    names = analysis.atoms if atoms is None else tuple(sorted(atoms))
+    return _kleene(analysis.live, names, (), tol, max_iter)
 
 
 def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
@@ -166,11 +222,14 @@ def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAU
     """Least model of the constraint-free part of the reduct with respect to M.
 
     Interpretations that are fixpoints of this operator and satisfy the
-    frozen constraints are exactly the stable models.
+    frozen constraints are exactly the stable models.  The reduct is not
+    built: the freeze sites are evaluated at M once and the compiled
+    bodies read them.
     """
-    frozen = reduct(program, M, tol)
-    rest = Program(frozen.definite_rules())
-    return least_model(rest, tol, max_iter, atoms=program.atoms())
+    require_total(M, program)
+    analysis = _analysis(program, tol)
+    frozen = [site(M, ()) for site in analysis.sites]
+    return _kleene(analysis.frozen, analysis.atoms, frozen, tol, max_iter)
 
 
 def stable_check(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
@@ -209,7 +268,10 @@ def check_grid_budget(programs, step: float, budget: int) -> int:
     Raises BudgetExceeded when it is above the budget.
     """
     n_values = len(lattice_grid(step))
-    points = sum(n_values ** len(p.atoms()) for p in programs)
+    return _within_budget(sum(n_values ** len(p.atoms()) for p in programs), budget)
+
+
+def _within_budget(points: int, budget: int) -> int:
     if points > budget:
         raise BudgetExceeded(f"{points} grid points exceed the budget of {budget}")
     return points
@@ -237,31 +299,22 @@ def _dedup(models: list[Interpretation], tol: float) -> list[Interpretation]:
     return kept
 
 
-def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
+def _grid_checks(program: Program, pre_tol: float, tol: float):
     """(atoms read, test) for every head equation T(M)[a] = M[a] and constraint.
 
     A head reads itself and the bodies of its rules; an atom that heads
     no rule reads only itself, so its test pins it to 0 (the sup over an
     empty set).  A constraint reads its body.
     """
-    by_head: dict[str, list[Rule]] = {a: [] for a in atoms}
+    analysis = _analysis(program, tol)
+    reads = {a: {a} for a in analysis.atoms}
     for r in program.definite_rules():
-        by_head[r.head.name].append(r)
+        reads[r.head.name].update(body_atoms(r.body))
 
     def head_test(a, rules):
-        def test(M):
-            t = 0.0
-            for r in rules:
-                v = eval_conjunctor(r.impl, r.weight, eval_body(r.body, M, tol))
-                if v > t:
-                    t = v
-            return abs(t - M[a]) <= pre_tol
-        return test
+        return lambda M: abs(_sup(rules, M, (), 0.0) - M[a]) <= pre_tol
 
-    checks = []
-    for a, rules in by_head.items():
-        reads = {a}.union(*(body_atoms(r.body) for r in rules))
-        checks.append((reads, head_test(a, rules)))
+    checks = [(reads[a], head_test(a, analysis.live.get(a, ()))) for a in analysis.atoms]
     for r in program.constraints():
         checks.append((body_atoms(r.body), lambda M, r=r: satisfies(M, r, tol)))
     return checks
@@ -300,7 +353,7 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
     """
     atoms = program.atoms()
     values = lattice_grid(step)
-    checks = _grid_checks(program, atoms, pre_tol, tol)
+    checks = _grid_checks(program, pre_tol, tol)
     order = _assignment_order(atoms, [reads for reads, _ in checks])
     level = {a: i + 1 for i, a in enumerate(order)}
     tests_at: list[list] = [[] for _ in range(len(order) + 1)]
@@ -379,12 +432,14 @@ def is_minimal_model(program: Program, M: Mapping[str, float], grid_step: float,
     """No grid interpretation strictly below M is a model of the program.
 
     Strictly below means below-or-equal everywhere and strictly below at
-    at least one atom; the check enumerates the whole sub-grid.
+    at least one atom; the check enumerates the whole sub-grid, and
+    raises BudgetExceeded when it has more than DEFAULT_BUDGET points.
     """
     require_total(M, program)
     atoms = program.atoms()
     values = lattice_grid(grid_step)
     choices = [[v for v in values if v <= M[a] + tol] for a in atoms]
+    _within_budget(math.prod(len(c) for c in choices), DEFAULT_BUDGET)
     for point in itertools.product(*choices):
         N = dict(zip(atoms, point))
         if not any(N[a] < M[a] - tol for a in atoms):

@@ -46,6 +46,7 @@ from .program import (
     rewrite,
 )
 from .semantics import (
+    DEFAULT_BUDGET,
     DEFAULT_MAX_ITER,
     BudgetExceeded,
     StableSearchConfig,
@@ -330,7 +331,7 @@ def _contains(models, M, tol) -> bool:
 
 
 def verify_equivalence(source: Program, rec: TranslationRecord, grid_step: float,
-                       tol: float = DEFAULT_TOL, max_points: int = 2_000_000,
+                       tol: float = DEFAULT_TOL, max_points: int = DEFAULT_BUDGET,
                        max_iter: int = DEFAULT_MAX_ITER) -> EquivalenceReport:
     """Exhaustive grid check that lift/project pair up the stable models.
 

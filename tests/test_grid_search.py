@@ -71,6 +71,18 @@ def test_seeded_programs_match_brute_force(step):
     assert nonempty > 20  # the comparison is not only between empty lists
 
 
+# Off the coarse grids most fixpoints miss the grid, so a loose slack
+# keeps the comparison between non-empty lists.
+@pytest.mark.parametrize("pre_tol, least", [(PRE_TOL, 5), (0.05, 12)])
+def test_seeded_programs_match_brute_force_on_a_fine_grid(pre_tol, least):
+    nonempty = 0
+    for seed in range(24):
+        program = random_emalp(random.Random(1000 + seed), max_atoms=4, max_rules=5,
+                               max_constraints=2, values=(0.0, 0.2, 0.5, 0.7, 1.0))
+        nonempty += bool(assert_same_candidates(program, 0.1, pre_tol))
+    assert nonempty > least
+
+
 # Motor's one stable model has p = 9/85, on no grid, so with the default
 # slack every list is empty; a loose slack lets near-fixpoints through.
 @pytest.mark.parametrize("pre_tol", [PRE_TOL, 0.25])

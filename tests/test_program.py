@@ -241,3 +241,15 @@ def test_validation_issue_list_and_order():
     assert report.program_class is ProgramClass.EMALP
     lenient = validate_program(program, allow_repeats=True)
     assert [(i.rule, i.message) for i in lenient.issues] == want
+
+
+@pytest.mark.parametrize("body, message", [
+    (Apply("neg1", (Atom("p"), Atom("q"))), "neg1 applied to 2 arguments"),
+    (Apply("add", (Atom("p"), Atom("q"), Atom("r"))), "add applied to 3 arguments"),
+    (Apply("foo", (Atom("p"),)), "unknown builtin: 'foo'"),
+])
+def test_validation_reports_malformed_hand_built_bodies(body, message):
+    # the polarity walk skips a node it cannot sign, so the structural
+    # check reports it instead of an IndexError or MalpError escaping
+    report = validate_program(Program((Rule(Atom("s"), "godel", body, 1.0),)))
+    assert [(i.rule, i.message) for i in report.issues] == [(0, message)]

@@ -5,6 +5,7 @@ import pytest
 
 from emalp import (
     Apply,
+    BudgetExceeded,
     Atom,
     Const,
     Polarity,
@@ -358,6 +359,17 @@ def test_operations_do_not_mutate_inputs(motor, model_n):
 
 def test_is_minimal_model_examples(motor, model_m, model_n):
     assert is_minimal_model(motor, model_m, 0.05) is False
+    assert is_minimal_model(motor, model_n, 0.05) is True
+
+
+def test_is_minimal_model_budgets_its_sub_grid(motor, model_n):
+    # 21 values per atom at 0.05: below the top of five atoms lie
+    # 21 ** 5 = 4,084,101 points, more than DEFAULT_BUDGET
+    program = parse_program("a <-g min(b, c) with 1;\nb <-g d with 1;\nc <-g e with 1;")
+    top = {a: 1.0 for a in program.atoms()}
+    with pytest.raises(BudgetExceeded, match=r"^4084101 grid points exceed the budget of 2000000$"):
+        is_minimal_model(program, top, 0.05)
+    assert is_minimal_model(program, top, 0.1) is False   # 11 ** 5 points fit
     assert is_minimal_model(motor, model_n, 0.05) is True
 
 

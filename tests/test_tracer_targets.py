@@ -52,3 +52,24 @@ def test_tracer_installs_and_restores(tmp_path, motor_text):
     assert tracer.layer("cli.main")[0] == 1
     assert tracer.layer("semantics.find_stable_models")[0] == 1
     assert tracer.counts["grid_points"] == 3 ** 4
+
+
+def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
+    # The tracer counts a function by rebinding module globals.  Were the
+    # search to reach the stable operator through a captured reference or
+    # a private twin, `--trace 1` would silently stop counting it.  On the
+    # even cycle each of the four starts takes two operator steps and then
+    # revisits a state: 8 calls, as before the operator was compiled.
+    from emalp import cli
+
+    path = tmp_path / "cycle.malp"
+    path.write_text("p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n")
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["stable", "search", str(path), "--seeds", "4"]) == 0
+    finally:
+        tracer.restore()
+    assert '"count": 0' in capsys.readouterr().out
+    assert tracer.layer("semantics.find_stable_models")[0] == 1
+    assert tracer.layer("semantics.stable_operator")[0] == 8
