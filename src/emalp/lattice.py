@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
 from .errors import MalpError
 
@@ -82,17 +81,12 @@ _CONJUNCTORS = {"godel": t_godel, "product": t_product, "lukasiewicz": t_lukasie
 _IMPLICATIONS = {"godel": impl_godel, "product": impl_product, "lukasiewicz": impl_lukasiewicz}
 
 
-def conjunctor(kind: str) -> Callable[[float, float], float]:
-    """The conjunctor of the given adjoint pair."""
-    try:
-        return _CONJUNCTORS[kind]
-    except KeyError:
-        raise LatticeError(f"unknown adjoint pair: {kind!r}") from None
-
-
 def eval_conjunctor(kind: str, x: float, y: float) -> float:
     """Apply the conjunctor of the given adjoint pair."""
-    return conjunctor(kind)(x, y)
+    try:
+        return _CONJUNCTORS[kind](x, y)
+    except KeyError:
+        raise LatticeError(f"unknown adjoint pair: {kind!r}") from None
 
 
 def eval_implication(kind: str, z: float, y: float) -> float:

@@ -353,42 +353,39 @@ def body_interval(body: BodyExpr) -> Interval:
 # compilation
 
 Compiled = Callable[[Mapping[str, float], Sequence[float]], float]
+Builder = Callable[[Sequence[float]], BodyExpr]
 
 
 def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
-                 sites: Optional[list[Compiled]] = None) -> Compiled:
+                 sites: Optional[list[Compiled]] = None) -> tuple[Compiled, Optional[Builder]]:
     """Compile a body into f(env, frozen) -> float, evaluated as eval_body does.
 
     With a `sites` list, each freeze site becomes a read of frozen[k], and
     the closure that evaluates the site's subtree is appended to `sites`
     as entry k; `f` is then the reduct's body when frozen holds
-    [site(M, ()) for site in sites].  Bodies may share one list.  Without
-    it, `f` is the live body.  Each operator calls the function eval_expr
-    calls, on the same arguments in the same order, so the floats are
-    the same, as are the range check, the clamp and the RangeViolation
-    message, whose reduct body is built only on error.
+    [site(M, ()) for site in sites], and `build(frozen)` returns that
+    body as a tree, each site replaced by Const(frozen[k]).  Bodies may
+    share one list.  Without it, or when the body has no freeze site,
+    `f` is the live body and `build` is None.  Each operator calls the
+    function eval_expr calls, on the same arguments in the same order, so
+    the floats are the same, as are the range check, the clamp and the
+    RangeViolation message, whose reduct body is built only on error.
     """
-    first = None if sites is None else len(sites)
-    expr = _compile(body, 1, tol, sites)
+    expr, build = _compile(body, 1, tol, sites)
 
     def evaluate(env, frozen):
         v = expr(env, frozen)
         if v < -tol or v > 1.0 + tol:
-            shown = body if first is None else _frozen_body(body, frozen[first:])
-            raise _range_violation(v, shown)
+            raise _range_violation(v, body if build is None else build(frozen))
         return _clamp01(v)
-    return evaluate
+    return evaluate, build
 
 
-def _frozen_body(body: BodyExpr, values: Sequence[float]) -> BodyExpr:
-    it = iter(values)
-    return rewrite(body, lambda node, sign: Const(next(it)) if is_freeze_site(node, sign) else None)
-
-
-def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compiled]]) -> Compiled:
+def _compile(node: BodyExpr, sign: int, tol: float,
+             sites: Optional[list[Compiled]]) -> tuple[Compiled, Optional[Builder]]:
     if isinstance(node, Const):
         value = node.value
-        return lambda env, frozen: value
+        return (lambda env, frozen: value), None
     if isinstance(node, Atom):
         name = node.name
 
@@ -397,24 +394,34 @@ def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compile
                 return env[name]
             except KeyError:
                 raise _missing_atom(name) from None
-        return atom
+        return atom, None
     if sites is not None and is_freeze_site(node, sign):
         k = len(sites)
-        sites.append(_compile(node, sign, tol, None))
-        return lambda env, frozen: frozen[k]
+        sites.append(_compile(node, sign, tol, None)[0])
+        return (lambda env, frozen: frozen[k]), (lambda frozen: Const(frozen[k]))
     spec = op_spec(node.op)
-    args = [_compile(a, sign * spec.polarity(i), tol, sites) for i, a in enumerate(node.args)]
+    parts = [_compile(a, sign * spec.polarity(i), tol, sites) for i, a in enumerate(node.args)]
+    args = [f for f, _ in parts]
+    build = _rebuild(node, [b for _, b in parts])
     if spec.const_first:
         op, (c, x) = node.op, args
-        return lambda env, frozen: eval_threshold(op, c(env, frozen), x(env, frozen), tol)
+        return (lambda env, frozen: eval_threshold(op, c(env, frozen), x(env, frozen), tol)), build
     fn = spec.fn
     if len(args) == 1:
         (a,) = args
-        return lambda env, frozen: fn(a(env, frozen))
+        return (lambda env, frozen: fn(a(env, frozen))), build
     if len(args) == 2:
         a, b = args
-        return lambda env, frozen: fn(a(env, frozen), b(env, frozen))
-    return lambda env, frozen: fn(*[a(env, frozen) for a in args])
+        return (lambda env, frozen: fn(a(env, frozen), b(env, frozen))), build
+    return (lambda env, frozen: fn(*[a(env, frozen) for a in args])), build
+
+
+def _rebuild(node: Apply, builds: list[Optional[Builder]]) -> Optional[Builder]:
+    """A builder for node from its arguments' builders; None if none of them rebuilds."""
+    if all(b is None for b in builds):
+        return None
+    pairs = list(zip(node.args, builds))
+    return lambda frozen: Apply(node.op, tuple(a if b is None else b(frozen) for a, b in pairs))
 
 
 # ---------------------------------------------------------------------------

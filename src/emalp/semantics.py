@@ -15,9 +15,11 @@ Least models are computed by Kleene iteration of the immediate
 consequence operator from the bottom interpretation, with a tolerance
 and an iteration cap; non-convergence is a flagged result, never an
 exception.  The operators run on an analysis made once per program and
-tolerance: rules grouped by head, bodies compiled to closures, and the
-freeze sites of the reduct, so the stable operator never builds it.  Constraints never feed the operator (they have no head atom
-to update); they act as satisfaction filters on stable-model checks.
+tolerance: bodies compiled to closures, and the freeze sites of the
+reduct, so a reduct is built by evaluating the sites at M and comes
+with its compiled bodies.  Constraints never feed the operator (they
+have no head atom to update); they act as satisfaction filters on
+stable-model checks.
 """
 
 from __future__ import annotations
@@ -26,21 +28,18 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
-from .lattice import DEFAULT_TOL, conjunctor, eval_implication, lattice_grid
+from .lattice import DEFAULT_TOL, eval_conjunctor, eval_implication, lattice_grid
 from .program import (
+    Builder,
     Compiled,
-    Const,
     MalpError,
     Program,
     Rule,
     body_atoms,
     compile_body,
     eval_body,
-    eval_expr,
-    is_freeze_site,
-    rewrite,
 )
 
 DEFAULT_MAX_ITER = 10_000
@@ -91,38 +90,48 @@ def is_model(I: Mapping[str, float], program: Program, tol: float = DEFAULT_TOL)
 
 
 def reduct(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL) -> Program:
-    """Freeze every negation subtree at its value under M; heads and weights unchanged."""
+    """Freeze every negation subtree at its value under M; heads and weights unchanged.
+
+    The freeze sites come from the program's analysis; a rule without
+    one is kept as it is.  The reduct carries its own analysis at tol:
+    the program's frozen bodies, reading the site values at M.
+    """
     require_total(M, program)
-
-    def freeze(node, sign):
-        if is_freeze_site(node, sign):
-            return Const(eval_expr(node, M, tol))
-
-    return Program(tuple(
-        Rule(r.head, r.impl, rewrite(r.body, freeze), r.weight) for r in program.rules
+    analysis = _analysis(program, tol)
+    frozen = analysis.values + tuple(site(M, ()) for site in analysis.sites)
+    out = Program(tuple(
+        r if build is None else Rule(r.head, r.impl, build(frozen), r.weight)
+        for r, build in zip(program.rules, analysis.builds)
     ))
+    # a reduct has no freeze sites of its own, so it is its own reduct
+    out.__dict__["_analyses"] = {tol: _Analysis(
+        (), (None,) * len(out.rules), analysis.frozen, analysis.frozen, frozen)}
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the compiled analysis
 
 
-Group = dict[str, list[tuple[Callable[[float, float], float], float, Compiled]]]
+Rules = tuple[tuple[str, str, float, Compiled], ...]
 
 
 @dataclass(frozen=True)
 class _Analysis:
     """What the operators need of a program, derived once per (program, tol).
 
-    Definite rules are grouped by head, in order of first occurrence, as
-    (conjunctor, weight, compiled body).  The `frozen` bodies are the
-    reduct's: they read the values of the freeze `sites` at M.  The
-    `live` bodies are the program's as written.
+    The definite rules, in program order, as (head, implication, weight,
+    compiled body).  The `frozen` bodies are the reduct's: they read
+    `values` followed by the values of the freeze `sites` at M, and
+    `builds` (one per rule, None for a rule without a site) turns those
+    values into the reduct's bodies.  The `live` bodies are the
+    program's as written, reading `values` alone.
     """
-    atoms: tuple[str, ...]
     sites: tuple[Compiled, ...]
-    frozen: Group
-    live: Group
+    builds: tuple[Optional[Builder], ...]
+    frozen: Rules
+    live: Rules
+    values: tuple[float, ...] = ()
 
 
 def _analysis(program: Program, tol: float) -> _Analysis:
@@ -131,13 +140,14 @@ def _analysis(program: Program, tol: float) -> _Analysis:
     found = cache.get(tol)
     if found is None:
         sites: list[Compiled] = []
-        frozen: Group = {}
-        live: Group = {}
-        for r in program.definite_rules():
-            conj, head = conjunctor(r.impl), r.head.name
-            frozen.setdefault(head, []).append((conj, r.weight, compile_body(r.body, tol, sites)))
-            live.setdefault(head, []).append((conj, r.weight, compile_body(r.body, tol)))
-        found = cache[tol] = _Analysis(program.atoms(), tuple(sites), frozen, live)
+        builds, frozen, live = [], [], []
+        for r in program.rules:
+            body, build = compile_body(r.body, tol, sites)
+            builds.append(build)
+            if not r.is_constraint:
+                frozen.append((r.head.name, r.impl, r.weight, body))
+                live.append((r.head.name, r.impl, r.weight, compile_body(r.body, tol)[0]))
+        found = cache[tol] = _Analysis(tuple(sites), tuple(builds), tuple(frozen), tuple(live))
     return found
 
 
@@ -159,47 +169,20 @@ class FixpointTrace:
         }
 
 
-def _step(rules: Group, I: Mapping[str, float], frozen) -> Interpretation:
-    """T(I) over compiled rules: the atom-wise sup of weight &_i body."""
-    out = dict.fromkeys(I, 0.0)
-    for head, group in rules.items():
-        out[head] = _sup(group, I, frozen, out.get(head))
-    return out
-
-
-def _sup(group, I: Mapping[str, float], frozen, t: Optional[float]) -> float:
-    """The sup of t and weight &_i body over one head's rules (t None: no floor)."""
-    for conj, weight, body in group:
-        v = conj(weight, body(I, frozen))
-        if t is None or v > t:
-            t = v
-    return t
-
-
-def _kleene(rules: Group, names, frozen, tol: float,
-            max_iter: int) -> tuple[Interpretation, FixpointTrace]:
-    I = bottom_interpretation(names)
-    if not names:
-        return I, FixpointTrace((dict(I),), True, 0)
-    iterates = [I]
-    converged = False
-    for _ in range(max_iter):
-        J = _step(rules, I, frozen)
-        iterates.append(J)
-        if interp_distance(I, J) < tol:
-            converged = True
-            break
-        I = J
-    return iterates[-1], FixpointTrace(tuple(iterates), converged, len(iterates) - 1)
-
-
 def immediate_consequence(program: Program, I: Mapping[str, float],
                           tol: float = DEFAULT_TOL) -> Interpretation:
     """T(I): atom-wise sup of weight &_i body over the atom-headed rules.
 
     Atoms with no rule map to bottom (the sup over an empty set).
     """
-    return _step(_analysis(program, tol).live, I, ())
+    analysis = _analysis(program, tol)
+    frozen = analysis.values
+    out = dict.fromkeys(I, 0.0)
+    for head, impl, weight, body in analysis.live:
+        v = eval_conjunctor(impl, weight, body(I, frozen))
+        if head not in out or v > out[head]:
+            out[head] = v
+    return out
 
 
 def least_model(program: Program, tol: float = DEFAULT_TOL,
@@ -212,9 +195,20 @@ def least_model(program: Program, tol: float = DEFAULT_TOL,
     in which case the trace is flagged unconverged.  The result is the
     least model when the program is positive.
     """
-    analysis = _analysis(program, tol)
-    names = analysis.atoms if atoms is None else tuple(sorted(atoms))
-    return _kleene(analysis.live, names, (), tol, max_iter)
+    names = program.atoms() if atoms is None else tuple(sorted(atoms))
+    I = bottom_interpretation(names)
+    if not names:
+        return I, FixpointTrace((dict(I),), True, 0)
+    iterates = [dict(I)]
+    converged = False
+    for _ in range(max_iter):
+        J = immediate_consequence(program, I, tol)
+        iterates.append(J)    # T returns a new dict, never mutated
+        if interp_distance(I, J) < tol:
+            converged = True
+            break
+        I = J
+    return iterates[-1], FixpointTrace(tuple(iterates), converged, len(iterates) - 1)
 
 
 def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
@@ -222,14 +216,10 @@ def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAU
     """Least model of the constraint-free part of the reduct with respect to M.
 
     Interpretations that are fixpoints of this operator and satisfy the
-    frozen constraints are exactly the stable models.  The reduct is not
-    built: the freeze sites are evaluated at M once and the compiled
-    bodies read them.
+    frozen constraints are exactly the stable models.  T skips the
+    reduct's constraints, and the reduct's compiled bodies come with it.
     """
-    require_total(M, program)
-    analysis = _analysis(program, tol)
-    frozen = [site(M, ()) for site in analysis.sites]
-    return _kleene(analysis.frozen, analysis.atoms, frozen, tol, max_iter)
+    return least_model(reduct(program, M, tol), tol, max_iter, atoms=program.atoms())
 
 
 def stable_check(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
@@ -299,22 +289,30 @@ def _dedup(models: list[Interpretation], tol: float) -> list[Interpretation]:
     return kept
 
 
-def _grid_checks(program: Program, pre_tol: float, tol: float):
+def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
     """(atoms read, test) for every head equation T(M)[a] = M[a] and constraint.
 
     A head reads itself and the bodies of its rules; an atom that heads
     no rule reads only itself, so its test pins it to 0 (the sup over an
     empty set).  A constraint reads its body.
     """
-    analysis = _analysis(program, tol)
-    reads = {a: {a} for a in analysis.atoms}
-    for r in program.definite_rules():
-        reads[r.head.name].update(body_atoms(r.body))
+    by_head: dict[str, list] = {a: [] for a in atoms}
+    reads = {a: {a} for a in atoms}
+    for r, (head, *rule) in zip(program.definite_rules(), _analysis(program, tol).live):
+        by_head[head].append(rule)
+        reads[head].update(body_atoms(r.body))
 
     def head_test(a, rules):
-        return lambda M: abs(_sup(rules, M, (), 0.0) - M[a]) <= pre_tol
+        def test(M):
+            t = 0.0
+            for impl, weight, body in rules:
+                v = eval_conjunctor(impl, weight, body(M, ()))
+                if v > t:
+                    t = v
+            return abs(t - M[a]) <= pre_tol
+        return test
 
-    checks = [(reads[a], head_test(a, analysis.live.get(a, ()))) for a in analysis.atoms]
+    checks = [(reads[a], head_test(a, rules)) for a, rules in by_head.items()]
     for r in program.constraints():
         checks.append((body_atoms(r.body), lambda M, r=r: satisfies(M, r, tol)))
     return checks
@@ -353,7 +351,7 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
     """
     atoms = program.atoms()
     values = lattice_grid(step)
-    checks = _grid_checks(program, pre_tol, tol)
+    checks = _grid_checks(program, atoms, pre_tol, tol)
     order = _assignment_order(atoms, [reads for reads, _ in checks])
     level = {a: i + 1 for i, a in enumerate(order)}
     tests_at: list[list] = [[] for _ in range(len(order) + 1)]

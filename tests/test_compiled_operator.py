@@ -2,9 +2,11 @@
 
 `stable_operator`, `least_model` and `immediate_consequence` run on an
 analysis made once per program and tolerance: the freeze sites are
-found once and every body is compiled into a closure.  The oracle is
-the path they replaced, kept here: build the reduct with `reduct`, then
-iterate T by walking the trees with `eval_body`.  Values and
+found once and every body is compiled into a closure, and a reduct
+comes with the compiled bodies of the program it was made from.  The
+oracle is the path they replaced, kept here: take the reduct's rules
+(its trees are checked against a tree oracle in test_body_walks.py),
+then iterate T by walking the trees with `eval_body`.  Values and
 `FixpointTrace`s must be equal (`==`), not merely close.
 """
 
@@ -165,6 +167,22 @@ def test_least_model_and_consequence_match_oracle(tol):
         assert immediate_consequence(program, I, tol) == oracle_step(program, I, tol)
 
 
+@pytest.mark.parametrize("tol", TOLS)
+def test_reduct_carries_what_compiling_it_would_give(tol):
+    # compiled afresh, a reduct has no freeze site of its own, so it is
+    # its own reduct, and its T is the one it came with
+    rng = random.Random(6)
+    for program in [MOTOR] + [flipped(MOTOR, wrap) for wrap in WRAPS] + GENPROG[:100] + CYCLES:
+        M = {a: rng.random() for a in program.atoms()}
+        got = reduct(program, M, tol)
+        fresh = Program(got.rules)
+        assert not _analysis(fresh, tol).sites
+        assert reduct(got, M, tol) == got == reduct(fresh, M, tol)
+        I = {a: rng.random() for a in program.atoms()}
+        want = oracle_step(fresh, I, tol)
+        assert immediate_consequence(got, I, tol) == immediate_consequence(fresh, I, tol) == want
+
+
 def test_unconverged_trace_matches_oracle():
     program = parse_program("p <-g or_l(p, 0.1) with 1;\nq <-g neg1(p) with 1;")
     for max_iter in (1, 3):
@@ -231,7 +249,8 @@ def test_every_operator_compiles_like_eval(name, tol):
     grid = lattice_grid(0.1)
     points = 0
     for body, atoms in operator_bodies(name, BUILTINS[name]):
-        f = compile_body(body, tol)
+        f, build = compile_body(body, tol)
+        assert build is None
         for values in itertools.product(grid, repeat=len(atoms)):
             env = dict(zip(atoms, values))
             try:

@@ -54,22 +54,47 @@ def test_tracer_installs_and_restores(tmp_path, motor_text):
     assert tracer.counts["grid_points"] == 3 ** 4
 
 
-def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
-    # The tracer counts a function by rebinding module globals.  Were the
-    # search to reach the stable operator through a captured reference or
-    # a private twin, `--trace 1` would silently stop counting it.  On the
-    # even cycle each of the four starts takes two operator steps and then
-    # revisits a state: 8 calls, as before the operator was compiled.
+def traced_main(args):
     from emalp import cli
 
-    path = tmp_path / "cycle.malp"
-    path.write_text("p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n")
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        assert cli.main(["stable", "search", str(path), "--seeds", "4"]) == 0
+        rc = cli.main(args)
     finally:
         tracer.restore()
+    return rc, tracer
+
+
+def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
+    # The tracer counts a function by rebinding module globals.  Were the
+    # search to reach the stable operator, the reduct or the fixpoint
+    # through a captured reference or a private twin, `--trace 1` would
+    # silently stop counting it.  On the even cycle each of the four
+    # starts takes two operator steps and then revisits a state: 8 calls,
+    # each one reduct and one least model, 14 Kleene steps in all, as
+    # before the operator was compiled.
+    path = tmp_path / "cycle.malp"
+    path.write_text("p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n")
+    rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4"])
+    assert rc == 0
     assert '"count": 0' in capsys.readouterr().out
-    assert tracer.layer("semantics.find_stable_models")[0] == 1
-    assert tracer.layer("semantics.stable_operator")[0] == 8
+    calls = {layer: tracer.layer(layer)[0] for layer in (
+        "semantics.find_stable_models", "semantics.stable_operator", "semantics.reduct",
+        "semantics.least_model", "semantics.immediate_consequence", "lattice.eval_conjunctor")}
+    assert calls == {"semantics.find_stable_models": 1, "semantics.stable_operator": 8,
+                     "semantics.reduct": 8, "semantics.least_model": 8,
+                     "semantics.immediate_consequence": 14, "lattice.eval_conjunctor": 28}
+    assert tracer.counts["lm_iterations"] == 14 and tracer.counts["lm_unconverged"] == 0
+
+
+def test_tracer_counts_an_unconverged_stable_operator(tmp_path, capsys):
+    # b needs two Kleene steps, so with --max-iter 1 every start's first
+    # operator call is unconverged and ends that start
+    path = tmp_path / "chain.malp"
+    path.write_text("a <-g 1 with 1;\nb <-g a with 1;\n")
+    rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4", "--max-iter", "1"])
+    assert rc == 0
+    assert '"count": 0' in capsys.readouterr().out
+    assert tracer.layer("semantics.stable_operator")[0] == 4
+    assert tracer.counts["lm_unconverged"] == 4 and tracer.counts["lm_iterations"] == 4
