@@ -201,12 +201,19 @@ def cmd_stable_search(args) -> int:
         max_iter=args.max_iter,
         rng_seed=args.rng_seed,
     )
-    models = find_stable_models(program, cfg)
-    _emit({
+    undecided: list = []
+    models = find_stable_models(program, cfg, undecided)
+    report = {
         "mode": cfg.mode,
         "count": len(models),
         "stable_models": [_interp_json(m) for m in models],
-    }, args.output)
+    }
+    if cfg.mode == "grid":
+        report["undecided"] = [_interp_json(m) for m in undecided]
+        if undecided:
+            print(f"note: {len(undecided)} grid point(s) undecided: the inner fixpoint "
+                  f"did not converge within --max-iter {args.max_iter}", file=sys.stderr)
+    _emit(report, args.output)
     return 0
 
 
@@ -259,53 +266,29 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="emalp",
-        description="Weighted rule programs on [0, 1]: parsing, stable models, transformations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="parse, validate, classify, and report continuity")
+def _file(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("eval", help="check whether an interpretation is a model")
+
+def _file_interp(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("-i", "--interpretation", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("reduct", help="emit the reduct with respect to an interpretation")
-    p.add_argument("file")
-    p.add_argument("-i", "--interpretation", required=True)
+
+def _reduct_args(p: argparse.ArgumentParser) -> None:
+    _file_interp(p)
     p.add_argument("-o", "--out")
-    _add_common(p)
-    p.set_defaults(fn=cmd_reduct)
 
-    p = sub.add_parser("lfp", help="least model of a positive program, with trace")
+
+def _search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(fn=cmd_lfp)
+    p.add_argument("--grid", type=float, default=None, help="grid step for exhaustive search")
+    p.add_argument("--seeds", type=int, default=16)
+    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = sub.add_parser("stable", help="verify or search for stable models")
-    stable_sub = p.add_subparsers(dest="subcommand", required=True)
-    v = stable_sub.add_parser("verify")
-    v.add_argument("file")
-    v.add_argument("-i", "--interpretation", required=True)
-    _add_common(v)
-    v.set_defaults(fn=cmd_stable_verify)
-    s = stable_sub.add_parser("search")
-    s.add_argument("file")
-    s.add_argument("--grid", type=float, default=None, help="grid step for exhaustive search")
-    s.add_argument("--seeds", type=int, default=16)
-    s.add_argument("--rng-seed", type=int, default=0)
-    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    _add_common(s)
-    s.set_defaults(fn=cmd_stable_search)
 
-    p = sub.add_parser("transform", help="rewrite a program, writing target and record")
+def _transform_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--method", choices=("fc", "janssen", "manlp"), required=True)
     p.add_argument("--impl", choices=ADJOINT_KINDS, default="lukasiewicz")
@@ -313,24 +296,76 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neg", choices=NEGATION_KINDS, default="neg1")
     p.add_argument("-o", "--out")
     p.add_argument("--record")
-    _add_common(p)
-    p.set_defaults(fn=cmd_transform)
 
-    p = sub.add_parser("equiv", help="grid-exhaustive stable-model equivalence check")
+
+def _equiv_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--record", required=True)
     p.add_argument("--grid", type=float, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    _add_common(p)
-    p.set_defaults(fn=cmd_equiv)
 
+
+# name -> (help, argument adder, handler); a nested table takes the
+# adder's place for a command with subcommands
+_STABLE = {
+    "verify": (None, _file_interp, cmd_stable_verify),
+    "search": (None, _search_args, cmd_stable_search),
+}
+
+_COMMANDS = {
+    "check": ("parse, validate, classify, and report continuity", _file, cmd_check),
+    "eval": ("check whether an interpretation is a model", _file_interp, cmd_eval),
+    "reduct": ("emit the reduct with respect to an interpretation", _reduct_args, cmd_reduct),
+    "lfp": ("least model of a positive program, with trace", _file, cmd_lfp),
+    "stable": ("verify or search for stable models", _STABLE, None),
+    "transform": ("rewrite a program, writing target and record", _transform_args, cmd_transform),
+    "equiv": ("grid-exhaustive stable-model equivalence check", _equiv_args, cmd_equiv),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict, argv) -> None:
+    """Add the table's commands to parser: only argv[0]'s when it names one.
+
+    Any other argv (none, -h, an unknown name, --) gets every command,
+    so help, usage and "invalid choice" errors list them all.  A pruned
+    level keeps the full list as its metavar: an "unrecognized
+    arguments" error prints the root usage line.
+    """
+    if argv and argv[0] in table:
+        names = [argv[0]]
+        extra = {"metavar": "{" + ",".join(table) + "}"}
+    else:
+        names, extra = list(table), {}
+    sub = parser.add_subparsers(dest=dest, required=True, **extra)
+    for name in names:
+        summary, args, handler = table[name]
+        p = sub.add_parser(name, **({} if summary is None else {"help": summary}))
+        if isinstance(args, dict):
+            _add_commands(p, "subcommand", args, argv[1:])
+        else:
+            args(p)
+            _add_common(p)
+            p.set_defaults(fn=handler)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv: the root and the subtree of the command argv names.
+
+    With no command named (the default), every command is built.
+    """
+    parser = _ArgumentParser(
+        prog="emalp",
+        description="Weighted rule programs on [0, 1]: parsing, stable models, transformations.",
+    )
+    _add_commands(parser, "command", _COMMANDS, list(argv))
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error routed to exit 1
         return int(exc.code or 0)
     try:

@@ -15,7 +15,7 @@ literal argument.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import DEFAULT_TOL
 from .program import (
@@ -48,8 +48,7 @@ class ParseError(MalpError):
         super().__init__(f"{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -65,30 +64,27 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_KINDS = {"number": "number", "ident": "ident", "arrow": "<-"}
 
 
 def _tokenize(text: str) -> list[Token]:
+    # One finditer pass; a match that does not start where the last one
+    # ended skipped a character no token pattern matches.
     tokens: list[Token] = []
     pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        col = pos - line_start + 1
-        if m.lastgroup == "ws":
-            nl = m.group().count("\n")
-            if nl:
-                line += nl
-                line_start = m.start() + m.group().rindex("\n") + 1
-        elif m.lastgroup == "number":
-            tokens.append(Token("number", m.group(), line, col))
-        elif m.lastgroup == "ident":
-            tokens.append(Token("ident", m.group(), line, col))
-        elif m.lastgroup == "arrow":
-            tokens.append(Token("<-", m.group(), line, col))
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind, tok = m.lastgroup, m.group()
+        if kind == "ws":
+            if "\n" in tok:
+                line += tok.count("\n")
+                line_start = pos + tok.rindex("\n") + 1
         else:
-            tokens.append(Token(m.group(), m.group(), line, col))
+            tokens.append(Token(_KINDS.get(kind, tok), tok, line, pos - line_start + 1))
         pos = m.end()
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
     tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 

@@ -146,7 +146,10 @@ def _analysis(program: Program, tol: float) -> _Analysis:
             builds.append(build)
             if not r.is_constraint:
                 frozen.append((r.head.name, r.impl, r.weight, body))
-                live.append((r.head.name, r.impl, r.weight, compile_body(r.body, tol)[0]))
+                # without a site the frozen closure is the live one
+                if build is not None:
+                    body = compile_body(r.body, tol)[0]
+                live.append((r.head.name, r.impl, r.weight, body))
         found = cache[tol] = _Analysis(tuple(sites), tuple(builds), tuple(frozen), tuple(live))
     return found
 
@@ -378,25 +381,31 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
     return found
 
 
-def find_stable_models(program: Program, cfg: StableSearchConfig) -> list[Interpretation]:
+def find_stable_models(program: Program, cfg: StableSearchConfig,
+                       undecided: Optional[list[Interpretation]] = None) -> list[Interpretation]:
     """Search for stable models.
 
     Grid mode enumerates every grid interpretation and keeps those that
-    verify stable (complete on the grid).  Iterate mode runs the stable
-    operator to a fixpoint from bottom, top, and seeded random starts,
-    then verifies the candidates.  The operator is a pure function, so a
-    start whose orbit revisits a state exactly (the two-cycle of an even
-    negation cycle) is dropped at once: every later step would replay a
-    step that neither settled nor failed.  Results are deduplicated
-    within tol (earliest kept) and sorted lexicographically by atom
-    values.
+    verify stable (complete on the grid); an `undecided` list, when
+    given, receives in grid order the candidates whose verdict is
+    indeterminate (the inner fixpoint did not converge).  Iterate mode
+    runs the stable operator to a fixpoint from bottom, top, and seeded
+    random starts, then verifies the candidates.  The operator is a pure
+    function, so a start whose orbit revisits a state exactly (the
+    two-cycle of an even negation cycle) is dropped at once: every later
+    step would replay a step that neither settled nor failed.  Results
+    are deduplicated within tol (earliest kept) and sorted
+    lexicographically by atom values.
     """
     atoms = program.atoms()
     found: list[Interpretation] = []
     if cfg.mode == "grid":
         for M in _grid_candidates(program, cfg.grid_step, PREFILTER_TOL, cfg.tol):
-            if is_stable(program, M, cfg.tol, cfg.max_iter) is True:
+            verdict = is_stable(program, M, cfg.tol, cfg.max_iter)
+            if verdict is True:
                 found.append(M)
+            elif verdict is None and undecided is not None:
+                undecided.append(M)
     elif cfg.mode == "iterate":
         rng = random.Random(cfg.rng_seed)
         starts = [bottom_interpretation(atoms), top_interpretation(atoms)]

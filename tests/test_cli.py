@@ -135,6 +135,32 @@ def test_stable_search_grid(capsys, tmp_path):
     assert data["stable_models"][1] == {"p": 0.5, "q": 0.5}
 
 
+@pytest.mark.parametrize("cap", [[], ["--output", "table"]])
+def test_stable_search_grid_reports_undecided_points(capsys, tmp_path, cap):
+    path = tmp_path / "halving.malp"
+    path.write_text("p <-p add(mul(p, 0.5), 0.5) with 1;\n")
+    code, out, err = run(capsys, "stable", "search", path, "--grid", "0.5",
+                         "--max-iter", "5", *cap)
+    assert code == 0
+    assert err == ("note: 1 grid point(s) undecided: the inner fixpoint did not "
+                   "converge within --max-iter 5\n")
+    if cap:
+        assert out.splitlines()[-2:] == ["stable_models: []", 'undecided: [{"p": 1.0}]']
+    else:
+        data = json.loads(out)
+        assert (data["count"], data["undecided"]) == (0, [{"p": 1.0}])
+    code, out, err = run(capsys, "stable", "search", path, "--grid", "0.5")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["stable_models"], data["undecided"]) == ([{"p": 1.0}], [])
+
+
+def test_stable_search_iterate_has_no_undecided_list(capsys, motor_file):
+    code, out, _ = run(capsys, "stable", "search", motor_file, "--seeds", "4")
+    assert code == 0
+    assert "undecided" not in json.loads(out)
+
+
 def test_stable_search_iterate_deterministic(capsys, motor_file):
     code, first, _ = run(capsys, "stable", "search", motor_file,
                          "--seeds", "8", "--rng-seed", "7")

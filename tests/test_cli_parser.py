@@ -1,0 +1,215 @@
+"""The CLI builds only the parser of the command it is called with.
+
+`oracle_parser` is the front end as it was when every call built all
+nine parsers.  `main(argv)` must print the same help, usage lines and
+errors, exit with the same code, and parse to the same namespace.
+"""
+
+import argparse
+import json
+
+import pytest
+
+from emalp import cli
+from emalp.cli import (
+    _add_common,
+    _ArgumentParser,
+    build_parser,
+    cmd_check,
+    cmd_equiv,
+    cmd_eval,
+    cmd_lfp,
+    cmd_reduct,
+    cmd_stable_search,
+    cmd_stable_verify,
+    cmd_transform,
+    main,
+)
+from emalp.lattice import ADJOINT_KINDS, NEGATION_KINDS
+from emalp.semantics import DEFAULT_BUDGET
+
+
+def oracle_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
+        prog="emalp",
+        description="Weighted rule programs on [0, 1]: parsing, stable models, transformations.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="parse, validate, classify, and report continuity")
+    p.add_argument("file")
+    _add_common(p)
+    p.set_defaults(fn=cmd_check)
+
+    p = sub.add_parser("eval", help="check whether an interpretation is a model")
+    p.add_argument("file")
+    p.add_argument("-i", "--interpretation", required=True)
+    _add_common(p)
+    p.set_defaults(fn=cmd_eval)
+
+    p = sub.add_parser("reduct", help="emit the reduct with respect to an interpretation")
+    p.add_argument("file")
+    p.add_argument("-i", "--interpretation", required=True)
+    p.add_argument("-o", "--out")
+    _add_common(p)
+    p.set_defaults(fn=cmd_reduct)
+
+    p = sub.add_parser("lfp", help="least model of a positive program, with trace")
+    p.add_argument("file")
+    _add_common(p)
+    p.set_defaults(fn=cmd_lfp)
+
+    p = sub.add_parser("stable", help="verify or search for stable models")
+    stable_sub = p.add_subparsers(dest="subcommand", required=True)
+    v = stable_sub.add_parser("verify")
+    v.add_argument("file")
+    v.add_argument("-i", "--interpretation", required=True)
+    _add_common(v)
+    v.set_defaults(fn=cmd_stable_verify)
+    s = stable_sub.add_parser("search")
+    s.add_argument("file")
+    s.add_argument("--grid", type=float, default=None, help="grid step for exhaustive search")
+    s.add_argument("--seeds", type=int, default=16)
+    s.add_argument("--rng-seed", type=int, default=0)
+    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _add_common(s)
+    s.set_defaults(fn=cmd_stable_search)
+
+    p = sub.add_parser("transform", help="rewrite a program, writing target and record")
+    p.add_argument("file")
+    p.add_argument("--method", choices=("fc", "janssen", "manlp"), required=True)
+    p.add_argument("--impl", choices=ADJOINT_KINDS, default="lukasiewicz")
+    p.add_argument("--conj", choices=ADJOINT_KINDS, default="godel")
+    p.add_argument("--neg", choices=NEGATION_KINDS, default="neg1")
+    p.add_argument("-o", "--out")
+    p.add_argument("--record")
+    _add_common(p)
+    p.set_defaults(fn=cmd_transform)
+
+    p = sub.add_parser("equiv", help="grid-exhaustive stable-model equivalence check")
+    p.add_argument("source")
+    p.add_argument("target")
+    p.add_argument("--record", required=True)
+    p.add_argument("--grid", type=float, required=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _add_common(p)
+    p.set_defaults(fn=cmd_equiv)
+
+    return parser
+
+
+# each command with arguments that parse
+COMMANDS = {
+    ("check",): ["f.malp"],
+    ("eval",): ["f.malp", "-i", "i.json"],
+    ("reduct",): ["f.malp", "-i", "i.json", "-o", "o.malp"],
+    ("lfp",): ["f.malp"],
+    ("stable", "verify"): ["f.malp", "-i", "i.json"],
+    ("stable", "search"): ["f.malp", "--grid", "0.25", "--seeds", "4"],
+    ("transform",): ["f.malp", "--method", "janssen", "--neg", "neg2"],
+    ("equiv",): ["a.malp", "b.malp", "--record", "r.json", "--grid", "0.5"],
+}
+
+ROOT_CASES = [
+    [], ["-h"], ["--help"], ["bogus"], ["--"], ["--", "check", "f.malp"], ["-h", "check"],
+    ["chec", "f.malp"], ["stable"], ["stable", "-h"], ["stable", "bogus"],
+    ["stable", "--", "search"], ["stable", "search", "-h", "verify"],
+]
+
+ERROR_CASES = [argv for cmd, ok in COMMANDS.items() for argv in (
+    [*cmd, "-h"],
+    [*cmd],                                   # missing required arguments
+    [*cmd, *ok, "--output", "xml"],           # bad choices value
+    [*cmd, *ok, "--tol", "abc"],              # bad type=float value
+    [*cmd, *ok, "--max-iter", "1.5"],         # bad type=int value
+    [*cmd, *ok, "--bogus"],                   # unrecognized: the root's usage line
+    [*cmd, *ok, "extra"],
+)] + [
+    ["eval", "f.malp"],
+    ["reduct", "f.malp", "-i"],
+    ["stable", "verify", "f.malp"],
+    ["stable", "search", "f.malp", "--grid", "abc"],
+    ["transform", "f.malp"],
+    ["transform", "f.malp", "--method", "zz"],
+    ["transform", "f.malp", "--method", "fc", "--impl", "bogus"],
+    ["equiv", "a.malp", "b.malp"],
+    ["equiv", "a.malp", "b.malp", "--record", "r.json", "--grid", "abc"],
+]
+
+
+def oracle_run(capsys, argv):
+    try:
+        oracle_parser().parse_args(argv)
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    else:
+        raise AssertionError(f"the oracle parsed {argv}")
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["80", "44"])
+@pytest.mark.parametrize("argv", ROOT_CASES + ERROR_CASES, ids=" ".join)
+def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = oracle_run(capsys, list(argv))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert expected[0] in (0, 1)
+
+
+@pytest.mark.parametrize("cmd", list(COMMANDS), ids=" ".join)
+def test_namespace_matches_the_full_parser(cmd):
+    argv = [*cmd, *COMMANDS[cmd]]
+    assert vars(build_parser(argv).parse_args(argv)) == vars(oracle_parser().parse_args(argv))
+
+
+def subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_only_the_named_command_is_built():
+    assert list(subcommands(build_parser(["check", "x"]))) == ["check"]
+    stable = subcommands(build_parser(["stable", "search", "x"]))
+    assert list(stable) == ["stable"]
+    assert list(subcommands(stable["stable"])) == ["search"]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--"]])
+def test_without_a_named_command_everything_is_built(argv):
+    commands = subcommands(build_parser(argv))
+    assert list(commands) == list(subcommands(oracle_parser()))
+    assert len(commands) == 7
+    assert list(subcommands(commands["stable"])) == ["verify", "search"]
+    assert list(subcommands(build_parser())) == list(commands)
+
+
+def test_stable_alone_builds_both_subcommands():
+    stable = subcommands(build_parser(["stable"]))["stable"]
+    assert list(subcommands(stable)) == ["verify", "search"]
+
+
+def test_consecutive_calls_share_no_state(capsys, tmp_path, motor_text):
+    path = tmp_path / "motor.malp"
+    path.write_text(motor_text)
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert main(["stable", "search", str(path), "--grid", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "grid"
+    assert main(["check", str(path), "--output", "table"]) == 0
+    assert capsys.readouterr().out.startswith("valid: True")
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, tmp_path, motor_text):
+    path = tmp_path / "motor.malp"
+    path.write_text(motor_text)
+    assert main(["check", str(path)]) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(cli.sys, "argv", ["emalp", "check", str(path)])
+    assert main() == 0
+    assert capsys.readouterr() == expected
+    monkeypatch.setattr(cli.sys, "argv", ["emalp", "bogus"])
+    assert main(None) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err

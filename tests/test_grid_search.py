@@ -134,3 +134,41 @@ def test_search_with_coarse_tol_keeps_the_earliest_point(text):
     assert len(want) < len(stable)
     if text == SKEWED:
         assert _sort_models(_dedup(stable[::-1], cfg.tol), program.atoms()) != want
+
+
+HALVING = "p <-p add(mul(p, 0.5), 0.5) with 1;\n"   # p = 1, reached only in the limit
+
+
+@pytest.mark.parametrize("max_iter, models, undecided", [
+    (5, [], [{"p": 1.0}]),
+    (StableSearchConfig().max_iter, [{"p": 1.0}], []),
+])
+def test_grid_search_reports_undecided_points(max_iter, models, undecided):
+    program = parse_program(HALVING)
+    cfg = StableSearchConfig(mode="grid", grid_step=0.5, max_iter=max_iter)
+    found = []
+    assert find_stable_models(program, cfg, found) == models
+    assert found == undecided
+    assert find_stable_models(program, cfg) == models
+
+
+def test_undecided_points_are_the_indeterminate_candidates():
+    reported = 0
+    for max_iter in (1, 2, 3):
+        cfg = StableSearchConfig(mode="grid", grid_step=0.5, max_iter=max_iter)
+        for seed in range(80):
+            program = random_emalp(random.Random(seed))
+            want = [M for M in brute_force_candidates(program, 0.5, PRE_TOL, cfg.tol)
+                    if is_stable(program, M, cfg.tol, cfg.max_iter) is None]
+            undecided = []
+            find_stable_models(program, cfg, undecided)
+            assert undecided == _sort_models(want, program.atoms())
+            reported += len(undecided)
+    assert reported > 10  # the comparison is not only between empty lists
+
+
+def test_iterate_mode_leaves_the_undecided_list_alone():
+    undecided = []
+    cfg = StableSearchConfig(mode="iterate", seeds=4, max_iter=5)
+    find_stable_models(parse_program(HALVING), cfg, undecided)
+    assert undecided == []

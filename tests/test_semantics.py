@@ -31,6 +31,7 @@ from emalp import (
     stable_operator,
 )
 from emalp.program import MalpError
+from emalp.semantics import _analysis
 from genprog import random_emalp
 
 MUTUAL = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n"
@@ -398,3 +399,12 @@ def test_trace_json_shape(motor, model_n):
     assert set(data) == {"iterates", "converged", "iterations"}
     assert data["converged"] is True
     assert len(data["iterates"]) == data["iterations"] + 1
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.3])
+def test_analysis_compiles_a_body_without_freeze_site_once(motor, tol):
+    # q's body has two freeze sites, p's and t's none
+    analysis = _analysis(motor, tol)
+    builds = [b for r, b in zip(motor.rules, analysis.builds) if not r.is_constraint]
+    shared = [frozen[3] is live[3] for frozen, live in zip(analysis.frozen, analysis.live)]
+    assert shared == [b is None for b in builds] == [True, False, True, True]
