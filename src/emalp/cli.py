@@ -21,7 +21,6 @@ from .program import (
     Program,
     ProgramClass,
     eval_body,
-    polarity_of,
     validate_program,
 )
 from .semantics import (
@@ -116,10 +115,7 @@ def cmd_check(args) -> int:
         for issue in report.issues:
             print(str(issue), file=sys.stderr)
     continuity = check_continuity(program)
-    polarity = [
-        {atom: pol.value for atom, pol in sorted(polarity_of(r.body).items())}
-        for r in program.rules
-    ]
+    polarity = [{a: pol.value for a, pol in sorted(pols.items())} for pols in program.polarities()]
     _emit({
         "valid": report.ok,
         "class": report.program_class.value,

@@ -288,17 +288,14 @@ def polarity_of(body: BodyExpr) -> dict[str, Polarity]:
     Atoms the body does not mention are not listed; an atom that occurs
     both covariantly and contravariantly maps to MIXED.
     """
-    signs: dict[str, set[int]] = {}
-    for occ in occurrences(body):
-        signs.setdefault(occ.atom, set()).add(occ.sign)
+    return _polarity(occurrences(body))
+
+
+def _polarity(occs: Sequence[Occurrence]) -> dict[str, Polarity]:
     out: dict[str, Polarity] = {}
-    for atom, ss in signs.items():
-        if ss == {1}:
-            out[atom] = Polarity.POSITIVE
-        elif ss == {-1}:
-            out[atom] = Polarity.NEGATIVE
-        else:
-            out[atom] = Polarity.MIXED
+    for occ in occs:
+        pol = Polarity.POSITIVE if occ.sign > 0 else Polarity.NEGATIVE
+        out[occ.atom] = pol if out.get(occ.atom, pol) is pol else Polarity.MIXED
     return out
 
 
@@ -469,33 +466,39 @@ class Program:
         return "\n".join(str(r) for r in self.rules)
 
     def __getstate__(self) -> dict:
-        # derived caches (atoms, semantics' compiled analyses) are rebuilt on use
         return {"rules": self.rules}
 
+    def derived(self, key, make: Callable[[], object]):
+        """make(), computed once per key and kept outside the fields, which
+        equality, hashing, repr and pickling see alone (the rules)."""
+        memo = self.__dict__.setdefault("_derived", {})
+        if key not in memo:
+            memo[key] = make()   # a lost race computes it twice
+        return memo[key]
+
     def atoms(self) -> tuple[str, ...]:
-        # computed on first use and kept outside the fields, so equality
-        # and hashing still see only the (immutable) rules
-        cached = self.__dict__.get("_atoms")
-        if cached is None:
-            names: set[str] = set()
-            for r in self.rules:
-                if isinstance(r.head, Atom):
-                    names.add(r.head.name)
-                names.update(body_atoms(r.body))
-            cached = tuple(sorted(names))
-            object.__setattr__(self, "_atoms", cached)
-        return cached
+        return self.derived("atoms", lambda: tuple(sorted(
+            {r.head.name for r in self.definite_rules()}.union(
+                o.atom for occs in self.rule_occurrences() for o in occs))))
+
+    def rule_occurrences(self) -> tuple[tuple[Occurrence, ...], ...]:
+        """The signed atom occurrences of each rule body, in rule order."""
+        return self.derived("occurrences",
+                            lambda: tuple(tuple(occurrences(r.body)) for r in self.rules))
+
+    def polarities(self) -> tuple[dict[str, Polarity], ...]:
+        """polarity_of each rule body, in rule order."""
+        return tuple(_polarity(occs) for occs in self.rule_occurrences())
 
     def constraints(self) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.is_constraint)
+        return self.derived("constraints", lambda: tuple(r for r in self.rules if r.is_constraint))
 
     def definite_rules(self) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if not r.is_constraint)
+        return self.derived("definite", lambda: tuple(r for r in self.rules if not r.is_constraint))
 
     def classify(self) -> ProgramClass:
         has_constraints = bool(self.constraints())
-        occs = [occ for r in self.rules for occ in occurrences(r.body)]
-        negatives = [o for o in occs if o.sign < 0]
+        negatives = [o for occs in self.rule_occurrences() for o in occs if o.sign < 0]
         if not has_constraints and not negatives:
             return ProgramClass.POSITIVE
         if not has_constraints and all(o.direct_negation for o in negatives):
@@ -570,10 +573,10 @@ def validate_program(program: Program, allow_repeats: bool = False,
     (the parser, the CLI) raise ValidationFailure on a non-empty report.
     """
     issues: list[ValidationIssue] = []
-    for idx, rule in enumerate(program.rules):
+    for idx, (rule, occs) in enumerate(zip(program.rules, program.rule_occurrences())):
         local: list[str] = []
         counts: dict[tuple[str, int], int] = {}   # (atom, sign), in order of first occurrence
-        for occ in occurrences(rule.body):
+        for occ in occs:
             counts[occ.atom, occ.sign] = counts.get((occ.atom, occ.sign), 0) + 1
         atoms = dict.fromkeys(atom for atom, _ in counts)
         head = [rule.head.name] if isinstance(rule.head, Atom) else []

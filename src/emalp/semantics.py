@@ -24,7 +24,6 @@ stable-model checks.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ from .program import (
     MalpError,
     Program,
     Rule,
-    body_atoms,
     compile_body,
     eval_body,
 )
@@ -104,8 +102,8 @@ def reduct(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL) -
         for r, build in zip(program.rules, analysis.builds)
     ))
     # a reduct has no freeze sites of its own, so it is its own reduct
-    out.__dict__["_analyses"] = {tol: _Analysis(
-        (), (None,) * len(out.rules), analysis.frozen, analysis.frozen, frozen)}
+    out.derived(("analysis", tol), lambda: _Analysis(
+        (), (None,) * len(out.rules), analysis.frozen, analysis.frozen, frozen))
     return out
 
 
@@ -135,10 +133,7 @@ class _Analysis:
 
 
 def _analysis(program: Program, tol: float) -> _Analysis:
-    # kept outside the fields, like Program.atoms; a lost race compiles twice
-    cache = program.__dict__.setdefault("_analyses", {})
-    found = cache.get(tol)
-    if found is None:
+    def make() -> _Analysis:
         sites: list[Compiled] = []
         builds, frozen, live = [], [], []
         for r in program.rules:
@@ -150,8 +145,8 @@ def _analysis(program: Program, tol: float) -> _Analysis:
                 if build is not None:
                     body = compile_body(r.body, tol)[0]
                 live.append((r.head.name, r.impl, r.weight, body))
-        found = cache[tol] = _Analysis(tuple(sites), tuple(builds), tuple(frozen), tuple(live))
-    return found
+        return _Analysis(tuple(sites), tuple(builds), tuple(frozen), tuple(live))
+    return program.derived(("analysis", tol), make)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +296,15 @@ def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
     """
     by_head: dict[str, list] = {a: [] for a in atoms}
     reads = {a: {a} for a in atoms}
-    for r, (head, *rule) in zip(program.definite_rules(), _analysis(program, tol).live):
-        by_head[head].append(rule)
-        reads[head].update(body_atoms(r.body))
+    constraints = []
+    live = iter(_analysis(program, tol).live)
+    for r, occs in zip(program.rules, program.rule_occurrences()):
+        if r.is_constraint:
+            constraints.append(({o.atom for o in occs}, lambda M, r=r: satisfies(M, r, tol)))
+        else:
+            head, *rule = next(live)
+            by_head[head].append(rule)
+            reads[head].update(o.atom for o in occs)
 
     def head_test(a, rules):
         def test(M):
@@ -315,10 +316,7 @@ def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
             return abs(t - M[a]) <= pre_tol
         return test
 
-    checks = [(reads[a], head_test(a, rules)) for a, rules in by_head.items()]
-    for r in program.constraints():
-        checks.append((body_atoms(r.body), lambda M, r=r: satisfies(M, r, tol)))
-    return checks
+    return [(reads[a], head_test(a, rules)) for a, rules in by_head.items()] + constraints
 
 
 def _assignment_order(atoms, read_sets) -> list[str]:
@@ -345,16 +343,22 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
     """Grid points that are fixpoints of T and satisfy all constraints.
 
     At I = M the frozen and live readings of a body coincide, so the
-    prune needs no reduct: it evaluates the original bodies at M.  The
-    grid is walked depth first, one atom per level, and each head
-    equation or constraint is tested once, at the shallowest level where
-    every atom it reads is assigned; a failing test cuts the subtree.
-    Candidates come back in lexicographic grid order over the sorted
-    atoms, so `_dedup` keeps the same point as a full enumeration would.
+    prune needs no reduct: it evaluates the original bodies at M.
     """
     atoms = program.atoms()
-    values = lattice_grid(step)
-    checks = _grid_checks(program, atoms, pre_tol, tol)
+    return _grid_walk(dict.fromkeys(atoms, lattice_grid(step)),
+                      _grid_checks(program, atoms, pre_tol, tol))
+
+
+def _grid_walk(values: dict[str, list[float]], checks) -> list[Interpretation]:
+    """The points of the grid values[a] per atom a that pass every
+    (atoms read, test) check, in lexicographic order over `values`' atoms.
+
+    Depth first, one atom per level: each test runs once, at the
+    shallowest level where every atom it reads is assigned, and a
+    failing test cuts the subtree.
+    """
+    atoms = tuple(values)
     order = _assignment_order(atoms, [reads for reads, _ in checks])
     level = {a: i + 1 for i, a in enumerate(order)}
     tests_at: list[list] = [[] for _ in range(len(order) + 1)]
@@ -371,7 +375,7 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
             found.append({a: M[a] for a in atoms})
             return
         a = order[depth]
-        for v in values:
+        for v in values[a]:
             M[a] = v
             extend(depth + 1)
         del M[a]
@@ -439,18 +443,15 @@ def is_minimal_model(program: Program, M: Mapping[str, float], grid_step: float,
     """No grid interpretation strictly below M is a model of the program.
 
     Strictly below means below-or-equal everywhere and strictly below at
-    at least one atom; the check enumerates the whole sub-grid, and
+    at least one atom; the grid walk checks each rule on the sub-grid, and
     raises BudgetExceeded when it has more than DEFAULT_BUDGET points.
     """
     require_total(M, program)
     atoms = program.atoms()
     values = lattice_grid(grid_step)
-    choices = [[v for v in values if v <= M[a] + tol] for a in atoms]
-    _within_budget(math.prod(len(c) for c in choices), DEFAULT_BUDGET)
-    for point in itertools.product(*choices):
-        N = dict(zip(atoms, point))
-        if not any(N[a] < M[a] - tol for a in atoms):
-            continue
-        if is_model(N, program, tol):
-            return False
-    return True
+    choices = {a: [v for v in values if v <= M[a] + tol] for a in atoms}
+    _within_budget(math.prod(len(c) for c in choices.values()), DEFAULT_BUDGET)
+    checks = [({o.atom for o in occs} | (set() if r.is_constraint else {r.head.name}),
+               lambda N, r=r: satisfies(N, r, tol))
+              for r, occs in zip(program.rules, program.rule_occurrences())]
+    return not any(any(N[a] < M[a] - tol for a in atoms) for N in _grid_walk(choices, checks))

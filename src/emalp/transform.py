@@ -42,7 +42,6 @@ from .program import (
     Rule,
     body_ops,
     op_spec,
-    polarity_of,
     rewrite,
 )
 from .semantics import (
@@ -223,8 +222,8 @@ def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
     if neg_choice != "neg1":
         raise TransformError("normalization is defined for the involutive negation neg1 only")
     negative: set[str] = set()
-    for r in program.rules:
-        for atom, pol in polarity_of(r.body).items():
+    for pols in program.polarities():
+        for atom, pol in pols.items():
             if pol is Polarity.NEGATIVE:
                 negative.add(atom)
     if not negative:
