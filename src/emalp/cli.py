@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -250,6 +251,10 @@ def cmd_equiv(args) -> int:
     rec = record_from_json(data, source, target)
     report = verify_equivalence(source, rec, args.grid, args.tol,
                                 max_points=args.budget, max_iter=args.max_iter)
+    if report.bijection is None:
+        print(f"note: {len(report.source_undecided)} source and {len(report.target_undecided)} "
+              f"target grid point(s) undecided: the inner fixpoint did not converge within "
+              f"--max-iter {args.max_iter}; bijection is indeterminate", file=sys.stderr)
     _emit(report.to_json(), args.output)
     return 0
 
@@ -358,6 +363,18 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numbers(args) -> None:
+    """Reject numeric flags that parse but that no search or fixpoint can use."""
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise MalpError(f"--tol must be finite and > 0, got {args.tol}")
+    if args.max_iter < 1:
+        raise MalpError(f"--max-iter must be at least 1, got {args.max_iter}")
+    if getattr(args, "seeds", 1) < 1:
+        raise MalpError(f"--seeds must be at least 1, got {args.seeds}")
+    if getattr(args, "budget", 0) < 0:
+        raise MalpError(f"--budget must be at least 0, got {args.budget}")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -365,6 +382,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help, or a usage error routed to exit 1
         return int(exc.code or 0)
     try:
+        _check_numbers(args)
         return args.fn(args)
     except BudgetExceeded as exc:
         print(str(exc), file=sys.stderr)

@@ -152,12 +152,28 @@ class PropertyReport:
 
 def lattice_grid(step: float) -> list[float]:
     """The chain {0, step, 2*step, ..., 1}; step must divide 1."""
+    n = grid_count(step) - 1
+    return [i / n for i in range(n + 1)]
+
+
+def grid_count(step: float, upto: float = 1.0) -> int:
+    """How many values of lattice_grid(step) are <= upto, counted without
+    building the grid (a budget check must not allocate what it refuses)."""
     if not 0.0 < step <= 0.5:
         raise LatticeError(f"grid step must lie in (0, 0.5], got {step}")
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise LatticeError(f"grid step {step} does not divide 1")
-    return [i / n for i in range(n + 1)]
+    if upto >= 1.0:
+        return n + 1
+    if not upto >= 0.0:   # below 0, or nan
+        return 0
+    k = int(upto * n)     # the last i with i / n <= upto, up to rounding
+    while k < n and (k + 1) / n <= upto:
+        k += 1
+    while k >= 0 and k / n > upto:
+        k -= 1
+    return k + 1
 
 
 def check_adjoint_pair(kind: str, grid_step: float, tol: float = 1e-12) -> PropertyReport:

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .lattice import DEFAULT_TOL, eval_conjunctor, eval_implication, lattice_grid
+from .lattice import DEFAULT_TOL, eval_conjunctor, eval_implication, grid_count, lattice_grid
 from .program import (
     Builder,
     Compiled,
@@ -255,7 +255,7 @@ def check_grid_budget(programs, step: float, budget: int) -> int:
 
     Raises BudgetExceeded when it is above the budget.
     """
-    n_values = len(lattice_grid(step))
+    n_values = grid_count(step)
     return _within_budget(sum(n_values ** len(p.atoms()) for p in programs), budget)
 
 
@@ -346,7 +346,8 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
     prune needs no reduct: it evaluates the original bodies at M.
     """
     atoms = program.atoms()
-    return _grid_walk(dict.fromkeys(atoms, lattice_grid(step)),
+    grid_count(step)   # checks the step; a program without atoms needs no grid
+    return _grid_walk(dict.fromkeys(atoms, lattice_grid(step) if atoms else []),
                       _grid_checks(program, atoms, pre_tol, tol))
 
 
@@ -448,9 +449,10 @@ def is_minimal_model(program: Program, M: Mapping[str, float], grid_step: float,
     """
     require_total(M, program)
     atoms = program.atoms()
-    values = lattice_grid(grid_step)
-    choices = {a: [v for v in values if v <= M[a] + tol] for a in atoms}
-    _within_budget(math.prod(len(c) for c in choices.values()), DEFAULT_BUDGET)
+    n = grid_count(grid_step) - 1
+    counts = {a: grid_count(grid_step, M[a] + tol) for a in atoms}
+    _within_budget(math.prod(counts.values()), DEFAULT_BUDGET)
+    choices = {a: [i / n for i in range(c)] for a, c in counts.items()}   # lattice_grid's values
     checks = [({o.atom for o in occs} | (set() if r.is_constraint else {r.head.name}),
                lambda N, r=r: satisfies(N, r, tol))
               for r, occs in zip(program.rules, program.rule_occurrences())]

@@ -303,21 +303,25 @@ def check_continuity(program: Program) -> ContinuityReport:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    bijection: bool
+    bijection: Optional[bool]        # None: some grid point's stability is undecided
     source_models: tuple[dict, ...]
     target_models: tuple[dict, ...]
     counterexamples: tuple[str, ...]
     bottom_exact: Optional[bool]     # every target stable model pins p_bot to 0
     witnesses_exact: Optional[bool]  # every target stable model matches not_q = neg(q)
     points_checked: int
+    source_undecided: tuple[dict, ...] = ()   # grid points whose verdict is indeterminate
+    target_undecided: tuple[dict, ...] = ()
 
     def to_json(self) -> dict:
         return {
-            "bijection": self.bijection,
+            "bijection": "indeterminate" if self.bijection is None else self.bijection,
             "source_count": len(self.source_models),
             "target_count": len(self.target_models),
             "source_models": [dict(sorted(m.items())) for m in self.source_models],
             "target_models": [dict(sorted(m.items())) for m in self.target_models],
+            "source_undecided": [dict(sorted(m.items())) for m in self.source_undecided],
+            "target_undecided": [dict(sorted(m.items())) for m in self.target_undecided],
             "counterexamples": list(self.counterexamples),
             "bottom_exact": self.bottom_exact,
             "witnesses_exact": self.witnesses_exact,
@@ -337,7 +341,9 @@ def verify_equivalence(source: Program, rec: TranslationRecord, grid_step: float
     Enumerates every grid interpretation of source and target, collects
     the stable ones, and reports any model left unmatched, any target
     model whose bottom witness is not exactly 0, and any negation
-    witness that differs from the negation of its atom.
+    witness that differs from the negation of its atom.  A grid point
+    whose stability is undecided on either side (the inner fixpoint hit
+    max_iter) is listed, and leaves the bijection undecided (None).
     """
     atoms = set(source.atoms())
     fresh = [a.name for a in rec.fresh_atoms]
@@ -346,8 +352,10 @@ def verify_equivalence(source: Program, rec: TranslationRecord, grid_step: float
         raise MalpError("record does not link the given source and target programs")
     points = check_grid_budget((source, rec.target), grid_step, max_points)
     cfg = StableSearchConfig(mode="grid", grid_step=grid_step, tol=tol, max_iter=max_iter)
-    source_models = find_stable_models(source, cfg)
-    target_models = find_stable_models(rec.target, cfg)
+    source_undecided: list = []
+    target_undecided: list = []
+    source_models = find_stable_models(source, cfg, source_undecided)
+    target_models = find_stable_models(rec.target, cfg, target_undecided)
     problems: list[str] = []
 
     for M in source_models:
@@ -378,5 +386,10 @@ def verify_equivalence(source: Program, rec: TranslationRecord, grid_step: float
     bijection = not problems and len(source_models) == len(target_models)
     if len(source_models) != len(target_models):
         problems.append(f"model counts differ: {len(source_models)} vs {len(target_models)}")
+    if source_undecided or target_undecided:
+        bijection = None
+        problems.append(f"stability undecided at {len(source_undecided)} source and "
+                        f"{len(target_undecided)} target grid point(s)")
     return EquivalenceReport(bijection, tuple(source_models), tuple(target_models),
-                             tuple(problems), bottom_exact, witnesses_exact, points)
+                             tuple(problems), bottom_exact, witnesses_exact, points,
+                             tuple(source_undecided), tuple(target_undecided))

@@ -434,3 +434,69 @@ def test_equiv_rejects_target_missing_a_source_atom(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "record does not link" in err
+
+
+HALVING_CONSTRAINED = "p <-p add(mul(p, 0.5), 0.5) with 1;\n1 <-g p with 1;\n"
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_equiv_reports_undecided_points_as_indeterminate(capsys, tmp_path, output):
+    # p = 1 is reached only in the limit: at --max-iter 5 neither side
+    # decides it, and the verdict must not read as a bijection of 0 = 0
+    src, out_path, rec_path = _fc_files(capsys, tmp_path, HALVING_CONSTRAINED)
+    argv = ["equiv", src, out_path, "--record", rec_path, "--grid", "0.5", "--output", output]
+    code, out, err = run(capsys, *argv, "--max-iter", "5")
+    assert code == 0
+    assert err.startswith("note: 1 source and 1 target grid point(s) undecided")
+    assert "--max-iter 5" in err and err.count("\n") == 1
+    if output == "table":
+        assert "bijection: indeterminate" in out.splitlines()
+        assert 'source_undecided: [{"p": 1.0}]' in out.splitlines()
+        return
+    data = json.loads(out)
+    assert data["bijection"] == "indeterminate"
+    assert data["source_count"] == data["target_count"] == 0
+    assert data["source_undecided"] == [{"p": 1.0}]
+    assert data["target_undecided"] == [{"p": 1.0, "p_bot": 0.0}]
+    assert data["counterexamples"] == ["stability undecided at 1 source and 1 target grid point(s)"]
+
+    code, out, err = run(capsys, *argv)     # the default cap decides p = 1 on both sides
+    data = json.loads(out)
+    assert (code, err, data["bijection"]) == (0, "", True)
+    assert data["source_models"] == [{"p": 1.0}]
+    assert data["source_undecided"] == data["target_undecided"] == []
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "nan", "--tol must be finite and > 0, got nan"),
+    ("--tol", "inf", "--tol must be finite and > 0, got inf"),
+    ("--tol", "-1", "--tol must be finite and > 0, got -1.0"),
+    ("--tol", "0", "--tol must be finite and > 0, got 0.0"),
+    ("--max-iter", "0", "--max-iter must be at least 1, got 0"),
+    ("--seeds", "0", "--seeds must be at least 1, got 0"),
+    ("--budget", "-1", "--budget must be at least 0, got -1"),
+])
+def test_numeric_flags_out_of_range_exit_one(capsys, tmp_path, flag, value, message):
+    path = tmp_path / "mutual.malp"
+    path.write_text(MUTUAL)
+    code, out, err = run(capsys, "stable", "search", path, flag, value)
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv", [("check",), ("lfp",), ("equiv", "x.malp", "--record", "r.json",
+                                                          "--grid", "0.5")])
+def test_every_command_checks_tol(capsys, tmp_path, argv):
+    path = tmp_path / "mutual.malp"
+    path.write_text(MUTUAL)
+    code, out, err = run(capsys, argv[0], path, *argv[1:], "--tol", "nan")
+    assert (code, err) == (1, "--tol must be finite and > 0, got nan\n")
+
+
+def test_numeric_flags_at_their_limits_run(capsys, tmp_path):
+    path = tmp_path / "mutual.malp"
+    path.write_text(MUTUAL)
+    code, out, _ = run(capsys, "stable", "search", path, "--seeds", "1", "--max-iter", "1",
+                       "--tol", "1e-300")
+    assert code == 0
+    code, _, err = run(capsys, "stable", "search", path, "--grid", "0.5", "--budget", "0")
+    assert code == 2 and "budget of 0" in err

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,7 @@ from emalp import (
     eval_threshold,
     lattice_grid,
 )
-from emalp.lattice import LatticeError
+from emalp.lattice import LatticeError, grid_count
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -138,3 +139,23 @@ def test_unknown_kinds_rejected():
         eval_negation("neg3", 0.5)
     with pytest.raises(LatticeError):
         eval_threshold("h", 0.5, 0.5)
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25, 0.2, 0.1, 1 / 3, 1 / 7, 0.05, 0.01, 0.001])
+def test_grid_count_counts_what_lattice_grid_lists(step):
+    grid = lattice_grid(step)
+    assert grid_count(step) == len(grid)
+    rng = random.Random(3)
+    uptos = [rng.uniform(-0.2, 1.2) for _ in range(200)] + [
+        v + d for v in grid for d in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9)] + [
+        -math.inf, math.inf, math.nan, -0.0, 1.0, 1.0 + 1e-9]
+    for upto in uptos:
+        assert grid_count(step, upto) == len([v for v in grid if v <= upto]), upto
+
+
+def test_grid_count_checks_the_step_as_lattice_grid_does():
+    for step in (0.3, 0.7, 0.0, -0.5, math.nan):
+        with pytest.raises(LatticeError):
+            grid_count(step)
+    assert grid_count(1e-9) == 10 ** 9 + 1
+    assert grid_count(1e-9, 0.5) == 5 * 10 ** 8 + 1

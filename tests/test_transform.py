@@ -367,3 +367,14 @@ def test_malformed_record_raises(motor, data, message):
 
     with pytest.raises(MalpError, match=message):
         record_from_json(data, motor, motor)
+
+
+@pytest.mark.parametrize("max_iter, bijection, undecided", [(5, None, 1), (10_000, True, 0)])
+def test_verify_equivalence_leaves_undecided_points_undecided(max_iter, bijection, undecided):
+    source = parse_program("p <-p add(mul(p, 0.5), 0.5) with 1;\n1 <-g p with 1;")
+    rec = eliminate_constraints_fc(source)
+    report = verify_equivalence(source, rec, 0.5, max_iter=max_iter)
+    assert report.bijection is bijection
+    assert len(report.source_undecided) == len(report.target_undecided) == undecided
+    assert len(report.source_models) == len(report.target_models) == 1 - undecided
+    assert report.to_json()["bijection"] == ("indeterminate" if bijection is None else True)
