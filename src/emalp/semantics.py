@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .lattice import DEFAULT_TOL, eval_conjunctor, eval_implication, grid_count, lattice_grid
 from .program import (
@@ -343,17 +343,20 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
     """Grid points that are fixpoints of T and satisfy all constraints.
 
     At I = M the frozen and live readings of a body coincide, so the
-    prune needs no reduct: it evaluates the original bodies at M.
+    prune needs no reduct: it evaluates the original bodies at M.  The
+    points come back in lexicographic grid order over the sorted atoms,
+    so `_dedup` keeps the same point as a full enumeration would.
     """
     atoms = program.atoms()
     grid_count(step)   # checks the step; a program without atoms needs no grid
-    return _grid_walk(dict.fromkeys(atoms, lattice_grid(step) if atoms else []),
-                      _grid_checks(program, atoms, pre_tol, tol))
+    return sorted(_grid_walk(dict.fromkeys(atoms, lattice_grid(step) if atoms else []),
+                             _grid_checks(program, atoms, pre_tol, tol)),
+                  key=lambda m: tuple(m[a] for a in atoms))
 
 
-def _grid_walk(values: dict[str, list[float]], checks) -> list[Interpretation]:
-    """The points of the grid values[a] per atom a that pass every
-    (atoms read, test) check, in lexicographic order over `values`' atoms.
+def _grid_walk(values: dict[str, list[float]], checks) -> Iterator[Interpretation]:
+    """Yield the points of the grid values[a] per atom a that pass every
+    (atoms read, test) check, so a caller may stop at the first it needs.
 
     Depth first, one atom per level: each test runs once, at the
     shallowest level where every atom it reads is assigned, and a
@@ -367,23 +370,20 @@ def _grid_walk(values: dict[str, list[float]], checks) -> list[Interpretation]:
         tests_at[max((level[a] for a in reads), default=0)].append(test)
 
     M: Interpretation = {}    # the partial assignment, atoms order[:depth]
-    found: list[Interpretation] = []
 
-    def extend(depth: int) -> None:
+    def extend(depth: int) -> Iterator[Interpretation]:
         if not all(test(M) for test in tests_at[depth]):
             return
         if depth == len(order):
-            found.append({a: M[a] for a in atoms})
+            yield {a: M[a] for a in atoms}
             return
         a = order[depth]
         for v in values[a]:
             M[a] = v
-            extend(depth + 1)
+            yield from extend(depth + 1)
         del M[a]
 
-    extend(0)
-    found.sort(key=lambda m: tuple(m[a] for a in atoms))
-    return found
+    return extend(0)
 
 
 def find_stable_models(program: Program, cfg: StableSearchConfig,

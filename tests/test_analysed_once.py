@@ -195,3 +195,16 @@ def test_a_program_without_atoms_needs_no_grid(capsys, tmp_path):
                                               "--grid", "1e-9"]))) < 4
     assert codes == [0]
     assert json.loads(capsys.readouterr().out)["stable_models"] == [{}]
+
+
+def test_is_minimal_model_stops_at_the_first_model_below(monkeypatch):
+    # the all-zero point is a model below the top; the 11 ** 5 points of
+    # the sub-grid hold thousands more, and none of them needs a check
+    import emalp.semantics as semantics_module
+    checks = []
+    original = semantics_module.satisfies
+    monkeypatch.setattr(semantics_module, "satisfies",
+                        lambda *args: checks.append(1) or original(*args))
+    program = parse_program("a <-g min(b, c) with 1;\nb <-g d with 1;\nc <-g e with 1;")
+    assert is_minimal_model(program, dict.fromkeys(program.atoms(), 1.0), 0.1) is False
+    assert 0 < len(checks) < 100
