@@ -469,8 +469,8 @@ class Program:
         return {"rules": self.rules}
 
     def derived(self, key, make: Callable[[], object]):
-        """make(), computed once per key and kept outside the fields, which
-        equality, hashing, repr and pickling see alone (the rules)."""
+        """make(), computed on first use per key and kept outside the fields:
+        equality, hashing, repr and pickling see only the rules."""
         memo = self.__dict__.setdefault("_derived", {})
         if key not in memo:
             memo[key] = make()   # a lost race computes it twice
