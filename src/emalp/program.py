@@ -349,7 +349,7 @@ def body_interval(body: BodyExpr) -> Interval:
 # ---------------------------------------------------------------------------
 # compilation
 
-Compiled = Callable[[Mapping[str, float], Sequence[float]], float]
+Compiled = Callable[[Mapping[str, float], Optional[Sequence[float]]], float]
 Builder = Callable[[Sequence[float]], BodyExpr]
 
 
@@ -357,13 +357,13 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
                  sites: Optional[list[Compiled]] = None) -> tuple[Compiled, Optional[Builder]]:
     """Compile a body into f(env, frozen) -> float, evaluated as eval_body does.
 
-    With a `sites` list, each freeze site becomes a read of frozen[k], and
-    the closure that evaluates the site's subtree is appended to `sites`
-    as entry k; `f` is then the reduct's body when frozen holds
-    [site(M, ()) for site in sites], and `build(frozen)` returns that
-    body as a tree, each site replaced by Const(frozen[k]).  Bodies may
-    share one list.  Without it, or when the body has no freeze site,
-    `f` is the live body and `build` is None.  Each operator calls the
+    f(env, None) is the body as written.  With a `sites` list, the closure
+    that evaluates freeze site k's subtree is appended to `sites` as entry
+    k; f(env, frozen) then reads frozen[k] there, so it is the reduct's
+    body when frozen holds [site(M, None) for site in sites], and
+    `build(frozen)` returns that body as a tree, each site replaced by
+    Const(frozen[k]).  Bodies may share one list.  Without it, or when the
+    body has no freeze site, `build` is None.  Each operator calls the
     function eval_expr calls, on the same arguments in the same order, so
     the floats are the same, as are the range check, the clamp and the
     RangeViolation message, whose reduct body is built only on error.
@@ -373,7 +373,7 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
     def evaluate(env, frozen):
         v = expr(env, frozen)
         if v < -tol or v > 1.0 + tol:
-            raise _range_violation(v, body if build is None else build(frozen))
+            raise _range_violation(v, body if frozen is None or build is None else build(frozen))
         return _clamp01(v)
     return evaluate, build
 
@@ -394,8 +394,10 @@ def _compile(node: BodyExpr, sign: int, tol: float,
         return atom, None
     if sites is not None and is_freeze_site(node, sign):
         k = len(sites)
-        sites.append(_compile(node, sign, tol, None)[0])
-        return (lambda env, frozen: frozen[k]), (lambda frozen: Const(frozen[k]))
+        site = _compile(node, sign, tol, None)[0]
+        sites.append(site)
+        return ((lambda env, frozen: site(env, None) if frozen is None else frozen[k]),
+                (lambda frozen: Const(frozen[k])))
     spec = op_spec(node.op)
     parts = [_compile(a, sign * spec.polarity(i), tol, sites) for i, a in enumerate(node.args)]
     args = [f for f, _ in parts]

@@ -92,18 +92,20 @@ def reduct(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL) -
 
     The freeze sites come from the program's analysis; a rule without
     one is kept as it is.  The reduct carries its own analysis at tol:
-    the program's frozen bodies, reading the site values at M.
+    the program's compiled bodies, reading the site values at M.
     """
     require_total(M, program)
     analysis = _analysis(program, tol)
-    frozen = analysis.values + tuple(site(M, ()) for site in analysis.sites)
+    frozen = analysis.frozen
+    if frozen is None:
+        frozen = tuple(site(M, None) for site in analysis.sites)
     out = Program(tuple(
         r if build is None else Rule(r.head, r.impl, build(frozen), r.weight)
         for r, build in zip(program.rules, analysis.builds)
     ))
     # a reduct has no freeze sites of its own, so it is its own reduct
     out.derived(("analysis", tol), lambda: _Analysis(
-        (), (None,) * len(out.rules), analysis.frozen, analysis.frozen, frozen))
+        analysis.rules, (), (None,) * len(out.rules), frozen))
     return out
 
 
@@ -119,33 +121,28 @@ class _Analysis:
     """What the operators need of a program, derived once per (program, tol).
 
     The definite rules, in program order, as (head, implication, weight,
-    compiled body).  The `frozen` bodies are the reduct's: they read
-    `values` followed by the values of the freeze `sites` at M, and
-    `builds` (one per rule, None for a rule without a site) turns those
-    values into the reduct's bodies.  The `live` bodies are the
-    program's as written, reading `values` alone.
+    compiled body): read with frozen=None a body is the program's as
+    written, read with the values of the freeze `sites` at M it is the
+    reduct's, and `builds` (one per rule, None for a rule without a
+    site) turns those values into the reduct's bodies.  A reduct's
+    analysis keeps its program's rules, and the values at M as `frozen`.
     """
+    rules: Rules
     sites: tuple[Compiled, ...]
     builds: tuple[Optional[Builder], ...]
-    frozen: Rules
-    live: Rules
-    values: tuple[float, ...] = ()
+    frozen: Optional[tuple[float, ...]] = None
 
 
 def _analysis(program: Program, tol: float) -> _Analysis:
     def make() -> _Analysis:
         sites: list[Compiled] = []
-        builds, frozen, live = [], [], []
+        builds, rules = [], []
         for r in program.rules:
             body, build = compile_body(r.body, tol, sites)
             builds.append(build)
             if not r.is_constraint:
-                frozen.append((r.head.name, r.impl, r.weight, body))
-                # without a site the frozen closure is the live one
-                if build is not None:
-                    body = compile_body(r.body, tol)[0]
-                live.append((r.head.name, r.impl, r.weight, body))
-        return _Analysis(tuple(sites), tuple(builds), tuple(frozen), tuple(live))
+                rules.append((r.head.name, r.impl, r.weight, body))
+        return _Analysis(tuple(rules), tuple(sites), tuple(builds))
     return program.derived(("analysis", tol), make)
 
 
@@ -174,9 +171,9 @@ def immediate_consequence(program: Program, I: Mapping[str, float],
     Atoms with no rule map to bottom (the sup over an empty set).
     """
     analysis = _analysis(program, tol)
-    frozen = analysis.values
+    frozen = analysis.frozen
     out = dict.fromkeys(I, 0.0)
-    for head, impl, weight, body in analysis.live:
+    for head, impl, weight, body in analysis.rules:
         v = eval_conjunctor(impl, weight, body(I, frozen))
         if head not in out or v > out[head]:
             out[head] = v
@@ -297,12 +294,12 @@ def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
     by_head: dict[str, list] = {a: [] for a in atoms}
     reads = {a: {a} for a in atoms}
     constraints = []
-    live = iter(_analysis(program, tol).live)
+    compiled = iter(_analysis(program, tol).rules)
     for r, occs in zip(program.rules, program.rule_occurrences()):
         if r.is_constraint:
             constraints.append(({o.atom for o in occs}, lambda M, r=r: satisfies(M, r, tol)))
         else:
-            head, *rule = next(live)
+            head, *rule = next(compiled)
             by_head[head].append(rule)
             reads[head].update(o.atom for o in occs)
 
@@ -310,7 +307,7 @@ def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
         def test(M):
             t = 0.0
             for impl, weight, body in rules:
-                v = eval_conjunctor(impl, weight, body(M, ()))
+                v = eval_conjunctor(impl, weight, body(M, None))
                 if v > t:
                     t = v
             return abs(t - M[a]) <= pre_tol

@@ -257,9 +257,9 @@ def test_every_operator_compiles_like_eval(name, tol):
                 want = eval_body(body, env, tol)
             except RangeViolation as exc:
                 with pytest.raises(RangeViolation, match=re.escape(str(exc))):
-                    f(env, ())
+                    f(env, None)
             else:
-                assert f(env, ()) == want
+                assert f(env, None) == want
             points += 1
     assert points >= 11
 

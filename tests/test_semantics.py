@@ -30,8 +30,8 @@ from emalp import (
     satisfies,
     stable_operator,
 )
-from emalp.program import MalpError
-from emalp.semantics import _analysis
+from emalp import semantics
+from emalp.program import MalpError, compile_body
 from genprog import random_emalp
 
 MUTUAL = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n"
@@ -402,9 +402,17 @@ def test_trace_json_shape(motor, model_n):
 
 
 @pytest.mark.parametrize("tol", [1e-9, 0.3])
-def test_analysis_compiles_a_body_without_freeze_site_once(motor, tol):
+def test_analysis_compiles_each_body_in_one_pass(motor, model_n, tol, monkeypatch):
+    # one closure per body serves T, the reduct's T and the grid prune;
     # q's body has two freeze sites, p's and t's none
-    analysis = _analysis(motor, tol)
-    builds = [b for r, b in zip(motor.rules, analysis.builds) if not r.is_constraint]
-    shared = [frozen[3] is live[3] for frozen, live in zip(analysis.frozen, analysis.live)]
-    assert shared == [b is None for b in builds] == [True, False, True, True]
+    compiled = []
+
+    def counting(body, *args):
+        compiled.append(body)
+        return compile_body(body, *args)
+    monkeypatch.setattr(semantics, "compile_body", counting)
+    least_model(motor, tol)
+    stable_operator(motor, model_n, tol)
+    is_stable(motor, model_n, tol)
+    find_stable_models(motor, StableSearchConfig(grid_step=0.5, tol=tol))
+    assert compiled == [r.body for r in motor.rules]
