@@ -299,10 +299,6 @@ def _polarity(occs: Sequence[Occurrence]) -> dict[str, Polarity]:
     return out
 
 
-def body_atoms(body: BodyExpr) -> set[str]:
-    return {occ.atom for occ in occurrences(body)}
-
-
 def body_ops(body: BodyExpr) -> Iterator[Apply]:
     if isinstance(body, Apply):
         yield body
