@@ -71,9 +71,15 @@ Interval = tuple[float, float]
 
 
 def format_value(v: float) -> str:
+    """The shortest digits that read back as v, written without an exponent
+    (the grammar has none)."""
     if v == int(v):
         return str(int(v))
-    return repr(v)
+    text = repr(v)
+    if "e" in text:
+        import decimal   # rare, so kept off the import path
+        text = format(decimal.Decimal(text), "f")
+    return text
 
 
 # ---------------------------------------------------------------------------

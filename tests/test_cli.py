@@ -209,6 +209,31 @@ def test_transform_then_equiv(capsys, tmp_path):
     assert data["source_count"] == data["target_count"] == 2
 
 
+def test_transform_of_a_tiny_constant_then_equiv(capsys, tmp_path):
+    src = tmp_path / "tiny.malp"
+    src.write_text("p <-g 0.00001 with 1;\n0.5 <-l neg1(p) with 1;\n")
+    out_path = tmp_path / "tiny.fc.malp"
+    rec_path = tmp_path / "tiny.fc.record.json"
+    assert run(capsys, "transform", src, "--method", "fc",
+               "-o", out_path, "--record", rec_path)[0] == 0
+    assert out_path.read_text().startswith("p <-g 0.00001 with 1;\n")
+    code, out, err = run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bijection"] is True
+
+
+def test_reduct_to_a_tiny_value_then_check(capsys, tmp_path):
+    path = tmp_path / "r.malp"
+    path.write_text("q <-g neg1(p) with 1;\np <-g 0.5 with 1;\n")
+    interp = tmp_path / "i.json"
+    interp.write_text(json.dumps({"p": 0.99999, "q": 0.5}))
+    out_path = tmp_path / "r.reduct.malp"
+    assert run(capsys, "reduct", path, "-i", interp, "-o", out_path)[0] == 0
+    assert out_path.read_text() == "q <-g 0.00000999999999995449 with 1;\np <-g 0.5 with 1;\n"
+    code, out, _ = run(capsys, "check", out_path)
+    assert code == 0 and json.loads(out)["class"] == "positive"
+
+
 def test_equiv_budget_exceeded_exits_two(capsys, tmp_path):
     src = tmp_path / "c.malp"
     src.write_text(CONSTRAINED)

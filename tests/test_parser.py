@@ -15,6 +15,7 @@ from emalp import (
     parse_program,
     serialize_program,
 )
+from emalp.program import format_value
 from genprog import random_emalp
 
 
@@ -118,6 +119,23 @@ def test_round_trip_random_programs(seed):
     rng = random.Random(seed)
     program = random_emalp(rng, max_atoms=4, max_rules=5, max_constraints=2,
                            values=(0.0, 0.25, 1 / 3, 0.5, 1.0))
+    assert parse_program(serialize_program(program)) == program
+
+
+@pytest.mark.parametrize("value", [1e-05, 9.99999999995449e-06, 5e-324])
+def test_small_values_serialize_without_exponent(value):
+    text = format_value(value)
+    assert "e" not in text and float(text) == value
+    program = Program((Rule(Atom("p"), "godel", Const(value), value),))
+    assert parse_program(serialize_program(program)) == program
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 9), st.lists(st.floats(0, 1), min_size=1, max_size=4))
+def test_round_trip_random_float_values(seed, values):
+    rng = random.Random(seed)
+    program = random_emalp(rng, max_atoms=4, max_rules=5, max_constraints=2,
+                           values=tuple(values))
     assert parse_program(serialize_program(program)) == program
 
 
