@@ -32,7 +32,6 @@ from .semantics import (
     StableSearchConfig,
     check_grid_budget,
     find_stable_models,
-    is_model,
     least_model,
     reduct,
     require_total,
@@ -142,7 +141,7 @@ def cmd_eval(args) -> int:
             "implication": eval_implication(rule.impl, head_value, body_value),
             "satisfied": satisfies(I, rule, args.tol),
         })
-    _emit({"model": is_model(I, program, args.tol), "rules": rows}, args.output)
+    _emit({"model": all(row["satisfied"] for row in rows), "rules": rows}, args.output)
     return 0
 
 
