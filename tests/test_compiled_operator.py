@@ -18,6 +18,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emalp import (
     Apply,
@@ -262,6 +263,25 @@ def test_every_operator_compiles_like_eval(name, tol):
                 assert f(env, None) == want
             points += 1
     assert points >= 11
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(TOLS))
+def test_one_closure_reads_the_body_as_written_and_as_the_reduct(seed, tol):
+    # f(I, None) is the body as written; with the site values at M it is
+    # the body of reduct(P, M)
+    rng = random.Random(seed)
+    base = random_emalp(rng, max_atoms=4, max_rules=5, max_constraints=2,
+                        values=(0.0, 0.25, 0.5, 0.75, 1.0))
+    for program in [base] + [flipped(base, wrap) for wrap in WRAPS]:
+        sites = []
+        compiled = [compile_body(r.body, tol, sites)[0] for r in program.rules]
+        I = {a: rng.random() for a in program.atoms()}
+        M = {a: rng.random() for a in program.atoms()}
+        frozen = [site(M, None) for site in sites]
+        for f, rule, frozen_rule in zip(compiled, program.rules, reduct(program, M, tol).rules):
+            assert f(I, None) == eval_body(rule.body, I, tol)
+            assert f(I, frozen) == eval_body(frozen_rule.body, I, tol)
 
 
 def test_analysis_is_cached_outside_the_fields(motor, motor_text):
