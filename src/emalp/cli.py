@@ -35,7 +35,6 @@ from .semantics import (
     least_model,
     reduct,
     require_total,
-    satisfies,
     stable_check,
 )
 from .transform import (
@@ -135,11 +134,12 @@ def cmd_eval(args) -> int:
     for idx, rule in enumerate(program.rules):
         body_value = eval_body(rule.body, I, args.tol)
         head_value = rule.head.value if rule.is_constraint else I[rule.head.name]
+        implication = eval_implication(rule.impl, head_value, body_value)
         rows.append({
             "rule": idx,
             "body": body_value,
-            "implication": eval_implication(rule.impl, head_value, body_value),
-            "satisfied": satisfies(I, rule, args.tol),
+            "implication": implication,
+            "satisfied": rule.weight <= implication + args.tol,   # as `satisfies` tests it
         })
     _emit({"model": all(row["satisfied"] for row in rows), "rules": rows}, args.output)
     return 0

@@ -14,8 +14,9 @@ literal argument.
 
 from __future__ import annotations
 
+import math
 import re
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .lattice import DEFAULT_TOL
 from .program import (
@@ -29,6 +30,7 @@ from .program import (
     Rule,
     TAG_IMPLICATIONS,
     ValidationFailure,
+    body_ops,
     validate_program,
 )
 
@@ -215,7 +217,26 @@ def parse_program(text: str, allow_repeats: bool = False, tol: float = DEFAULT_T
 
 
 def serialize_program(program: Program) -> str:
-    """Canonical DSL text; parse_program(serialize_program(P)) == P."""
+    """Canonical DSL text; parse_program(serialize_program(P)) == P.
+
+    A non-finite weight, constraint head or constant has no text, so it
+    raises MalpError.
+    """
+    for idx, rule in enumerate(program.rules):
+        for v in _values(rule):
+            if not math.isfinite(v):
+                raise MalpError(f"rule {idx}: cannot write the non-finite value {v}")
     if not program.rules:
         return ""
     return "\n".join(str(r) for r in program.rules) + "\n"
+
+
+def _values(rule: Rule) -> Iterator[float]:
+    """The numbers a rule's text writes: weight, constraint head, constants."""
+    yield rule.weight
+    if rule.is_constraint:
+        yield rule.head.value
+    if isinstance(rule.body, Const):
+        yield rule.body.value
+    for node in body_ops(rule.body):
+        yield from (a.value for a in node.args if isinstance(a, Const))

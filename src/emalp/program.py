@@ -18,6 +18,7 @@ those are operators of the truth-value lattice proper.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -72,7 +73,10 @@ Interval = tuple[float, float]
 
 def format_value(v: float) -> str:
     """The shortest digits that read back as v, written without an exponent
-    (the grammar has none)."""
+    (the grammar has none).  A non-finite v, which the grammar cannot
+    write, comes back as repr gives it, for messages."""
+    if not math.isfinite(v):
+        return repr(v)
     if v == int(v):
         return str(int(v))
     text = repr(v)

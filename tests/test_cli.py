@@ -66,6 +66,39 @@ def test_eval(capsys, motor_file, tmp_path, model_m):
     assert data["rules"][0]["body"] == pytest.approx(8 / 37)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 0.3])
+def test_eval_evaluates_each_body_once(capsys, motor_file, tmp_path, motor,
+                                       model_m, model_n, tol, monkeypatch):
+    # a row's "satisfied" is read from its own implication value; it must
+    # agree with `satisfies` at M, at N and at a non-model
+    import emalp.cli
+    import emalp.program
+    import emalp.semantics
+    from emalp import eval_body, satisfies
+
+    non_model = {"p": 0.9, "q": 0.1, "s": 0.2, "t": 0.3}
+    cases = [(I, [satisfies(I, r, tol) for r in motor.rules])
+             for I in (model_m, model_n, non_model)]
+    assert not all(cases[-1][1])
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return eval_body(*args)
+    for module in (emalp.cli, emalp.program, emalp.semantics):
+        monkeypatch.setattr(module, "eval_body", counting)
+    for I, want in cases:
+        interp = tmp_path / "i.json"
+        interp.write_text(json.dumps(I))
+        calls.clear()
+        code, out, _ = run(capsys, "eval", motor_file, "-i", interp, "--tol", tol)
+        assert code == 0
+        assert calls == [r.body for r in motor.rules]
+        data = json.loads(out)
+        assert [row["satisfied"] for row in data["rules"]] == want
+        assert data["model"] is all(want)
+
+
 def test_eval_missing_atom_exits_one(capsys, motor_file, tmp_path):
     interp = tmp_path / "partial.json"
     interp.write_text(json.dumps({"p": 0.1}))

@@ -10,6 +10,7 @@ then iterate T by walking the trees with `eval_body`.  Values and
 `FixpointTrace`s must be equal (`==`), not merely close.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import pickle
@@ -40,8 +41,9 @@ from emalp import (
     stable_operator,
     to_manlp,
 )
+import emalp.semantics as semantics
 from emalp.program import BUILTINS, RangeViolation, compile_body
-from emalp.semantics import _analysis
+from emalp.semantics import StableSearchConfig, _analysis, find_stable_models, stable_check
 
 from genprog import random_emalp
 from test_body_walks import WRAPS, flipped
@@ -182,6 +184,46 @@ def test_reduct_carries_what_compiling_it_would_give(tol):
         I = {a: rng.random() for a in program.atoms()}
         want = oracle_step(fresh, I, tol)
         assert immediate_consequence(got, I, tol) == immediate_consequence(fresh, I, tol) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(TOLS))
+def test_a_search_step_gives_the_verdicts_trace(seed, tol):
+    # the search step reads the site values at M without a reduct; the
+    # verdict builds the reduct: the two traces are one trace
+    rng = random.Random(seed)
+    if seed % 2:
+        program = random_emalp(rng, max_atoms=4, max_rules=5, max_constraints=2)
+    else:
+        program = parse_program(gen.iterate_program(6 + seed % 3, seed % 4 == 0, seed)[0])
+    for M in starts_for(program, rng):
+        want = stable_check(program, M, tol, MAX_ITER)[1]
+        assert stable_operator(program, M, tol, MAX_ITER)[1] == want
+        # a reduct is its own reduct: its operator is its least model
+        frozen = reduct(program, M, tol)
+        assert stable_operator(frozen, M, tol, MAX_ITER) == least_model(frozen, tol, MAX_ITER)
+
+
+def test_a_search_step_builds_no_tree(monkeypatch):
+    rng = random.Random(8)
+    cases = []
+    for program in [MOTOR] + GENPROG[:100] + CYCLES:
+        for M in starts_for(program, rng):
+            cases.append((program, M, stable_operator(program, M, 1e-9, MAX_ITER)))
+    cycle = parse_program("p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n")
+    cycle_cfg = StableSearchConfig(mode="iterate", seeds=4, tol=1e-9)
+
+    def boom(*args):
+        raise AssertionError("a search step built a tree")
+    monkeypatch.setattr(semantics, "Rule", boom)
+    monkeypatch.setattr(semantics, "reduct", boom)
+    for program, M, want in cases:
+        analysis = _analysis(program, 1e-9)
+        monkeypatch.setitem(program.__dict__["_derived"], ("analysis", 1e-9), dataclasses.replace(
+            analysis, builds=tuple(None if b is None else boom for b in analysis.builds)))
+        assert stable_operator(program, M, 1e-9, MAX_ITER) == want
+    # no start of the even cycle settles, so the search runs no verdict
+    assert find_stable_models(cycle, cycle_cfg) == []
 
 
 def test_unconverged_trace_matches_oracle():

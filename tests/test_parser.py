@@ -7,6 +7,7 @@ from emalp import (
     Apply,
     Atom,
     Const,
+    MalpError,
     ParseError,
     Program,
     Rule,
@@ -128,6 +129,20 @@ def test_small_values_serialize_without_exponent(value):
     assert "e" not in text and float(text) == value
     program = Program((Rule(Atom("p"), "godel", Const(value), value),))
     assert parse_program(serialize_program(program)) == program
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("make", [
+    lambda v: Rule(Const(0.5), "godel", Atom("p"), v),
+    lambda v: Rule(Const(v), "godel", Atom("p"), 1.0),
+    lambda v: Rule(Atom("p"), "godel", Const(v), 1.0),
+    lambda v: Rule(Atom("p"), "godel", Apply("min", (Atom("q"), Apply("neg1", (Const(v),)))), 1.0),
+], ids=["weight", "constraint-head", "body", "nested-constant"])
+def test_non_finite_values_are_refused(make, value):
+    assert format_value(value) == repr(value)
+    program = Program((Rule(Atom("q"), "godel", Const(0.5), 1.0), make(value)))
+    with pytest.raises(MalpError, match=rf"^rule 1: cannot write the non-finite value {value}$"):
+        serialize_program(program)
 
 
 @settings(max_examples=60)

@@ -95,6 +95,18 @@ def test_validation_constraint_weight_must_be_top():
     assert any("constraint weight" in str(i) for i in report.issues)
 
 
+@pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("head", [Atom("p"), Const(0.5)])
+def test_validation_reports_non_finite_weights(head, weight):
+    program = Program((Rule(head, "godel", Atom("q"), weight),))
+    issues = [str(i) for i in validate_program(program).issues]
+    assert issues[0] == f"rule 0: weight {weight} outside [0, 1]"
+    if head == Const(0.5) and not math.isnan(weight):
+        assert issues[1:] == [f"rule 0: constraint weight must be 1, got {weight}"]
+    else:
+        assert issues[1:] == []
+
+
 def test_validation_top_level_range():
     bad = Program((Rule(Atom("r"), "godel", parse_body("add(p, q)"), 1.0),))
     assert not validate_program(bad).ok

@@ -72,8 +72,9 @@ def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
     # through a captured reference or a private twin, `--trace 1` would
     # silently stop counting it.  On the even cycle each of the four
     # starts takes two operator steps and then revisits a state: 8 calls,
-    # each one reduct and one least model, 14 Kleene steps in all, as
-    # before the operator was compiled.
+    # each one least model, 14 Kleene steps in all, as before the
+    # operator was compiled.  A search step builds no reduct, and no
+    # start settles, so no verdict builds one either.
     path = tmp_path / "cycle.malp"
     path.write_text("p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n")
     rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4"])
@@ -83,9 +84,26 @@ def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
         "semantics.find_stable_models", "semantics.stable_operator", "semantics.reduct",
         "semantics.least_model", "semantics.immediate_consequence", "lattice.eval_conjunctor")}
     assert calls == {"semantics.find_stable_models": 1, "semantics.stable_operator": 8,
-                     "semantics.reduct": 8, "semantics.least_model": 8,
+                     "semantics.reduct": 0, "semantics.least_model": 8,
                      "semantics.immediate_consequence": 14, "lattice.eval_conjunctor": 28}
     assert tracer.counts["lm_iterations"] == 14 and tracer.counts["lm_unconverged"] == 0
+
+
+def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
+    # every start settles on a = b = 1: top after one operator step,
+    # bottom and the two random starts after two.  Each settled start gets
+    # one verdict, which builds one reduct and runs one least model; the
+    # search steps build none.
+    path = tmp_path / "chain.malp"
+    path.write_text("a <-g 1 with 1;\nb <-g a with 1;\n")
+    rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4"])
+    assert rc == 0
+    assert '"count": 1' in capsys.readouterr().out
+    calls = {layer: tracer.layer(layer)[0] for layer in (
+        "semantics.stable_operator", "semantics.reduct", "semantics.is_stable",
+        "semantics.least_model")}
+    assert calls == {"semantics.stable_operator": 7, "semantics.reduct": 4,
+                     "semantics.is_stable": 4, "semantics.least_model": 11}
 
 
 def test_tracer_counts_an_unconverged_stable_operator(tmp_path, capsys):

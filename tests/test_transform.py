@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emalp import (
     Apply,
@@ -272,6 +273,27 @@ def test_verify_equivalence_janssen_random():
         source = random_emalp(rng, max_atoms=3, max_rules=3, max_constraints=2)
         rec = eliminate_constraints_janssen(source)
         assert verify_equivalence(source, rec, 0.5).bijection
+
+
+def _fc_then_manlp(source):
+    rec = eliminate_constraints_fc(source)
+    return rec.target, to_manlp(rec.target)
+
+
+REWRITES = {
+    "fc": lambda source: (source, eliminate_constraints_fc(source)),
+    "janssen": lambda source: (source, eliminate_constraints_janssen(source)),
+    "fc-manlp": _fc_then_manlp,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(sorted(REWRITES)))
+def test_rewrites_keep_stable_models_at_grid_half(seed, rewrite):
+    source = random_emalp(random.Random(seed), max_atoms=3, max_rules=3, max_constraints=2)
+    program, rec = REWRITES[rewrite](source)
+    report = verify_equivalence(program, rec, 0.5)
+    assert report.bijection is True, report.counterexamples
 
 
 def test_verify_equivalence_trivial_for_constraint_free():
