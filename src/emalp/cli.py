@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from .lattice import ADJOINT_KINDS, DEFAULT_TOL, NEGATION_KINDS, eval_implication, truth_value
 from .parser import parse_program, serialize_program
@@ -80,13 +81,20 @@ def _trace_table(atoms: tuple[str, ...], trace: FixpointTrace) -> list[str]:
     return lines
 
 
+def _read(path: str, decode=str):
+    """The file's UTF-8 text through decode; bad bytes or too-deep JSON raise MalpError."""
+    try:
+        return decode(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise MalpError(f"{path}: {exc}") from None
+
+
 def _load_program(path: str, args) -> Program:
-    return parse_program(Path(path).read_text(encoding="utf-8"),
-                         allow_repeats=args.allow_repeats, tol=args.tol)
+    return parse_program(_read(path), allow_repeats=args.allow_repeats, tol=args.tol)
 
 
 def _load_interpretation(path: str, program: Program) -> dict[str, float]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _read(path, json.loads)
     if not isinstance(data, dict):
         raise MalpError("interpretation file must hold a JSON object {atom: number}")
     I = {k: truth_value(v, f"interpretation value of {k!r}") for k, v in data.items()}
@@ -98,17 +106,8 @@ def _interp_json(I: dict[str, float]) -> dict:
     return {k: I[k] for k in sorted(I)}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--output", choices=("json", "table"), default="json")
-    p.add_argument("--allow-repeats", action="store_true",
-                   help="accept duplicate same-polarity body atoms")
-
-
 def cmd_check(args) -> int:
-    program = parse_program(Path(args.file).read_text(encoding="utf-8"),
-                            allow_repeats=args.allow_repeats, validate=False)
+    program = parse_program(_read(args.file), allow_repeats=args.allow_repeats, validate=False)
     report = validate_program(program, allow_repeats=args.allow_repeats, tol=args.tol)
     if not report.ok:
         for issue in report.issues:
@@ -246,8 +245,7 @@ def cmd_transform(args) -> int:
 def cmd_equiv(args) -> int:
     source = _load_program(args.source, args)
     target = _load_program(args.target, args)
-    data = json.loads(Path(args.record).read_text(encoding="utf-8"))
-    rec = record_from_json(data, source, target)
+    rec = record_from_json(_read(args.record, json.loads), source, target)
     report = verify_equivalence(source, rec, args.grid, args.tol,
                                 max_points=args.budget, max_iter=args.max_iter)
     if report.bijection is None:
@@ -266,61 +264,74 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _file(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
+class _Arg(NamedTuple):
+    """One argument, as both argv readers take it; a positional's flags are its name."""
+    flags: tuple[str, ...]   # the long flag last: argparse names the attribute after it
+    type: Optional[Callable] = None
+    choices: Optional[tuple] = None
+    default: object = None
+    required: bool = False
+    help: Optional[str] = None
+    store_true: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flags[-1].lstrip("-").replace("-", "_")
 
 
-def _file_interp(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("-i", "--interpretation", required=True)
+_COMMON = (
+    _Arg(("--tol",), float, default=DEFAULT_TOL),
+    _Arg(("--max-iter",), int, default=DEFAULT_MAX_ITER),
+    _Arg(("--output",), choices=("json", "table"), default="json"),
+    _Arg(("--allow-repeats",), default=False, store_true=True,
+         help="accept duplicate same-polarity body atoms"),
+)
+_FILE = (_Arg(("file",)),)
+_FILE_INTERP = _FILE + (_Arg(("-i", "--interpretation"), required=True),)
+_BUDGET = _Arg(("--budget",), int, default=DEFAULT_BUDGET)
 
 
-def _reduct_args(p: argparse.ArgumentParser) -> None:
-    _file_interp(p)
-    p.add_argument("-o", "--out")
+def _add_args(p: argparse.ArgumentParser, args: tuple[_Arg, ...]) -> None:
+    for a in args:
+        kind = ({"action": "store_true"} if a.store_true
+                else {"type": a.type, "choices": a.choices})
+        if a.required:
+            kind["required"] = True
+        p.add_argument(*a.flags, default=a.default, help=a.help, **kind)
 
 
-def _search_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--grid", type=float, default=None, help="grid step for exhaustive search")
-    p.add_argument("--seeds", type=int, default=16)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_args(p, _COMMON)
 
 
-def _transform_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--method", choices=("fc", "janssen", "manlp"), required=True)
-    p.add_argument("--impl", choices=ADJOINT_KINDS, default="lukasiewicz")
-    p.add_argument("--conj", choices=ADJOINT_KINDS, default="godel")
-    p.add_argument("--neg", choices=NEGATION_KINDS, default="neg1")
-    p.add_argument("-o", "--out")
-    p.add_argument("--record")
-
-
-def _equiv_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--record", required=True)
-    p.add_argument("--grid", type=float, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-
-# name -> (help, argument adder, handler); a nested table takes the
-# adder's place for a command with subcommands
+# name -> (help, arguments before the common ones, handler); a nested
+# table takes the arguments' place for a command with subcommands
 _STABLE = {
-    "verify": (None, _file_interp, cmd_stable_verify),
-    "search": (None, _search_args, cmd_stable_search),
+    "verify": (None, _FILE_INTERP, cmd_stable_verify),
+    "search": (None, _FILE + (
+        _Arg(("--grid",), float, help="grid step for exhaustive search"),
+        _Arg(("--seeds",), int, default=16), _Arg(("--rng-seed",), int, default=0), _BUDGET,
+    ), cmd_stable_search),
 }
 
 _COMMANDS = {
-    "check": ("parse, validate, classify, and report continuity", _file, cmd_check),
-    "eval": ("check whether an interpretation is a model", _file_interp, cmd_eval),
-    "reduct": ("emit the reduct with respect to an interpretation", _reduct_args, cmd_reduct),
-    "lfp": ("least model of a positive program, with trace", _file, cmd_lfp),
+    "check": ("parse, validate, classify, and report continuity", _FILE, cmd_check),
+    "eval": ("check whether an interpretation is a model", _FILE_INTERP, cmd_eval),
+    "reduct": ("emit the reduct with respect to an interpretation",
+               _FILE_INTERP + (_Arg(("-o", "--out")),), cmd_reduct),
+    "lfp": ("least model of a positive program, with trace", _FILE, cmd_lfp),
     "stable": ("verify or search for stable models", _STABLE, None),
-    "transform": ("rewrite a program, writing target and record", _transform_args, cmd_transform),
-    "equiv": ("grid-exhaustive stable-model equivalence check", _equiv_args, cmd_equiv),
+    "transform": ("rewrite a program, writing target and record", _FILE + (
+        _Arg(("--method",), choices=("fc", "janssen", "manlp"), required=True),
+        _Arg(("--impl",), choices=ADJOINT_KINDS, default="lukasiewicz"),
+        _Arg(("--conj",), choices=ADJOINT_KINDS, default="godel"),
+        _Arg(("--neg",), choices=NEGATION_KINDS, default="neg1"),
+        _Arg(("-o", "--out")), _Arg(("--record",)),
+    ), cmd_transform),
+    "equiv": ("grid-exhaustive stable-model equivalence check", (
+        _Arg(("source",)), _Arg(("target",)), _Arg(("--record",), required=True),
+        _Arg(("--grid",), float, required=True), _BUDGET,
+    ), cmd_equiv),
 }
 
 
@@ -344,9 +355,55 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict, argv)
         if isinstance(args, dict):
             _add_commands(p, "subcommand", args, argv[1:])
         else:
-            args(p)
+            _add_args(p, args)
             _add_common(p)
             p.set_defaults(fn=handler)
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """argparse's namespace for a well-formed argv, read from the table in one pass.
+
+    Well-formed: the command (and subcommand) word, exact option strings
+    each with a value not starting with "-", the command's positionals,
+    and values that pass `type` and `choices`.  Anything else gives None,
+    for `build_parser`, the only source of help, usage and error text.
+    """
+    ns, table, words = {}, _COMMANDS, iter(argv)
+    for level in ("command", "subcommand"):
+        ns[level] = word = next(words, None)
+        if word not in table:
+            return None
+        _, args, handler = table[word]
+        if not isinstance(args, dict):
+            break
+        table = args
+    args += _COMMON
+    options = {flag: a for a in args for flag in a.flags if flag.startswith("-")}
+    positionals = [a for a in args if not a.flags[0].startswith("-")]
+    ns.update((a.dest, a.default) for a in args if not a.required)
+    for word in words:
+        a = options.get(word)
+        if not word.startswith("-") and positionals:
+            a, value = positionals.pop(0), word
+        elif a is None:
+            return None   # an unknown option, "--", "-", or one positional too many
+        elif a.store_true:
+            ns[a.dest] = True
+            continue
+        else:
+            value = next(words, "-")
+            if value.startswith("-"):
+                return None
+        try:
+            value = (a.type or str)(value)
+        except (TypeError, ValueError):
+            return None
+        if a.choices is not None and value not in a.choices:
+            return None
+        ns[a.dest] = value
+    if positionals or any(a.dest not in ns for a in args):   # one is missing
+        return None
+    return argparse.Namespace(**ns, fn=handler)
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
@@ -377,7 +434,7 @@ def _check_numbers(args) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _read_argv(argv) or build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error routed to exit 1
         return int(exc.code or 0)
     try:

@@ -25,6 +25,7 @@ update); they act as satisfaction filters on stable-model checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -54,10 +55,6 @@ def bottom_interpretation(atoms) -> Interpretation:
 
 def top_interpretation(atoms) -> Interpretation:
     return {a: 1.0 for a in atoms}
-
-
-def interp_leq(a: Mapping[str, float], b: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:
-    return all(a[k] <= b[k] + tol for k in a)
 
 
 def interp_distance(a: Mapping[str, float], b: Mapping[str, float]) -> float:
@@ -428,12 +425,10 @@ def find_stable_models(program: Program, cfg: StableSearchConfig,
                 undecided.append(M)
     elif cfg.mode == "iterate":
         rng = random.Random(cfg.rng_seed)
-        starts = [bottom_interpretation(atoms), top_interpretation(atoms)]
-        for _ in range(max(0, cfg.seeds - 2)):
-            starts.append({a: rng.random() for a in atoms})
-        starts = starts[:max(1, cfg.seeds)]
+        starts = [bottom_interpretation(atoms), top_interpretation(atoms)][:max(1, cfg.seeds)]
+        draws = ({a: rng.random() for a in atoms} for _ in range(cfg.seeds - 2))  # one at a time
         outer_cap = min(cfg.max_iter, 100)
-        for I in starts:
+        for I in itertools.chain(starts, draws):
             M = I
             seen = {tuple(M[a] for a in atoms)}
             for _ in range(outer_cap):

@@ -353,6 +353,40 @@ def test_equiv_malformed_record_exits_one(capsys, tmp_path, record):
     assert "record" in err
 
 
+UNREADABLE = {
+    "not-utf8": b"p <-g \xff with 1;\n",
+    "deep-json": b"[" * 100_000,   # deeper than the JSON decoder's recursion limit
+}
+
+
+@pytest.mark.parametrize("role, content", [
+    ("program", "not-utf8"),
+    ("check", "not-utf8"),
+    ("interpretation", "not-utf8"),
+    ("interpretation", "deep-json"),
+    ("record", "not-utf8"),
+    ("record", "deep-json"),
+])
+def test_unreadable_input_file_exits_one_with_one_line(capsys, tmp_path, role, content):
+    src = tmp_path / "c.malp"
+    src.write_text(CONSTRAINED)
+    target, record = tmp_path / "c.fc.malp", tmp_path / "c.fc.record.json"
+    assert run(capsys, "transform", src, "--method", "fc", "-o", target, "--record", record)[0] == 0
+    interp = tmp_path / "i.json"
+    interp.write_text(json.dumps({"p": 0.5, "q": 0.5}))
+    bad = tmp_path / "bad"
+    bad.write_bytes(UNREADABLE[content])
+    argv = {
+        "program": ["eval", bad, "-i", interp],
+        "check": ["check", bad],
+        "interpretation": ["eval", src, "-i", bad],
+        "record": ["equiv", src, target, "--record", bad, "--grid", "0.5"],
+    }[role]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"{bad}: ")
+
+
 def test_chain_equiv_at_quarter_grid(capsys, motor_file, tmp_path):
     # 5^5 + 5^9 = 1,956,250 nominal points, just inside the default budget
     fc_out, fc_rec = tmp_path / "m.fc.malp", tmp_path / "m.fc.json"

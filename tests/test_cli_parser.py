@@ -1,19 +1,30 @@
-"""The CLI builds only the parser of the command it is called with.
+"""The CLI reads well-formed argv from its table and builds argparse for the rest.
 
 `oracle_parser` is the front end as it was when every call built all
 nine parsers.  `main(argv)` must print the same help, usage lines and
 errors, exit with the same code, and parse to the same namespace.
+`build_parser` builds only the parser of the command it is called with,
+and `_read_argv`, which builds none, must give argparse's namespace for
+every argv it accepts and decline every argv argparse rejects.
 """
 
 import argparse
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emalp import cli
 from emalp.cli import (
+    _COMMANDS,
+    _COMMON,
     _add_common,
     _ArgumentParser,
+    _read_argv,
     build_parser,
     cmd_check,
     cmd_equiv,
@@ -213,3 +224,118 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, tmp_path, motor_t
     monkeypatch.setattr(cli.sys, "argv", ["emalp", "bogus"])
     assert main(None) == 1
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+# --- the table reader -----------------------------------------------------------
+
+FLOATS = ["0.5", "3", "nan", "inf", "1e-3", " 2", "1_0"]
+INTS = ["3", "0", " 2", "1_0"]
+NUMBERS_BAD = ["", "0x1", "-1", "1.5", "abc"]
+STRINGS = ["f.malp", "", "a b", "x=y", "check"]
+
+
+def leaves(table=_COMMANDS, words=()):
+    for word, (_, args, _) in table.items():
+        if isinstance(args, dict):
+            yield from leaves(args, (*words, word))
+        else:
+            yield (*words, word), args + _COMMON
+
+
+LEAVES = list(leaves())
+
+
+def values(arg):
+    """Values the argument accepts, and values (or flags) it rejects."""
+    if arg.choices:
+        return list(arg.choices), [arg.choices[0].upper(), "bogus"]
+    if arg.type is float:
+        return FLOATS, NUMBERS_BAD
+    if arg.type is int:
+        return INTS, NUMBERS_BAD
+    return STRINGS, ["-x", "-", "--tol"]
+
+
+@st.composite
+def argvs(draw):
+    """A command's words, then its arguments in any order, with repeats; one in ten bad."""
+    def pick(good, bad):
+        return draw(st.sampled_from(good if draw(st.integers(0, 9)) else bad))
+
+    words, args = draw(st.sampled_from(LEAVES))
+    items = []
+    for arg in args:
+        if not arg.flags[0].startswith("-"):
+            items.append([pick(STRINGS, ["-", "-f"])])
+            continue
+        for _ in range(pick([1, 2], [0]) if arg.required else draw(st.integers(0, 2))):
+            flag = draw(st.sampled_from(arg.flags))
+            if arg.store_true:
+                items.append([flag])
+                continue
+            value = pick(*values(arg))
+            spelled = pick([[flag, value]], [[f"{flag}={value}"], [flag + value],
+                                             [flag[:4], value], [flag]])
+            items.append(spelled)
+    if not draw(st.integers(0, 9)):
+        items.append([pick(["extra"], ["-h", "--", "--bogus", "-i"])])
+    order = draw(st.permutations(items))
+    if order and not draw(st.integers(0, 9)):    # drop one item: a missing argument
+        order = order[1:]
+    return [*words, *(w for item in order for w in item)]
+
+
+def same_values(a, b):
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (isinstance(a[k], float) and math.isnan(a[k]) and math.isnan(b[k]))
+        for k in a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_the_table_reader_gives_argparse_namespace_or_declines(argv):
+    ns = _read_argv(argv)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            expected = build_parser(argv).parse_args(argv)
+    except SystemExit:
+        assert ns is None
+    else:
+        assert ns is None or same_values(vars(ns), vars(expected))
+
+
+@pytest.mark.parametrize("cmd", list(COMMANDS), ids=" ".join)
+def test_the_table_reader_accepts_each_command(cmd):
+    argv = [*cmd, *COMMANDS[cmd]]
+    assert vars(_read_argv(argv)) == vars(oracle_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", ROOT_CASES + ERROR_CASES + [
+    ["check", "f.malp", "--tol=0.5"], ["check", "f.malp", "--to", "0.5"],
+    ["eval", "f.malp", "-if.json"], ["check", "--", "f.malp"],
+    ["stable", "search", "f.malp", "--seeds", "-1"], ["check", "f.malp", "--output", "JSON"],
+], ids=" ".join)
+def test_the_table_reader_declines_what_argparse_must_read(argv):
+    assert _read_argv(argv) is None
+
+
+def test_benchmark_jobs_build_no_argparse(monkeypatch, tmp_path, motor_text):
+    """Each job kind the benchmark times runs without building a parser."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse was built")
+
+    src, interp = tmp_path / "c.malp", tmp_path / "i.json"
+    src.write_text(motor_text)
+    interp.write_text(json.dumps({"p": 0.25, "q": 0.4, "s": 0.9, "t": 0.85}))
+    target, record = tmp_path / "c.fc.malp", tmp_path / "c.fc.json"
+    monkeypatch.setattr(_ArgumentParser, "__init__", refuse)
+    for argv in (
+        ["check", src],
+        ["eval", src, "-i", interp],
+        ["stable", "verify", src, "-i", interp],
+        ["stable", "search", src, "--seeds", "32"],
+        ["stable", "search", src, "--grid", "0.25"],
+        ["transform", src, "--method", "fc", "-o", target, "--record", record],
+        ["equiv", src, target, "--record", record, "--grid", "0.5"],
+    ):
+        assert main([str(a) for a in argv]) == 0, argv

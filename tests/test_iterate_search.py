@@ -7,6 +7,7 @@ its orbit revisits a state; it must return exactly the same models.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -116,3 +117,30 @@ def test_even_cycle_stops_each_start_early(operator_calls):
     find_stable_models(program, cfg)
     assert len(operator_calls) == 16
     assert max(operator_calls) <= 4   # the full-cap loop makes 100 per start
+
+
+def test_random_starts_are_drawn_one_at_a_time(monkeypatch, motor):
+    """Each random start is drawn just before its first step: one start is held at a time."""
+    draws = [0]
+
+    class CountingRandom(random.Random):
+        def random(self):
+            draws[0] += 1
+            return super().random()
+
+    draws_at_step = []
+
+    def counting(program, M, *args):
+        draws_at_step.append(draws[0])
+        return stable_operator(program, M, *args)
+
+    cfg = StableSearchConfig(mode="iterate", seeds=64, rng_seed=5)
+    want = full_cap_search(motor, cfg)
+    monkeypatch.setattr(semantics, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(semantics, "stable_operator", counting)
+    assert find_stable_models(motor, cfg) == want
+    n = len(motor.atoms())
+    assert draws_at_step[0] == 0                        # bottom and top draw nothing
+    assert min(d for d in draws_at_step if d) == n      # one start's values, not all of them
+    assert {b - a for a, b in zip(draws_at_step, draws_at_step[1:])} <= {0, n}
+    assert draws[0] == (cfg.seeds - 2) * n

@@ -18,7 +18,6 @@ from emalp import (
     find_stable_models,
     immediate_consequence,
     interp_distance,
-    interp_leq,
     is_minimal_model,
     is_model,
     is_stable,
@@ -35,6 +34,11 @@ from emalp.program import MalpError, compile_body
 from genprog import random_emalp
 
 MUTUAL = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n"
+
+
+def interp_leq(a, b, tol):
+    """a <= b at every atom of a, within tol."""
+    return all(a[k] <= b[k] + tol for k in a)
 
 
 def brute_force_stable(program, step, tol=1e-9):
