@@ -82,24 +82,27 @@ def _trace_table(atoms: tuple[str, ...], trace: FixpointTrace) -> list[str]:
 
 
 def _read(path: str, decode=str):
-    """The file's UTF-8 text through decode; bad bytes or too-deep JSON raise MalpError."""
+    """The file's UTF-8 text through decode; each error in it or in decode names the file."""
     try:
         return decode(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, RecursionError) as exc:
+    except (MalpError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MalpError(f"{path}: {exc}") from None
 
 
-def _load_program(path: str, args) -> Program:
-    return parse_program(_read(path), allow_repeats=args.allow_repeats, tol=args.tol)
+def _load_program(path: str, args, validate: bool = True) -> Program:
+    return _read(path, lambda text: parse_program(
+        text, allow_repeats=args.allow_repeats, tol=args.tol, validate=validate))
 
 
 def _load_interpretation(path: str, program: Program) -> dict[str, float]:
-    data = _read(path, json.loads)
-    if not isinstance(data, dict):
-        raise MalpError("interpretation file must hold a JSON object {atom: number}")
-    I = {k: truth_value(v, f"interpretation value of {k!r}") for k, v in data.items()}
-    require_total(I, program)
-    return I
+    def decode(text: str) -> dict[str, float]:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise MalpError("interpretation file must hold a JSON object {atom: number}")
+        I = {k: truth_value(v, f"interpretation value of {k!r}") for k, v in data.items()}
+        require_total(I, program)
+        return I
+    return _read(path, decode)
 
 
 def _interp_json(I: dict[str, float]) -> dict:
@@ -107,7 +110,7 @@ def _interp_json(I: dict[str, float]) -> dict:
 
 
 def cmd_check(args) -> int:
-    program = parse_program(_read(args.file), allow_repeats=args.allow_repeats, validate=False)
+    program = _load_program(args.file, args, validate=False)
     report = validate_program(program, allow_repeats=args.allow_repeats, tol=args.tol)
     if not report.ok:
         for issue in report.issues:
@@ -245,7 +248,7 @@ def cmd_transform(args) -> int:
 def cmd_equiv(args) -> int:
     source = _load_program(args.source, args)
     target = _load_program(args.target, args)
-    rec = record_from_json(_read(args.record, json.loads), source, target)
+    rec = _read(args.record, lambda text: record_from_json(json.loads(text), source, target))
     report = verify_equivalence(source, rec, args.grid, args.tol,
                                 max_points=args.budget, max_iter=args.max_iter)
     if report.bijection is None:
@@ -300,10 +303,6 @@ def _add_args(p: argparse.ArgumentParser, args: tuple[_Arg, ...]) -> None:
         p.add_argument(*a.flags, default=a.default, help=a.help, **kind)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    _add_args(p, _COMMON)
-
-
 # name -> (help, arguments before the common ones, handler); a nested
 # table takes the arguments' place for a command with subcommands
 _STABLE = {
@@ -335,28 +334,14 @@ _COMMANDS = {
 }
 
 
-def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict, argv) -> None:
-    """Add the table's commands to parser: only argv[0]'s when it names one.
-
-    Any other argv (none, -h, an unknown name, --) gets every command,
-    so help, usage and "invalid choice" errors list them all.  A pruned
-    level keeps the full list as its metavar: an "unrecognized
-    arguments" error prints the root usage line.
-    """
-    if argv and argv[0] in table:
-        names = [argv[0]]
-        extra = {"metavar": "{" + ",".join(table) + "}"}
-    else:
-        names, extra = list(table), {}
-    sub = parser.add_subparsers(dest=dest, required=True, **extra)
-    for name in names:
-        summary, args, handler = table[name]
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (summary, args, handler) in table.items():
         p = sub.add_parser(name, **({} if summary is None else {"help": summary}))
         if isinstance(args, dict):
-            _add_commands(p, "subcommand", args, argv[1:])
+            _add_commands(p, "subcommand", args)
         else:
-            _add_args(p, args)
-            _add_common(p)
+            _add_args(p, args + _COMMON)
             p.set_defaults(fn=handler)
 
 
@@ -406,16 +391,13 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
     return argparse.Namespace(**ns, fn=handler)
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for argv: the root and the subtree of the command argv names.
-
-    With no command named (the default), every command is built.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, for help, usage and the argv `_read_argv` declines."""
     parser = _ArgumentParser(
         prog="emalp",
         description="Weighted rule programs on [0, 1]: parsing, stable models, transformations.",
     )
-    _add_commands(parser, "command", _COMMANDS, list(argv))
+    _add_commands(parser, "command", _COMMANDS)
     return parser
 
 
@@ -434,7 +416,7 @@ def _check_numbers(args) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _read_argv(argv) or build_parser(argv).parse_args(argv)
+        args = _read_argv(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error routed to exit 1
         return int(exc.code or 0)
     try:
@@ -443,7 +425,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (MalpError, OSError, json.JSONDecodeError) as exc:
+    except (MalpError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

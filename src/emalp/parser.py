@@ -51,48 +51,44 @@ class ParseError(MalpError):
 
 
 class Token(NamedTuple):
-    kind: str
+    kind: str   # "number", "ident", "eof", or the punctuation's text
     text: str
-    line: int
-    col: int
+    pos: int    # offset in the text; _line_col turns it into a position
 
 
+# One match per token: whitespace and comments before it are skipped,
+# and the last alternatives match the end of the text or a bad character.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<number>\d+(?:\.\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<arrow><-)
-      | (?P<punct>[(),;/])
+    r"""(?:\s+|\#[^\n]*)*
+      (?: (?P<number>\d+(?:\.\d+)?)
+        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<punct><-|[(),;/])
+        | (?P<eof>\Z)
+        | (?P<bad>.) )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
-_KINDS = {"number": "number", "ident": "ident", "arrow": "<-"}
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str) -> list[Token]:
-    # One finditer pass; a match that does not start where the last one
-    # ended skipped a character no token pattern matches.
     tokens: list[Token] = []
-    pos, line, line_start = 0, 1, 0
     for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
-            break
-        kind, tok = m.lastgroup, m.group()
-        if kind == "ws":
-            if "\n" in tok:
-                line += tok.count("\n")
-                line_start = pos + tok.rindex("\n") + 1
-        else:
-            tokens.append(Token(_KINDS.get(kind, tok), tok, line, pos - line_start + 1))
-        pos = m.end()
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+        kind = m.lastgroup
+        tok, pos = m[kind], m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", *_line_col(text, pos))
+        tokens.append(Token(tok if kind == "punct" else kind, tok, pos))
+        if kind == "eof":
+            return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0   # operator applications open around the current token
@@ -108,29 +104,30 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected {kind!r}, found {tok.text!r}", tok)
         return self.next()
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
+        """A ParseError at tok, by default the current token."""
+        pos = (self.peek() if tok is None else tok).pos
+        return ParseError(message, *_line_col(self.text, pos))
 
     def literal(self) -> float:
         tok = self.expect("number")
         if self.peek().kind == "/":
             if "." in tok.text:
-                raise ParseError("fraction numerator must be an integer", tok.line, tok.col)
+                raise self.error("fraction numerator must be an integer", tok)
             self.next()
             den = self.expect("number")
             if "." in den.text:
-                raise ParseError("fraction denominator must be an integer", den.line, den.col)
+                raise self.error("fraction denominator must be an integer", den)
             if int(den.text) == 0:
-                raise ParseError("fraction denominator must be nonzero", den.line, den.col)
+                raise self.error("fraction denominator must be nonzero", den)
             value = int(tok.text) / int(den.text)
         else:
             value = float(tok.text)
         if not 0.0 <= value <= 1.0:
-            raise ParseError(f"literal {value} outside [0, 1]", tok.line, tok.col)
+            raise self.error(f"literal {value} outside [0, 1]", tok)
         return value
 
     def expr(self) -> BodyExpr:
@@ -145,10 +142,9 @@ class _Parser:
         if self.peek().kind != "(":
             return Atom(tok.text)
         if tok.text not in BUILTINS:
-            raise ParseError(f"unknown builtin: {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"unknown builtin: {tok.text!r}", tok)
         if self.depth == MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} applications",
-                             tok.line, tok.col)
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} applications", tok)
         self.next()
         self.depth += 1
         args = [self.expr()]
@@ -159,9 +155,9 @@ class _Parser:
         self.depth -= 1
         spec = BUILTINS[tok.text]
         if len(args) < spec.min_arity or (spec.max_arity is not None and len(args) > spec.max_arity):
-            raise ParseError(f"{tok.text} applied to {len(args)} arguments", tok.line, tok.col)
+            raise self.error(f"{tok.text} applied to {len(args)} arguments", tok)
         if spec.const_first and not isinstance(args[0], Const):
-            raise ParseError(f"first argument of {tok.text} must be a literal", tok.line, tok.col)
+            raise self.error(f"first argument of {tok.text} must be a literal", tok)
         return Apply(tok.text, tuple(args))
 
     def decl(self) -> Rule:

@@ -191,11 +191,12 @@ def least_model(program: Program, tol: float = DEFAULT_TOL,
                 frozen: Optional[tuple[float, ...]] = None) -> tuple[Interpretation, FixpointTrace]:
     """Kleene iteration of T from the bottom interpretation.
 
-    Stops when successive iterates differ by less than tol at every atom
-    (the confirming iterate is kept in the trace) or when the cap is hit,
-    in which case the trace is flagged unconverged.  The result is the
-    least model when the program is positive.  `frozen` goes to every T
-    step.
+    Stops at an iterate I with T(I) == I, or with |T(I) - I| < tol and
+    T(X) <= X for X = T(I) raised by tol at each atom where it differs
+    from I: for a monotone T the least fixpoint then lies between T(I),
+    which is returned, and X.  At the cap the trace is flagged
+    unconverged.  The result is the least model when the program is
+    positive.  `frozen` goes to every T step.
     """
     names = program.atoms() if atoms is None else tuple(sorted(atoms))
     I = bottom_interpretation(names)
@@ -206,11 +207,17 @@ def least_model(program: Program, tol: float = DEFAULT_TOL,
     for _ in range(max_iter):
         J = immediate_consequence(program, I, tol, frozen)
         iterates.append(J)    # T returns a new dict, never mutated
-        if interp_distance(I, J) < tol:
+        if J == I or interp_distance(I, J) < tol and _bounds_above(program, I, J, tol, frozen):
             converged = True
             break
         I = J
     return iterates[-1], FixpointTrace(tuple(iterates), converged, len(iterates) - 1)
+
+
+def _bounds_above(program: Program, I, J, tol: float, frozen) -> bool:
+    """Whether X, J = T(I) raised by tol (capped at 1) where J != I, has T(X) <= X."""
+    X = {a: v if v == I[a] else min(1.0, v + tol) for a, v in J.items()}
+    return all(v <= X[a] for a, v in immediate_consequence(program, X, tol, frozen).items())
 
 
 def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,

@@ -387,6 +387,38 @@ def test_unreadable_input_file_exits_one_with_one_line(capsys, tmp_path, role, c
     assert err.count("\n") == 1 and err.startswith(f"{bad}: ")
 
 
+@pytest.mark.parametrize("role, content, message", [
+    ("source", "p <-g q q with 1;", "1:9: expected 'with', found 'q'"),
+    ("source", "p <-g add(q, 0.5) with 1;\nq <-g 1 with 1;",
+     "rule 0: body may leave [0, 1] (interval [0.5, 1.5])"),
+    ("target", "p <-g q with 1;\n\n  $", "3:3: unexpected character '$'"),
+    ("record", '{"method": ', "Expecting value: line 1 column 12 (char 11)"),
+    ("record", '{"method": "xx"}', "record: unknown method 'xx'"),
+])
+def test_equiv_diagnostic_names_the_one_bad_file_of_three(capsys, tmp_path, role, content,
+                                                          message):
+    files = dict(zip(("source", "target", "record"), _fc_files(capsys, tmp_path)))
+    files[role].write_text(content)
+    code, out, err = run(capsys, "equiv", files["source"], files["target"],
+                         "--record", files["record"], "--grid", "0.5")
+    assert (code, out, err) == (1, "", f"{files[role]}: {message}\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"p": ', "Expecting value: line 1 column 7 (char 6)"),
+    ("[0.5]", "interpretation file must hold a JSON object {atom: number}"),
+    ('{"p": 1.5, "q": 0}', "interpretation value of 'p' must be a number in [0, 1], got 1.5"),
+    ('{"p": 1}', "interpretation is not total: missing q"),
+])
+def test_interpretation_diagnostic_names_its_file(capsys, tmp_path, content, message):
+    src, interp = tmp_path / "mutual.malp", tmp_path / "bad.json"
+    src.write_text(MUTUAL)
+    interp.write_text(content)
+    for argv in (["eval"], ["reduct"], ["stable", "verify"]):
+        code, out, err = run(capsys, *argv, src, "-i", interp)
+        assert (code, out, err) == (1, "", f"{interp}: {message}\n")
+
+
 def test_chain_equiv_at_quarter_grid(capsys, motor_file, tmp_path):
     # 5^5 + 5^9 = 1,956,250 nominal points, just inside the default budget
     fc_out, fc_rec = tmp_path / "m.fc.malp", tmp_path / "m.fc.json"

@@ -3,8 +3,8 @@
 `oracle_parser` is the front end as it was when every call built all
 nine parsers.  `main(argv)` must print the same help, usage lines and
 errors, exit with the same code, and parse to the same namespace.
-`build_parser` builds only the parser of the command it is called with,
-and `_read_argv`, which builds none, must give argparse's namespace for
+`build_parser` builds that whole tree from the command table, and
+`_read_argv`, which builds none, must give argparse's namespace for
 every argv it accepts and decline every argv argparse rejects.
 """
 
@@ -22,7 +22,7 @@ from emalp import cli
 from emalp.cli import (
     _COMMANDS,
     _COMMON,
-    _add_common,
+    _add_args,
     _ArgumentParser,
     _read_argv,
     build_parser,
@@ -49,25 +49,25 @@ def oracle_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="parse, validate, classify, and report continuity")
     p.add_argument("file")
-    _add_common(p)
+    _add_args(p, _COMMON)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("eval", help="check whether an interpretation is a model")
     p.add_argument("file")
     p.add_argument("-i", "--interpretation", required=True)
-    _add_common(p)
+    _add_args(p, _COMMON)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("reduct", help="emit the reduct with respect to an interpretation")
     p.add_argument("file")
     p.add_argument("-i", "--interpretation", required=True)
     p.add_argument("-o", "--out")
-    _add_common(p)
+    _add_args(p, _COMMON)
     p.set_defaults(fn=cmd_reduct)
 
     p = sub.add_parser("lfp", help="least model of a positive program, with trace")
     p.add_argument("file")
-    _add_common(p)
+    _add_args(p, _COMMON)
     p.set_defaults(fn=cmd_lfp)
 
     p = sub.add_parser("stable", help="verify or search for stable models")
@@ -75,7 +75,7 @@ def oracle_parser() -> argparse.ArgumentParser:
     v = stable_sub.add_parser("verify")
     v.add_argument("file")
     v.add_argument("-i", "--interpretation", required=True)
-    _add_common(v)
+    _add_args(v, _COMMON)
     v.set_defaults(fn=cmd_stable_verify)
     s = stable_sub.add_parser("search")
     s.add_argument("file")
@@ -83,7 +83,7 @@ def oracle_parser() -> argparse.ArgumentParser:
     s.add_argument("--seeds", type=int, default=16)
     s.add_argument("--rng-seed", type=int, default=0)
     s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    _add_common(s)
+    _add_args(s, _COMMON)
     s.set_defaults(fn=cmd_stable_search)
 
     p = sub.add_parser("transform", help="rewrite a program, writing target and record")
@@ -94,7 +94,7 @@ def oracle_parser() -> argparse.ArgumentParser:
     p.add_argument("--neg", choices=NEGATION_KINDS, default="neg1")
     p.add_argument("-o", "--out")
     p.add_argument("--record")
-    _add_common(p)
+    _add_args(p, _COMMON)
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("equiv", help="grid-exhaustive stable-model equivalence check")
@@ -103,7 +103,7 @@ def oracle_parser() -> argparse.ArgumentParser:
     p.add_argument("--record", required=True)
     p.add_argument("--grid", type=float, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    _add_common(p)
+    _add_args(p, _COMMON)
     p.set_defaults(fn=cmd_equiv)
 
     return parser
@@ -173,33 +173,25 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv, 
 @pytest.mark.parametrize("cmd", list(COMMANDS), ids=" ".join)
 def test_namespace_matches_the_full_parser(cmd):
     argv = [*cmd, *COMMANDS[cmd]]
-    assert vars(build_parser(argv).parse_args(argv)) == vars(oracle_parser().parse_args(argv))
+    assert vars(build_parser().parse_args(argv)) == vars(oracle_parser().parse_args(argv))
 
 
-def subcommands(parser):
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+def helps(parser, words=()):
+    """Each parser of the tree by its command words, with its help text."""
+    out = {words: parser.format_help()}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(helps(sub, (*words, name)))
+    return out
 
 
-def test_only_the_named_command_is_built():
-    assert list(subcommands(build_parser(["check", "x"]))) == ["check"]
-    stable = subcommands(build_parser(["stable", "search", "x"]))
-    assert list(stable) == ["stable"]
-    assert list(subcommands(stable["stable"])) == ["search"]
-
-
-@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--"]])
-def test_without_a_named_command_everything_is_built(argv):
-    commands = subcommands(build_parser(argv))
-    assert list(commands) == list(subcommands(oracle_parser()))
-    assert len(commands) == 7
-    assert list(subcommands(commands["stable"])) == ["verify", "search"]
-    assert list(subcommands(build_parser())) == list(commands)
-
-
-def test_stable_alone_builds_both_subcommands():
-    stable = subcommands(build_parser(["stable"]))["stable"]
-    assert list(subcommands(stable)) == ["verify", "search"]
+def test_the_whole_tree_is_built(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    tree = helps(build_parser())
+    assert tree == helps(oracle_parser())
+    assert list(tree) == [(), ("check",), ("eval",), ("reduct",), ("lfp",), ("stable",),
+                          ("stable", "verify"), ("stable", "search"), ("transform",), ("equiv",)]
 
 
 def test_consecutive_calls_share_no_state(capsys, tmp_path, motor_text):
@@ -291,13 +283,16 @@ def same_values(a, b):
         for k in a)
 
 
+FULL_PARSER = build_parser()   # parse_args keeps no state between calls
+
+
 @settings(max_examples=400, deadline=None)
 @given(argvs())
 def test_the_table_reader_gives_argparse_namespace_or_declines(argv):
     ns = _read_argv(argv)
     try:
         with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
-            expected = build_parser(argv).parse_args(argv)
+            expected = FULL_PARSER.parse_args(argv)
     except SystemExit:
         assert ns is None
     else:

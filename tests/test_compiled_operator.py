@@ -69,6 +69,13 @@ def oracle_step(program, I, tol):
     return out
 
 
+def oracle_bounds_above(program, I, J, tol):
+    """The stop's second test: X, J raised by tol (capped at 1) where J != I, has T(X) <= X."""
+    X = {a: min(1.0, J[a] + tol) if J[a] != I[a] else J[a] for a in J}
+    TX = oracle_step(program, X, tol)
+    return all(TX[a] <= X[a] for a in X)
+
+
 def oracle_least_model(program, tol, max_iter, atoms=None):
     names = program.atoms() if atoms is None else tuple(sorted(atoms))
     I = {a: 0.0 for a in names}
@@ -79,7 +86,8 @@ def oracle_least_model(program, tol, max_iter, atoms=None):
     for _ in range(max_iter):
         J = oracle_step(program, I, tol)
         iterates.append(dict(J))
-        if max(abs(I[k] - J[k]) for k in I) < tol:
+        if J == I or (max(abs(I[k] - J[k]) for k in I) < tol
+                      and oracle_bounds_above(program, I, J, tol)):
             converged = True
             break
         I = J

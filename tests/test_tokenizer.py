@@ -1,17 +1,22 @@
-"""The one-pass tokenizer against the match-per-token loop it replaced.
+"""The tokenizer against the match-per-step loop it replaced.
 
 `oracle_tokenize` is the earlier tokenizer, one `re.match` and one
-frozen-dataclass token per step.  Token streams (kind, text, line,
-column) and every error message and position must be the same.
+frozen-dataclass token per step, whitespace runs included, tracking the
+line and column as it goes.  Token streams (kind, text, and the line
+and column of each token's offset) and every error message and position
+must be the same.
 """
 
 import importlib.util
 import random
 import re
+import string
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emalp.parser import MAX_DEPTH, ParseError, _tokenize, serialize_program
 
@@ -64,11 +69,18 @@ def oracle_tokenize(text):
     return tokens
 
 
+def line_col(text, pos):
+    before = text[:pos]
+    return before.count("\n") + 1, len(before.rsplit("\n", 1)[-1]) + 1
+
+
 def outcome(tokenize, text):
     try:
-        return [tuple(t) if isinstance(t, tuple) else astuple(t) for t in tokenize(text)]
+        tokens = tokenize(text)
     except ParseError as exc:
         return ("error", str(exc), exc.line, exc.col)
+    return [astuple(t) if isinstance(t, OracleToken) else (t.kind, t.text, *line_col(text, t.pos))
+            for t in tokens]
 
 
 def assert_same(text):
@@ -156,3 +168,22 @@ def test_random_strings_tokenize_alike(seed):
     alphabet = "pq01 .,;/()<-#\n\r\tgwith$%"
     for _ in range(400):
         assert_same("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30))))
+
+
+# every punctuation mark; Unicode whitespace, which \s matches but only
+# "\n" ends a line; a lone "\r"; Unicode digits, which \d matches
+CHARACTERS = list(string.punctuation + "pqgwith_01.9 \t\n\r\x0b\x0c\x1c\x85\u00a0\u2028\u2029"
+                  "\u0663\uff15\u00e9")
+FRAGMENTS = ["<-", "with", "# c", "#", "1/2", "0.5", "neg1(", "\r\n"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(CHARACTERS + FRAGMENTS), max_size=40).map("".join))
+def test_any_text_tokenizes_alike(text):
+    assert_same(text)
+
+
+def test_a_long_run_of_whitespace_reaches_the_bad_character():
+    with pytest.raises(ParseError) as info:
+        _tokenize(" " * 1_000_000 + "$")
+    assert str(info.value) == "1:1000001: unexpected character '$'"
