@@ -89,9 +89,8 @@ def _read(path: str, decode=str):
         raise MalpError(f"{path}: {exc}") from None
 
 
-def _load_program(path: str, args, validate: bool = True) -> Program:
-    return _read(path, lambda text: parse_program(
-        text, allow_repeats=args.allow_repeats, tol=args.tol, validate=validate))
+def _load_program(path: str, args) -> Program:
+    return _read(path, lambda t: parse_program(t, allow_repeats=args.allow_repeats, tol=args.tol))
 
 
 def _load_interpretation(path: str, program: Program) -> dict[str, float]:
@@ -110,7 +109,8 @@ def _interp_json(I: dict[str, float]) -> dict:
 
 
 def cmd_check(args) -> int:
-    program = _load_program(args.file, args, validate=False)
+    program = _read(args.file, lambda t: parse_program(t, allow_repeats=args.allow_repeats,
+                                                       validate=False))
     report = validate_program(program, allow_repeats=args.allow_repeats, tol=args.tol)
     if not report.ok:
         for issue in report.issues:
