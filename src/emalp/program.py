@@ -11,8 +11,12 @@ polarities is rejected at validation.
 Intermediate values of add/sub/mul/div1 may leave [0, 1]; the top-level
 value of a body must not, which is checked conservatively by natural
 interval extension at validation and asserted again at evaluation.
-Arguments of negations and thresholds must stay inside [0, 1], since
-those are operators of the truth-value lattice proper.
+An operator monotone in each argument gets its range from its own
+function at the low and high polarity corners of the argument box, the
+thresholds jumping at c + tol as evaluation does; mul/and_p, div1 and
+and_l keep explicit interval rules.  Arguments of negations and
+thresholds must stay inside [0, 1], since those are operators of the
+truth-value lattice proper.
 """
 
 from __future__ import annotations
@@ -90,38 +94,23 @@ def format_value(v: float) -> str:
 # builtin operators
 
 
-def _iv_min(ivs: list[Interval]) -> Interval:
-    return (min(lo for lo, _ in ivs), min(hi for _, hi in ivs))
-
-
-def _iv_max(ivs: list[Interval]) -> Interval:
-    return (max(lo for lo, _ in ivs), max(hi for _, hi in ivs))
-
-
-def _iv_add(ivs: list[Interval]) -> Interval:
-    (a, b), (c, d) = ivs
-    return (a + c, b + d)
-
-
-def _iv_sub(ivs: list[Interval]) -> Interval:
-    (a, b), (c, d) = ivs
-    return (a - d, b - c)
-
-
 def _iv_mul(ivs: list[Interval]) -> Interval:
+    # not monotone on signed boxes: the extremes are among the four corners
     (a, b), (c, d) = ivs
     corners = (a * c, a * d, b * c, b * d)
     return (min(corners), max(corners))
 
 
 def _iv_and_l(ivs: list[Interval]) -> Interval:
+    # t_lukasiewicz(1, y) is y, which may be negative (and (1 + y) - 1 may
+    # round off y): an interval holding 1 widens to the other one
     (a, b), (c, d) = ivs
-    return (max(0.0, a + c - 1.0), max(0.0, b + d - 1.0))
-
-
-def _iv_or_l(ivs: list[Interval]) -> Interval:
-    (a, b), (c, d) = ivs
-    return (min(1.0, a + c), min(1.0, b + d))
+    lo, hi = max(0.0, a + c - 1.0), max(0.0, b + d - 1.0)
+    if a <= 1.0 <= b:
+        lo, hi = min(lo, c), max(hi, d)
+    if c <= 1.0 <= d:
+        lo, hi = min(lo, a), max(hi, b)
+    return (lo, hi)
 
 
 def _iv_div1(ivs: list[Interval]) -> Interval:
@@ -142,25 +131,6 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-def _iv_neg1(ivs: list[Interval]) -> Interval:
-    lo, hi = ivs[0]
-    return (1.0 - hi, 1.0 - lo)
-
-
-def _iv_neg2(ivs: list[Interval]) -> Interval:
-    lo, hi = ivs[0]
-    return (neg2(_clamp01(hi)), neg2(_clamp01(lo)))
-
-
-def _iv_threshold(ivs: list[Interval]) -> Interval:
-    (c, _), (lo, hi) = ivs
-    if hi <= c:
-        return (0.0, 0.0)
-    if lo > c:
-        return (1.0, 1.0)
-    return (0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class OpSpec:
     name: str
@@ -169,7 +139,8 @@ class OpSpec:
     polarities: Optional[tuple[int, ...]]  # None = all-preserving (variadic)
     continuous: bool
     fn: Callable[..., float]
-    interval: Callable[[list[Interval]], Interval]
+    # None = monotone in each argument with its declared sign
+    interval: Optional[Callable[[list[Interval]], Interval]] = None
     lattice_domain: tuple[int, ...] = ()  # argument indices that must stay in [0, 1]
     const_first: bool = False             # first argument must be a constant (f/g)
 
@@ -190,22 +161,20 @@ def _div1(x: float, y: float) -> float:
 
 
 BUILTINS: dict[str, OpSpec] = {
-    "min": OpSpec("min", 2, None, None, True, min, _iv_min),
-    "max": OpSpec("max", 2, None, None, True, max, _iv_max),
-    "and_g": OpSpec("and_g", 2, 2, (1, 1), True, t_godel, _iv_min),
+    "min": OpSpec("min", 2, None, None, True, min),
+    "max": OpSpec("max", 2, None, None, True, max),
+    "and_g": OpSpec("and_g", 2, 2, (1, 1), True, t_godel),
     "and_p": OpSpec("and_p", 2, 2, (1, 1), True, t_product, _iv_mul),
     "and_l": OpSpec("and_l", 2, 2, (1, 1), True, t_lukasiewicz, _iv_and_l),
-    "or_l": OpSpec("or_l", 2, 2, (1, 1), True, _or_l, _iv_or_l),
-    "add": OpSpec("add", 2, 2, (1, 1), True, operator.add, _iv_add),
-    "sub": OpSpec("sub", 2, 2, (1, -1), True, operator.sub, _iv_sub),
+    "or_l": OpSpec("or_l", 2, 2, (1, 1), True, _or_l),
+    "add": OpSpec("add", 2, 2, (1, 1), True, operator.add),
+    "sub": OpSpec("sub", 2, 2, (1, -1), True, operator.sub),
     "mul": OpSpec("mul", 2, 2, (1, 1), True, operator.mul, _iv_mul),
     "div1": OpSpec("div1", 2, 2, (1, -1), True, _div1, _iv_div1),
-    "neg1": OpSpec("neg1", 1, 1, (-1,), True, neg1, _iv_neg1, lattice_domain=(0,)),
-    "neg2": OpSpec("neg2", 1, 1, (-1,), True, neg2, _iv_neg2, lattice_domain=(0,)),
-    "f": OpSpec("f", 2, 2, (1, 1), False, None, _iv_threshold,
-                lattice_domain=(1,), const_first=True),
-    "g": OpSpec("g", 2, 2, (1, 1), False, None, _iv_threshold,
-                lattice_domain=(1,), const_first=True),
+    "neg1": OpSpec("neg1", 1, 1, (-1,), True, neg1, lattice_domain=(0,)),
+    "neg2": OpSpec("neg2", 1, 1, (-1,), True, neg2, lattice_domain=(0,)),
+    "f": OpSpec("f", 2, 2, (1, 1), False, None, lattice_domain=(1,), const_first=True),
+    "g": OpSpec("g", 2, 2, (1, 1), False, None, lattice_domain=(1,), const_first=True),
 }
 
 
@@ -349,7 +318,7 @@ def is_freeze_site(node: BodyExpr, sign: int) -> bool:
 
 def body_interval(body: BodyExpr) -> Interval:
     """Natural interval extension over atoms in [0, 1], clamped as validation clamps it."""
-    return _check_expr(body, [])
+    return _check_expr(body, [], DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +511,7 @@ class ValidationFailure(MalpError):
         super().__init__("; ".join(str(i) for i in report.issues))
 
 
-def _check_expr(node: BodyExpr, issues: list[str]) -> Interval:
+def _check_expr(node: BodyExpr, issues: list[str], tol: float) -> Interval:
     """Structural and range checks in one bottom-up pass; returns the interval."""
     if isinstance(node, Const):
         if not 0.0 <= node.value <= 1.0:
@@ -561,13 +530,21 @@ def _check_expr(node: BodyExpr, issues: list[str]) -> Interval:
     if spec.const_first and not isinstance(node.args[0], Const):
         issues.append(f"first argument of {node.op} must be a constant")
         return (0.0, 1.0)
-    ivs = [_check_expr(a, issues) for a in node.args]
+    ivs = [_check_expr(a, issues, tol) for a in node.args]
     for i in spec.lattice_domain:
         lo, hi = ivs[i]
         if lo < -1e-12 or hi > 1.0 + 1e-12:
             issues.append(f"argument of {node.op} may leave [0, 1] (interval [{lo}, {hi}])")
             ivs[i] = (_clamp01(lo), _clamp01(hi))
-    return spec.interval(ivs)
+    if spec.interval is not None:
+        return spec.interval(ivs)
+    # monotone: with each antitone argument's interval turned over, fn at the
+    # low and the high corner gives the range; thresholds cut at c + tol
+    fn = spec.fn or (lambda c, x: eval_threshold(node.op, c, x, tol))
+    if spec.polarities is not None:
+        ivs = [iv if s > 0 else iv[::-1] for iv, s in zip(ivs, spec.polarities)]
+    low, high = zip(*ivs)
+    return fn(*low), fn(*high)
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -598,7 +575,7 @@ def validate_program(program: Program, allow_repeats: bool = False,
                 local.append(f"constraint head {rule.head.value} outside [0, 1]")
             if abs(rule.weight - 1.0) > tol:
                 local.append(f"constraint weight must be 1, got {format_value(rule.weight)}")
-        top = _check_expr(rule.body, local)
+        top = _check_expr(rule.body, local, tol)
         if top[0] < -tol or top[1] > 1.0 + tol:
             local.append(f"body may leave [0, 1] (interval [{top[0]}, {top[1]}])")
         for atom in atoms:
