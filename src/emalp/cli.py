@@ -85,7 +85,8 @@ def _read(path: str, decode=str):
     """The file's UTF-8 text through decode; each error in it or in decode names the file."""
     try:
         return decode(Path(path).read_text(encoding="utf-8"))
-    except (MalpError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: not UTF-8, bad JSON, or a JSON integer past int's digit limit
+    except (MalpError, ValueError, RecursionError) as exc:
         raise MalpError(f"{path}: {exc}") from None
 
 

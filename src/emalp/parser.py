@@ -121,9 +121,14 @@ class _Parser:
             den = self.expect("number")
             if "." in den.text:
                 raise self.error("fraction denominator must be an integer", den)
-            if int(den.text) == 0:
-                raise self.error("fraction denominator must be nonzero", den)
-            value = int(tok.text) / int(den.text)
+            try:
+                value = int(tok.text) / int(den.text)
+            except ZeroDivisionError:
+                raise self.error("fraction denominator must be nonzero", den) from None
+            except OverflowError:
+                raise self.error("fraction too large for a float", tok) from None
+            except ValueError:   # past int's limit on decimal digits
+                raise self.error("fraction has too many digits", tok) from None
         else:
             value = float(tok.text)
         if not 0.0 <= value <= 1.0:

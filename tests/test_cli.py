@@ -56,6 +56,18 @@ def test_check_syntax_error_diagnostics_on_stderr(capsys, tmp_path):
     assert "1:" in err
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("1" + "0" * 400 + "/1", "fraction too large for a float"),
+    ("1/1" + "0" * 5000, "fraction has too many digits"),
+], ids=["past-float", "long-denominator"])
+def test_huge_fraction_exits_one_with_one_line(capsys, tmp_path, literal, message):
+    bad, interp = tmp_path / "bad.malp", tmp_path / "i.json"
+    bad.write_text(f"p <-g q with 1;\nq <-g {literal} with 1;\n")
+    interp.write_text(json.dumps({"p": 0.5, "q": 0.5}))
+    for argv in (["check", bad], ["eval", bad, "-i", interp]):
+        assert run(capsys, *argv) == (1, "", f"{bad}: 2:7: {message}\n")
+
+
 def test_eval(capsys, motor_file, tmp_path, model_m):
     interp = tmp_path / "m.json"
     interp.write_text(json.dumps(model_m))
@@ -356,6 +368,7 @@ def test_equiv_malformed_record_exits_one(capsys, tmp_path, record):
 UNREADABLE = {
     "not-utf8": b"p <-g \xff with 1;\n",
     "deep-json": b"[" * 100_000,   # deeper than the JSON decoder's recursion limit
+    "huge-int": b'{"p": 1' + b"0" * 5000 + b"}",   # past int's digit limit
 }
 
 
@@ -366,6 +379,8 @@ UNREADABLE = {
     ("interpretation", "deep-json"),
     ("record", "not-utf8"),
     ("record", "deep-json"),
+    ("interpretation", "huge-int"),
+    ("record", "huge-int"),
 ])
 def test_unreadable_input_file_exits_one_with_one_line(capsys, tmp_path, role, content):
     src = tmp_path / "c.malp"

@@ -50,6 +50,25 @@ def test_parse_fractions():
     assert program.rules[0].weight == 8 / 37
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("1" + "0" * 400 + "/1", "fraction too large for a float"),
+    ("1" + "0" * 5000 + "/1", "fraction has too many digits"),   # past int's digit limit
+    ("1/1" + "0" * 5000, "fraction has too many digits"),
+], ids=["past-float", "long-numerator", "long-denominator"])
+@pytest.mark.parametrize("text, line, col", [
+    ("p <-g {} with 1;", 1, 7),
+    ("p <-g q with\n  {};", 2, 3),
+], ids=["body", "weight"])
+def test_huge_fraction_is_a_parse_error(literal, message, text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(text.format(literal))
+    assert (err.value.line, err.value.col, str(err.value)) == (line, col, f"{line}:{col}: {message}")
+
+
+def test_tiny_fraction_reads_as_zero():
+    assert parse_program("p <-g 1/1" + "0" * 400 + " with 1;").rules[0].body == Const(0.0)
+
+
 def test_syntax_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_program("p <-g q q with 1;")
@@ -68,6 +87,8 @@ def test_parse_errors():
         parse_program("p <-g q with 1.5;")
     with pytest.raises(ParseError, match="outside"):
         parse_program("p <-g 3/2 with 1;")
+    with pytest.raises(ParseError, match="^1:9: fraction denominator must be nonzero$"):
+        parse_program("p <-g 1/0 with 1;")
     with pytest.raises(ParseError, match="must be a literal"):
         parse_program("p <-g f(q, s) with 1;")
     with pytest.raises(ParseError, match="implication tag"):
