@@ -6,7 +6,9 @@ operators.  Every atom occurrence has a polarity computed by structural
 induction: min/max/and_*/or_l/add/mul and the thresholds preserve the
 polarity of their arguments, negations flip it, and the second argument
 of sub and div1 flips it.  A body in which some atom occurs under both
-polarities is rejected at validation.
+polarities is rejected at validation, and so is a mul/and_p or div1 one
+of whose arguments holds atoms while the other may be negative, which
+would turn that argument's polarity over.
 
 Intermediate values of add/sub/mul/div1 may leave [0, 1]; the top-level
 value of a body must not, which is checked conservatively by natural
@@ -537,6 +539,12 @@ def _check_expr(node: BodyExpr, issues: list[str], tol: float) -> Interval:
             issues.append(f"argument of {node.op} may leave [0, 1] (interval [{lo}, {hi}])")
             ivs[i] = (_clamp01(lo), _clamp01(hi))
     if spec.interval is not None:
+        if spec.interval in (_iv_mul, _iv_div1):
+            # a product or quotient turns one argument over wherever the other is negative
+            for i, j in ((0, 1), (1, 0)):
+                if ivs[i][0] < 0.0 and occurrences(node.args[j]):
+                    issues.append(f"argument {j + 1} of {node.op} holds atoms, but argument "
+                                  f"{i + 1} may be negative (interval [{ivs[i][0]}, {ivs[i][1]}])")
         return spec.interval(ivs)
     # monotone: with each antitone argument's interval turned over, fn at the
     # low and the high corner gives the range; thresholds cut at c + tol

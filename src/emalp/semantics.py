@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -307,51 +308,65 @@ def _dedup(models: list[Interpretation], tol: float) -> list[Interpretation]:
 
 
 def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
-    """(atoms read, test) for every head equation T(M)[a] = M[a] and constraint.
+    """(atoms read, test, propagator) for every head equation T(M)[a] = M[a]
+    and constraint.
 
     A head reads itself and the bodies of its rules; an atom that heads
     no rule reads only itself, so its test pins it to 0 (the sup over an
-    empty set).  A constraint reads its body.
+    empty set).  A constraint reads its body and has no propagator.
+    A head's fit(M, values) computes T(M)[a] once and keeps the values
+    v with |T(M)[a] - v| <= pre_tol; its test is fit at M[a] alone.  A
+    head whose bodies do not read it, inside a freeze site or not, has
+    the propagator (a, fit).
     """
     by_head: dict[str, list] = {a: [] for a in atoms}
-    reads = {a: {a} for a in atoms}
+    reads: dict[str, set] = {a: set() for a in atoms}   # what a's bodies read
     constraints = []
     compiled = iter(_analysis(program, tol).rules)
     for r, occs in zip(program.rules, program.rule_occurrences()):
         if r.is_constraint:
-            constraints.append(({o.atom for o in occs}, lambda M, r=r: satisfies(M, r, tol)))
+            constraints.append(({o.atom for o in occs}, lambda M, r=r: satisfies(M, r, tol), None))
         else:
             head, *rule = next(compiled)
             by_head[head].append(rule)
             reads[head].update(o.atom for o in occs)
 
-    def head_test(a, rules):
-        def test(M):
+    def head_check(a, rules):
+        def fit(M, values):
             t = 0.0
             for impl, weight, body in rules:
                 v = eval_conjunctor(impl, weight, body(M, None))
                 if v > t:
                     t = v
-            return abs(t - M[a]) <= pre_tol
-        return test
+            return [v for v in values if abs(t - v) <= pre_tol]
 
-    return [(reads[a], head_test(a, rules)) for a, rules in by_head.items()] + constraints
+        return (reads[a] | {a}, lambda M: bool(fit(M, (M[a],))),
+                None if a in reads[a] else (a, fit))
+
+    return [head_check(a, rules) for a, rules in by_head.items()] + constraints
 
 
-def _assignment_order(atoms, read_sets) -> list[str]:
+def _assignment_order(atoms, checks) -> list[str]:
     """Greedy order for the depth-first walk, so that checks fire early.
 
-    Next comes the atom that leaves the fewest atoms unassigned in some
-    read set; ties go by name.
+    Next comes a head with a propagator whose bodies read only assigned
+    atoms, ties by name; else the atom that lets the most such heads
+    propagate next; else the atom that leaves the fewest atoms
+    unassigned in some read set, then by name.
     """
     order: list[str] = []
-    left = [set(s) for s in read_sets]
+    left = [set(reads) for reads, _, _ in checks]
+    bodies = {prop[0]: set(reads) - {prop[0]} for reads, _, prop in checks if prop}
     free = set(atoms)
     while free:
-        nxt = min(free, key=lambda x: (min(len(s) - 1 for s in left if x in s), x))
+        ready = [h for h, body in bodies.items() if not body]
+        enables = Counter(next(iter(body)) for body in bodies.values() if len(body) == 1)
+        nxt = min(ready) if ready else min(free, key=lambda x: (
+            -enables[x], min(len(s) - 1 for s in left if x in s), x))
         order.append(nxt)
         free.discard(nxt)
-        for s in left:
+        bodies.pop(nxt, None)
+        for s in itertools.chain(left, bodies.values()):
             s.discard(nxt)
         left = [s for s in left if s]
     return order
@@ -375,32 +390,41 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
 
 def _grid_walk(values: dict[str, list[float]], checks) -> Iterator[Interpretation]:
     """Yield the points of the grid values[a] per atom a that pass every
-    (atoms read, test) check, so a caller may stop at the first it needs.
+    (atoms read, test, propagator) check, so a caller may stop at the
+    first it needs.
 
     Depth first, one atom per level: each test runs once, at the
     shallowest level where every atom it reads is assigned, and a
-    failing test cuts the subtree.
+    failing test cuts the subtree.  A head with a propagator that comes
+    after every atom its bodies read tries only the values its fit
+    keeps, and its test does not run (forward checking).
     """
     atoms = tuple(values)
-    order = _assignment_order(atoms, [reads for reads, _ in checks])
+    order = _assignment_order(atoms, checks)
     level = {a: i + 1 for i, a in enumerate(order)}
     tests_at: list[list] = [[] for _ in range(len(order) + 1)]
-    for reads, test in checks:
-        tests_at[max((level[a] for a in reads), default=0)].append(test)
+    fits: list = [None] * len(order)   # per depth, the fit of the atom assigned there
+    for reads, test, prop in checks:
+        top = max((level[a] for a in reads), default=0)
+        if prop is not None and level[prop[0]] == top:
+            fits[top - 1] = prop[1]
+        else:
+            tests_at[top].append(test)
 
     M: Interpretation = {}    # the partial assignment, atoms order[:depth]
 
     def extend(depth: int) -> Iterator[Interpretation]:
-        if not all(test(M) for test in tests_at[depth]):
-            return
+        for test in tests_at[depth]:
+            if not test(M):
+                return
         if depth == len(order):
             yield {a: M[a] for a in atoms}
             return
-        a = order[depth]
-        for v in values[a]:
+        a, fit = order[depth], fits[depth]
+        for v in values[a] if fit is None else fit(M, values[a]):
             M[a] = v
             yield from extend(depth + 1)
-        del M[a]
+        M.pop(a, None)   # an empty value list assigned nothing
 
     return extend(0)
 
@@ -471,6 +495,6 @@ def is_minimal_model(program: Program, M: Mapping[str, float], grid_step: float,
     _within_budget(math.prod(counts.values()), DEFAULT_BUDGET)
     choices = {a: [i / n for i in range(c)] for a, c in counts.items()}   # lattice_grid's values
     checks = [({o.atom for o in occs} | (set() if r.is_constraint else {r.head.name}),
-               lambda N, r=r: satisfies(N, r, tol))
+               lambda N, r=r: satisfies(N, r, tol), None)
               for r, occs in zip(program.rules, program.rule_occurrences())]
     return not any(any(N[a] < M[a] - tol for a in atoms) for N in _grid_walk(choices, checks))

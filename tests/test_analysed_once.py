@@ -12,6 +12,7 @@ used before is kept here as the oracle.
 
 import itertools
 import json
+import math
 import pickle
 import random
 import sys
@@ -208,3 +209,10 @@ def test_is_minimal_model_stops_at_the_first_model_below(monkeypatch):
     program = parse_program("a <-g min(b, c) with 1;\nb <-g d with 1;\nc <-g e with 1;")
     assert is_minimal_model(program, dict.fromkeys(program.atoms(), 1.0), 0.1) is False
     assert 0 < len(checks) < 100
+
+
+@pytest.mark.parametrize("value", [-0.5, math.nan])
+def test_is_minimal_model_with_no_grid_point_below(value):
+    # the sub-grid below M is empty, so nothing below M is a model
+    program = parse_program("p <-g 0.5 with 1;")
+    assert is_minimal_model(program, {"p": value}, 0.5) is True

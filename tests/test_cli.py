@@ -39,6 +39,14 @@ def test_check_invalid_exits_one(capsys, tmp_path):
     assert "polarit" in err
 
 
+def test_check_rejects_a_product_with_a_signed_factor(capsys, tmp_path):
+    bad = tmp_path / "bad.malp"
+    bad.write_text("p <-g add(mul(sub(0.5, r), q), 0.5) with 1;\n")
+    code, out, err = run(capsys, "check", bad)
+    assert code == 1
+    assert "argument 2 of mul holds atoms, but argument 1 may be negative" in err
+
+
 def test_check_empty_file(capsys, tmp_path):
     empty = tmp_path / "empty.malp"
     empty.write_text("")

@@ -244,6 +244,8 @@ def test_validation_issue_list_and_order():
         (1, "first argument of f must be a constant"),
         (2, "constant 1.25 outside [0, 1]"),
         (2, "argument of neg1 may leave [0, 1] (interval [0.0, 2.0])"),
+        (2, "argument 2 of mul holds atoms, but argument 1 may be negative "
+            "(interval [-1.0, 1.0])"),
         (2, "body may leave [0, 1] (interval [-0.75, 4.25])"),
         (2, "atom 's' occurs with both polarities"),
         (2, "atom 'r' occurs with both polarities"),
@@ -265,3 +267,26 @@ def test_validation_reports_malformed_hand_built_bodies(body, message):
     # check reports it instead of an IndexError or MalpError escaping
     report = validate_program(Program((Rule(Atom("s"), "godel", body, 1.0),)))
     assert [(i.rule, i.message) for i in report.issues] == [(0, message)]
+
+
+@pytest.mark.parametrize("body, issues", [
+    ("add(mul(sub(0.5, r), q), 0.5)",
+     ["argument 2 of mul holds atoms, but argument 1 may be negative (interval [-0.5, 0.5])"]),
+    ("add(and_p(q, sub(0.5, r)), 0.5)",
+     ["argument 1 of and_p holds atoms, but argument 2 may be negative (interval [-0.5, 0.5])"]),
+    # the argument beside the signed one is a constant: no atom to turn over
+    ("add(mul(sub(0.5, r), 0.5), 0.5)", []),
+    ("mul(sub(1, r), q)", []),
+    ("and_p(q, mul(r, 0.5))", []),
+    # quotients: at r = 0 the first falls from 1 to 0 as q rises
+    ("max(add(div1(q, sub(0, add(r, 0.5))), 1), 0)",
+     ["argument 1 of div1 holds atoms, but argument 2 may be negative (interval [-1.5, -0.5])"]),
+    ("add(div1(sub(0.5, r), add(q, 1)), 0.5)",
+     ["argument 2 of div1 holds atoms, but argument 1 may be negative (interval [-0.5, 0.5])"]),
+    ("div1(sub(1, r), add(q, 0.5))", []),
+])
+def test_validation_rejects_products_and_quotients_with_a_signed_operand(body, issues):
+    # with r = 1 the first body falls from 0.5 to 0 as q rises: q is not
+    # order-preserving there, whatever mul's declared polarity says
+    program = Program((Rule(Atom("p"), "godel", parse_body(body), 1.0),))
+    assert [i.message for i in validate_program(program).issues] == issues
