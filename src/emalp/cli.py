@@ -110,8 +110,7 @@ def _interp_json(I: dict[str, float]) -> dict:
 
 
 def cmd_check(args) -> int:
-    program = _read(args.file, lambda t: parse_program(t, allow_repeats=args.allow_repeats,
-                                                       validate=False))
+    program = _read(args.file, lambda t: parse_program(t, validate=False))
     report = validate_program(program, allow_repeats=args.allow_repeats, tol=args.tol)
     if not report.ok:
         for issue in report.issues:

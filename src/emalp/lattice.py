@@ -16,8 +16,9 @@ which `check_adjoint_pair` verifies exhaustively on a grid.  The
 product residuum at y = 0 is defined as 1 (the supremum of
 {x | x * 0 <= z}), which keeps the adjunction total.
 
-Negations: neg1(x) = 1 - x (involutive) and neg2(x) = sqrt(1 - x^2)
-(antitone but not involutive).
+Negations: neg1(x) = 1 - x and neg2(x) = sqrt(1 - x^2), both antitone
+and involutive: neg2(neg2(x)) = |x| = x on [0, 1], up to rounding for
+x near 0.
 
 Thresholds: f(c, x) is 0 for x <= c and 1 above; g(c, x) is 1 for
 c < x and 0 otherwise.  On a totally ordered carrier the two coincide.
@@ -161,6 +162,8 @@ def grid_count(step: float, upto: float = 1.0) -> int:
     building the grid (a budget check must not allocate what it refuses)."""
     if not 0.0 < step <= 0.5:
         raise LatticeError(f"grid step must lie in (0, 0.5], got {step}")
+    if math.isinf(1.0 / step):
+        raise LatticeError(f"grid step {step} is too small: 1/step overflows")
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise LatticeError(f"grid step {step} does not divide 1")

@@ -18,9 +18,10 @@ exception.  The operators run on an analysis made once per program and
 tolerance: bodies compiled to closures, and the freeze sites of the
 reduct.  The stable operator evaluates the sites at M and iterates the
 program's own closures reading those values, so it builds no reduct;
-`reduct` builds the trees, and its result comes with the same compiled
-bodies.  Constraints never feed the operator (they have no head atom to
-update); they act as satisfaction filters on stable-model checks.
+search steps and verdicts both run it.  `reduct` builds the trees as a
+plain program that carries no analysis.  Constraints never feed the
+operator (they have no head atom to update); they act as satisfaction
+filters on stable-model checks, which read them from the reduct.
 """
 
 from __future__ import annotations
@@ -90,20 +91,16 @@ def reduct(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL) -
     """Freeze every negation subtree at its value under M; heads and weights unchanged.
 
     The freeze sites come from the program's analysis; a rule without
-    one is kept as it is.  The reduct carries its own analysis at tol:
-    the program's compiled bodies, reading the site values at M.
+    one is kept as it is.  The reduct is a plain program: whatever runs
+    T on it compiles it from its own rules.
     """
     require_total(M, program)
     analysis = _analysis(program, tol)
-    frozen = _site_values(analysis, M)
-    out = Program(tuple(
+    frozen = tuple(site(M, None) for site in analysis.sites)
+    return Program(tuple(
         r if build is None else Rule(r.head, r.impl, build(frozen), r.weight)
         for r, build in zip(program.rules, analysis.builds)
     ))
-    # a reduct has no freeze sites of its own, so it is its own reduct
-    out.derived(("analysis", tol), lambda: _Analysis(
-        analysis.rules, (), (None,) * len(out.rules), frozen))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +118,11 @@ class _Analysis:
     compiled body): read with frozen=None a body is the program's as
     written, read with the values of the freeze `sites` at M it is the
     reduct's, and `builds` (one per rule, None for a rule without a
-    site) turns those values into the reduct's bodies.  A reduct's
-    analysis keeps its program's rules, and the values at M as `frozen`.
+    site) turns those values into the reduct's bodies.
     """
     rules: Rules
     sites: tuple[Compiled, ...]
     builds: tuple[Optional[Builder], ...]
-    frozen: Optional[tuple[float, ...]] = None
 
 
 def _analysis(program: Program, tol: float) -> _Analysis:
@@ -141,13 +136,6 @@ def _analysis(program: Program, tol: float) -> _Analysis:
                 rules.append((r.head.name, r.impl, r.weight, body))
         return _Analysis(tuple(rules), tuple(sites), tuple(builds))
     return program.derived(("analysis", tol), make)
-
-
-def _site_values(analysis: _Analysis, M: Mapping[str, float]) -> tuple[float, ...]:
-    """The freeze sites' values at M; a reduct's are the ones it was made with."""
-    if analysis.frozen is not None:
-        return analysis.frozen
-    return tuple(site(M, None) for site in analysis.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +164,8 @@ def immediate_consequence(program: Program, I: Mapping[str, float],
     Atoms with no rule map to bottom (the sup over an empty set).  Given
     the freeze sites' values at M as `frozen`, it is the T of reduct(P, M).
     """
-    analysis = _analysis(program, tol)
-    if frozen is None:
-        frozen = analysis.frozen
     out = dict.fromkeys(I, 0.0)
-    for head, impl, weight, body in analysis.rules:
+    for head, impl, weight, body in _analysis(program, tol).rules:
         v = eval_conjunctor(impl, weight, body(I, frozen))
         if head not in out or v > out[head]:
             out[head] = v
@@ -188,7 +173,7 @@ def immediate_consequence(program: Program, I: Mapping[str, float],
 
 
 def least_model(program: Program, tol: float = DEFAULT_TOL,
-                max_iter: int = DEFAULT_MAX_ITER, atoms=None,
+                max_iter: int = DEFAULT_MAX_ITER,
                 frozen: Optional[tuple[float, ...]] = None) -> tuple[Interpretation, FixpointTrace]:
     """Kleene iteration of T from the bottom interpretation.
 
@@ -199,7 +184,7 @@ def least_model(program: Program, tol: float = DEFAULT_TOL,
     unconverged.  The result is the least model when the program is
     positive.  `frozen` goes to every T step.
     """
-    names = program.atoms() if atoms is None else tuple(sorted(atoms))
+    names = program.atoms()
     I = bottom_interpretation(names)
     if not names:
         return I, FixpointTrace((dict(I),), True, 0)
@@ -231,7 +216,7 @@ def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAU
     reduct's trees are never built.
     """
     require_total(M, program)
-    frozen = _site_values(_analysis(program, tol), M)
+    frozen = tuple(site(M, None) for site in _analysis(program, tol).sites)
     return least_model(program, tol, max_iter, frozen=frozen)
 
 
@@ -239,17 +224,13 @@ def stable_check(program: Program, M: Mapping[str, float], tol: float = DEFAULT_
                  max_iter: int = DEFAULT_MAX_ITER) -> tuple[Optional[bool], FixpointTrace]:
     """The `is_stable` verdict together with the trace of the stable operator at M.
 
-    One reduct and one least model serve both; the trace is computed
-    even when a constraint fails.  At M a frozen constraint body and the
-    live one evaluate alike, so the constraints are checked unfrozen.
+    M is stable when it is the stable operator's fixpoint at M and
+    satisfies the reduct's constraints; the trace is computed even when
+    a constraint fails.
     """
-    # The verdict builds the reduct, once per candidate, although
-    # stable_operator gives the same trace without it: perfbench's tracer
-    # counts `reduct` from outside, and its self-test needs that count
-    # nonzero on grid_search and iterate_verify.  Dropping it waits for
-    # the tracer to read stats (ROADMAP item 1, step 1).
-    lfp, trace = least_model(reduct(program, M, tol), tol, max_iter, atoms=program.atoms())
-    if not all(satisfies(M, r, tol) for r in program.constraints()):
+    lfp, trace = stable_operator(program, M, tol, max_iter)
+    # the reduct is built for its constraints; ROADMAP item 1 step 2 reads program.constraints()
+    if not all(satisfies(M, r, tol) for r in reduct(program, M, tol).constraints()):
         return False, trace
     if not trace.converged:
         return None, trace

@@ -18,7 +18,8 @@ fresh atoms it introduced and knows how to move interpretations across:
   occurrence, a fresh atom not_q and the rule <not_q <-g neg(q); 1> are
   added, and each order-reversing occurrence of q is rewired to
   neg(not_q), which makes not_q order-preserving in the whole body.
-  Requires an involutive negation (neg1).  The target is a MANLP.
+  Requires an involutive negation; both neg1 and neg2 are, but only
+  neg1 is accepted until ROADMAP item 14.  The target is a MANLP.
 
 Lifting extends an interpretation to the fresh atoms (p_bot to 0, p_c
 to c, not_q to neg(q)); projection restricts to the source symbols.
@@ -215,7 +216,9 @@ def eliminate_constraints_janssen(program: Program, impl_choice: str = "lukasiew
 def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
     """Rewire order-reversing atom occurrences through fresh negation witnesses.
 
-    Only defined for constraint-free programs and an involutive negation.
+    Only defined for constraint-free programs and an involutive negation;
+    only neg1 is accepted until ROADMAP item 14, although neg2 is
+    involutive too.
     """
     if program.constraints():
         raise TransformError("program has constraints; eliminate them first")

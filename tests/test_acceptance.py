@@ -70,7 +70,7 @@ def test_criterion_2_fixpoint_table():
     start = time.perf_counter()
     program = parse_program(MOTOR_TEXT)
     frozen = Program(reduct(program, dict(N_INTERP), 1e-9).definite_rules())
-    value, trace = least_model(frozen, 1e-9, 100, atoms=program.atoms())
+    value, trace = least_model(frozen, 1e-9, 100)
     assert trace.converged
     expected = [
         {"p": 0.0, "q": 0.36, "s": 0.8, "t": 0.7},

@@ -333,6 +333,19 @@ def test_bad_grid_step_exits_one(capsys, tmp_path):
     assert "divide" in err
 
 
+def test_grid_step_whose_reciprocal_overflows_exits_one(capsys, tmp_path):
+    path = tmp_path / "mutual.malp"
+    path.write_text(MUTUAL)
+    record = tmp_path / "fc.json"
+    assert run(capsys, "transform", path, "--method", "fc", "--record", record)[0] == 0
+    for argv, step in ((["stable", "search", path], "1e-320"),
+                       (["equiv", path, path, "--record", record], "5e-324")):
+        code, out, err = run(capsys, *argv, "--grid", step)
+        assert (code, out) == (1, "")
+        assert err == f"grid step {float(step)} is too small: 1/step overflows\n"
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "true", '"0.8"', "7", "-3", "null"])
 def test_interpretation_value_outside_unit_interval_exits_one(capsys, tmp_path, value):
     path = tmp_path / "mutual.malp"

@@ -1,12 +1,15 @@
-"""Differential tests of the compiled stable operator and fixpoints.
+"""Differential tests of the compiled stable operator, fixpoints and verdicts.
 
 `stable_operator`, `least_model` and `immediate_consequence` run on an
 analysis made once per program and tolerance: the freeze sites are
-found once and every body is compiled into a closure, and a reduct
-comes with the compiled bodies of the program it was made from.  The
-oracle is the path they replaced, kept here: take the reduct's rules
-(its trees are checked against a tree oracle in test_body_walks.py),
-then iterate T by walking the trees with `eval_body`.  Values and
+found once and every body is compiled into a closure.  A verdict
+(`stable_check`) runs the stable operator as a search step does; a
+reduct is a plain program that carries no analysis, so T compiles it
+from its own rules.  The oracle is the path they replaced, kept here:
+take the reduct's rules (its trees are checked against a tree oracle in
+test_body_walks.py), then iterate T by walking the trees with
+`eval_body`; a verdict's oracle freezes P at M with that tree oracle
+and checks the frozen constraints at M.  Values, verdicts and
 `FixpointTrace`s must be equal (`==`), not merely close.
 """
 
@@ -16,6 +19,7 @@ import itertools
 import pickle
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,6 +42,7 @@ from emalp import (
     least_model,
     parse_program,
     reduct,
+    satisfies,
     stable_operator,
     to_manlp,
 )
@@ -46,7 +51,7 @@ from emalp.program import BUILTINS, RangeViolation, compile_body
 from emalp.semantics import StableSearchConfig, _analysis, find_stable_models, stable_check
 
 from genprog import random_emalp
-from test_body_walks import WRAPS, flipped
+from test_body_walks import WRAPS, flipped, freeze_oracle
 
 TOLS = (1e-9, 0.3)
 MAX_ITER = 200
@@ -97,6 +102,19 @@ def oracle_least_model(program, tol, max_iter, atoms=None):
 def oracle_stable_operator(program, M, tol, max_iter):
     rest = Program(reduct(program, M, tol).definite_rules())
     return oracle_least_model(rest, tol, max_iter, atoms=program.atoms())
+
+
+def oracle_stable_check(program, M, tol, max_iter):
+    """The paper's verdict on trees: freeze P at M, take the least model
+    over P's atoms, and check the frozen constraints at M."""
+    frozen = Program(tuple(Rule(r.head, r.impl, freeze_oracle(r.body, 1, M, tol), r.weight)
+                           for r in program.rules))
+    lfp, trace = oracle_least_model(frozen, tol, max_iter, atoms=program.atoms())
+    if not all(satisfies(M, r, tol) for r in frozen.constraints()):
+        return False, trace
+    if not trace.converged:
+        return None, trace
+    return all(abs(lfp[a] - M[a]) <= tol for a in lfp), trace
 
 
 def assert_operator_matches(program, M, tol):
@@ -180,8 +198,8 @@ def test_least_model_and_consequence_match_oracle(tol):
 
 @pytest.mark.parametrize("tol", TOLS)
 def test_reduct_carries_what_compiling_it_would_give(tol):
-    # compiled afresh, a reduct has no freeze site of its own, so it is
-    # its own reduct, and its T is the one it came with
+    # a reduct has no freeze site of its own, so it is its own reduct,
+    # and its T is the one its rules compile to
     rng = random.Random(6)
     for program in [MOTOR] + [flipped(MOTOR, wrap) for wrap in WRAPS] + GENPROG[:100] + CYCLES:
         M = {a: rng.random() for a in program.atoms()}
@@ -197,8 +215,8 @@ def test_reduct_carries_what_compiling_it_would_give(tol):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9), st.sampled_from(TOLS))
 def test_a_search_step_gives_the_verdicts_trace(seed, tol):
-    # the search step reads the site values at M without a reduct; the
-    # verdict builds the reduct: the two traces are one trace
+    # the search step and the verdict run the same operator: the two
+    # traces are one trace
     rng = random.Random(seed)
     if seed % 2:
         program = random_emalp(rng, max_atoms=4, max_rules=5, max_constraints=2)
@@ -276,9 +294,7 @@ def test_missing_atom_raises_alike():
     M = {"p": 0.0, "q": 0.0}
     want = raised(oracle_stable_operator, program, M, 1e-9, 10)
     assert raised(stable_operator, program, M, 1e-9, 10) == want
-    want = raised(oracle_least_model, program, 1e-9, 10, ("p", "q"))
-    assert raised(least_model, program, 1e-9, 10, ("p", "q")) == want
-    assert "missing atom 'r'" in want[1]
+    assert want[1] == "interpretation is not total: missing r"
     assert raised(immediate_consequence, program, M) == raised(oracle_step, program, M, 1e-9)
 
 
@@ -341,3 +357,35 @@ def test_analysis_is_cached_outside_the_fields(motor, motor_text):
     assert _analysis(motor, 0.3) is not first
     assert motor == fresh and hash(motor) == hash(fresh) and repr(motor) == repr(fresh)
     assert pickle.loads(pickle.dumps(motor)) == motor
+
+
+def verdict_points(program, rng):
+    """Every grid-0.5 point of the program, and two random points."""
+    atoms = program.atoms()
+    grid = [dict(zip(atoms, values))
+            for values in itertools.product(lattice_grid(0.5), repeat=len(atoms))]
+    return grid + [{a: rng.random() for a in atoms} for _ in range(2)]
+
+
+def test_verdict_matches_tree_oracle(model_m, model_n):
+    # the verdict runs the stable operator and checks the reduct's
+    # constraints; the oracle builds the paper's definition from trees
+    rng = random.Random(9)
+    cases = [(MOTOR, [model_m, model_n] + verdict_points(MOTOR, rng))]
+    for program in GENPROG[:20]:
+        for variant in [program] + [flipped(program, wrap) for wrap in WRAPS]:
+            cases.append((variant, verdict_points(variant, rng)))
+    verdicts = Counter()
+    for tol, max_iter in itertools.product(TOLS, (2, 200)):
+        for program, points in cases:
+            for M in points:
+                verdict, trace = stable_check(program, M, tol, max_iter)
+                assert (verdict, trace) == oracle_stable_check(program, M, tol, max_iter)
+                lfp = trace.iterates[-1]
+                settled = trace.converged and all(abs(v - M[a]) <= tol for a, v in lfp.items())
+                verdicts[verdict, trace.converged, settled] += 1
+    # guards against a vacuous pass: stable points, undecided points, and
+    # constraints that reject a point whose least model is M and a point
+    # whose least model did not converge
+    assert verdicts[True, True, True] > 0 and verdicts[None, False, False] > 0
+    assert verdicts[False, True, True] > 0 and verdicts[False, False, False] > 0

@@ -10,7 +10,9 @@ from emalp import (
     eval_implication,
     eval_negation,
     eval_threshold,
+    is_minimal_model,
     lattice_grid,
+    parse_program,
 )
 from emalp.lattice import LatticeError, grid_count
 
@@ -158,4 +160,17 @@ def test_grid_count_checks_the_step_as_lattice_grid_does():
         with pytest.raises(LatticeError):
             grid_count(step)
     assert grid_count(1e-9) == 10 ** 9 + 1
+    assert grid_count(6e-309) == round(1 / 6e-309) + 1   # 1/step is still finite
     assert grid_count(1e-9, 0.5) == 5 * 10 ** 8 + 1
+
+
+@pytest.mark.parametrize("step", [5e-324, 1e-320, 5e-309])
+def test_a_step_whose_reciprocal_overflows_is_a_lattice_error(step):
+    message = f"grid step {step} is too small: 1/step overflows"
+    for fn in (grid_count, lattice_grid):
+        with pytest.raises(LatticeError) as info:
+            fn(step)
+        assert str(info.value) == message
+    program = parse_program("p <-g 0.5 with 1;")
+    with pytest.raises(LatticeError, match="overflows"):
+        is_minimal_model(program, {"p": 0.5}, step)

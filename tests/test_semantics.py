@@ -157,7 +157,7 @@ def test_immediate_consequence_iterates(motor, model_n):
 
 def test_least_model_trace(motor, model_n):
     rest = Program(reduct(motor, model_n).definite_rules())
-    value, trace = least_model(rest, 1e-9, 100, atoms=motor.atoms())
+    value, trace = least_model(rest, 1e-9, 100)
     assert trace.converged
     assert value == pytest.approx(model_n, abs=1e-9)
     distinct = []

@@ -92,8 +92,8 @@ def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
 def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
     # every start settles on a = b = 1: top after one operator step,
     # bottom and the two random starts after two.  Each settled start gets
-    # one verdict, which builds one reduct and runs one least model; the
-    # search steps build none.
+    # one verdict, which runs the stable operator once more and builds one
+    # reduct for its constraints; the search steps build none.
     path = tmp_path / "chain.malp"
     path.write_text("a <-g 1 with 1;\nb <-g a with 1;\n")
     rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4"])
@@ -102,7 +102,7 @@ def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
     calls = {layer: tracer.layer(layer)[0] for layer in (
         "semantics.stable_operator", "semantics.reduct", "semantics.is_stable",
         "semantics.least_model")}
-    assert calls == {"semantics.stable_operator": 7, "semantics.reduct": 4,
+    assert calls == {"semantics.stable_operator": 11, "semantics.reduct": 4,
                      "semantics.is_stable": 4, "semantics.least_model": 11}
 
 
