@@ -331,7 +331,8 @@ Builder = Callable[[Sequence[float]], BodyExpr]
 
 
 def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
-                 sites: Optional[list[Compiled]] = None) -> tuple[Compiled, Optional[Builder]]:
+                 sites: Optional[list[Compiled]] = None,
+                 reads: Optional[set[str]] = None) -> tuple[Compiled, Optional[Builder]]:
     """Compile a body into f(env, frozen) -> float, evaluated as eval_body does.
 
     f(env, None) is the body as written.  With a `sites` list, the closure
@@ -340,12 +341,14 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
     body when frozen holds [site(M, None) for site in sites], and
     `build(frozen)` returns that body as a tree, each site replaced by
     Const(frozen[k]).  Bodies may share one list.  Without it, or when the
-    body has no freeze site, `build` is None.  Each operator calls the
+    body has no freeze site, `build` is None.  A `reads` set receives, in
+    the same walk, the atoms f(env, frozen) reads: those outside the
+    freeze sites, or all of them without `sites`.  Each operator calls the
     function eval_expr calls, on the same arguments in the same order, so
     the floats are the same, as are the range check, the clamp and the
     RangeViolation message, whose reduct body is built only on error.
     """
-    expr, build = _compile(body, 1, tol, sites)
+    expr, build = _compile(body, 1, tol, sites, reads)
 
     def evaluate(env, frozen):
         v = expr(env, frozen)
@@ -355,13 +358,15 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
     return evaluate, build
 
 
-def _compile(node: BodyExpr, sign: int, tol: float,
-             sites: Optional[list[Compiled]]) -> tuple[Compiled, Optional[Builder]]:
+def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compiled]],
+             reads: Optional[set[str]]) -> tuple[Compiled, Optional[Builder]]:
     if isinstance(node, Const):
         value = node.value
         return (lambda env, frozen: value), None
     if isinstance(node, Atom):
         name = node.name
+        if reads is not None:
+            reads.add(name)
 
         def atom(env, frozen):
             try:
@@ -371,12 +376,13 @@ def _compile(node: BodyExpr, sign: int, tol: float,
         return atom, None
     if sites is not None and is_freeze_site(node, sign):
         k = len(sites)
-        site = _compile(node, sign, tol, None)[0]
+        site = _compile(node, sign, tol, None, None)[0]
         sites.append(site)
         return ((lambda env, frozen: site(env, None) if frozen is None else frozen[k]),
                 (lambda frozen: Const(frozen[k])))
     spec = op_spec(node.op)
-    parts = [_compile(a, sign * spec.polarity(i), tol, sites) for i, a in enumerate(node.args)]
+    parts = [_compile(a, sign * spec.polarity(i), tol, sites, reads)
+             for i, a in enumerate(node.args)]
     args = [f for f, _ in parts]
     build = _rebuild(node, [b for _, b in parts])
     if spec.const_first:

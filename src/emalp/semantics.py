@@ -15,11 +15,12 @@ Least models are computed by Kleene iteration of the immediate
 consequence operator from the bottom interpretation, with a tolerance
 and an iteration cap; non-convergence is a flagged result, never an
 exception.  The operators run on an analysis made once per program and
-tolerance: bodies compiled to closures, and the freeze sites of the
-reduct.  The stable operator evaluates the sites at M and iterates the
-program's own closures reading those values, so it builds no reduct;
-search steps and verdicts both run it.  `reduct` builds the trees as a
-plain program that carries no analysis.  Constraints never feed the
+tolerance: bodies compiled to closures, the freeze sites of the reduct,
+and each head's level in it.  The stable operator evaluates the sites at
+M and iterates the program's own closures reading those values, so it
+builds no reduct, and after step 1 recomputes only the heads that can
+move; search steps and verdicts both run it.  `reduct` builds the trees
+as a plain program that carries no analysis.  Constraints never feed the
 operator (they have no head atom to update); they act as satisfaction
 filters on stable-model checks, which read them from the reduct.
 """
@@ -31,6 +32,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterator, Mapping, Optional
 
 from .lattice import DEFAULT_TOL, eval_conjunctor, eval_implication, grid_count, lattice_grid
@@ -118,24 +120,48 @@ class _Analysis:
     compiled body): read with frozen=None a body is the program's as
     written, read with the values of the freeze `sites` at M it is the
     reduct's, and `builds` (one per rule, None for a rule without a
-    site) turns those values into the reduct's bodies.
+    site) turns those values into the reduct's bodies.  Kleene step k >= 2
+    of the reduct's T recomputes steps[k - 2] (the last entry for later
+    k): the heads of level >= k at bottom, and their rules.
     """
     rules: Rules
     sites: tuple[Compiled, ...]
     builds: tuple[Optional[Builder], ...]
+    steps: tuple[tuple[dict[str, float], Rules], ...]
 
 
 def _analysis(program: Program, tol: float) -> _Analysis:
     def make() -> _Analysis:
         sites: list[Compiled] = []
         builds, rules = [], []
+        reads: dict[str, set] = {}   # what a head's bodies read outside freeze sites
         for r in program.rules:
-            body, build = compile_body(r.body, tol, sites)
+            live = None if r.is_constraint else reads.setdefault(r.head.name, set())
+            body, build = compile_body(r.body, tol, sites, live)
             builds.append(build)
             if not r.is_constraint:
                 rules.append((r.head.name, r.impl, r.weight, body))
-        return _Analysis(tuple(rules), tuple(sites), tuple(builds))
+        level = _levels(reads)
+        top = max((n for n in level.values() if n < math.inf), default=1)
+        steps = tuple((dict.fromkeys((h for h in reads if level[h] >= k), 0.0),
+                       tuple(r for r in rules if level[r[0]] >= k))
+                      for k in range(2, top + 2))
+        return _Analysis(tuple(rules), tuple(sites), tuple(builds), steps)
     return program.derived(("analysis", tol), make)
+
+
+def _levels(reads: dict[str, set]) -> dict[str, float]:
+    """Each head's level: 1 + the highest level its bodies read (0 for an atom
+    that heads no rule), inf on or downstream of a cycle.  From bottom, a
+    head of level n is final from Kleene step n on."""
+    level: dict[str, float] = {}
+    while True:
+        ready = {h: 1 + max((level.get(a, 0) for a in atoms), default=0)
+                 for h, atoms in reads.items()
+                 if h not in level and all(a in level or a not in reads for a in atoms)}
+        if not ready:
+            return {h: level.get(h, math.inf) for h in reads}
+        level.update(ready)
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +208,30 @@ def least_model(program: Program, tol: float = DEFAULT_TOL,
     from I: for a monotone T the least fixpoint then lies between T(I),
     which is returned, and X.  At the cap the trace is flagged
     unconverged.  The result is the least model when the program is
-    positive.  `frozen` goes to every T step.
+    positive.  `frozen` goes to every T step; then step 1 is a full T,
+    and a later step k recomputes only the heads of level >= k
+    (`_levels`) and copies the rest, so every iterate is still T's.
     """
     names = program.atoms()
     I = bottom_interpretation(names)
     if not names:
         return I, FixpointTrace((dict(I),), True, 0)
+    steps = _analysis(program, tol).steps if frozen is not None else ()
     iterates = [dict(I)]
     converged = False
-    for _ in range(max_iter):
-        J = immediate_consequence(program, I, tol, frozen)
-        iterates.append(J)    # T returns a new dict, never mutated
-        if J == I or interp_distance(I, J) < tol and _bounds_above(program, I, J, tol, frozen):
+    for k in range(1, max_iter + 1):
+        if k == 1 or not steps:
+            J = immediate_consequence(program, I, tol, frozen)
+        else:
+            reset, rules = steps[min(k - 2, len(steps) - 1)]
+            J = I | reset
+            for head, impl, weight, body in rules:
+                v = eval_conjunctor(impl, weight, body(I, frozen))
+                if v > J[head]:
+                    J[head] = v
+        iterates.append(J)    # a new dict, never mutated, in program.atoms() order as I is
+        if J == I or (max(map(abs, map(sub, I.values(), J.values()))) < tol
+                      and _bounds_above(program, I, J, tol, frozen)):
             converged = True
             break
         I = J
@@ -392,22 +430,23 @@ def _grid_walk(values: dict[str, list[float]], checks) -> Iterator[Interpretatio
         else:
             tests_at[top].append(test)
 
-    M: Interpretation = {}    # the partial assignment, atoms order[:depth]
+    return _extend({}, 0, order, values, tests_at, fits, atoms)
 
-    def extend(depth: int) -> Iterator[Interpretation]:
-        for test in tests_at[depth]:
-            if not test(M):
-                return
-        if depth == len(order):
-            yield {a: M[a] for a in atoms}
+
+def _extend(M: Interpretation, depth: int, order, values, tests_at, fits,
+            atoms) -> Iterator[Interpretation]:
+    """The walk below M, which assigns order[:depth]; module-level, so no walk refers to itself."""
+    for test in tests_at[depth]:
+        if not test(M):
             return
-        a, fit = order[depth], fits[depth]
-        for v in values[a] if fit is None else fit(M, values[a]):
-            M[a] = v
-            yield from extend(depth + 1)
-        M.pop(a, None)   # an empty value list assigned nothing
-
-    return extend(0)
+    if depth == len(order):
+        yield {a: M[a] for a in atoms}
+        return
+    a, fit = order[depth], fits[depth]
+    for v in values[a] if fit is None else fit(M, values[a]):
+        M[a] = v
+        yield from _extend(M, depth + 1, order, values, tests_at, fits, atoms)
+    M.pop(a, None)   # an empty value list assigned nothing
 
 
 def find_stable_models(program: Program, cfg: StableSearchConfig,
@@ -420,9 +459,11 @@ def find_stable_models(program: Program, cfg: StableSearchConfig,
     indeterminate (the inner fixpoint did not converge).  Iterate mode
     runs the stable operator to a fixpoint from bottom, top, and seeded
     random starts, then verifies the candidates.  The operator is a pure
-    function, so a start whose orbit revisits a state exactly (the
-    two-cycle of an even negation cycle) is dropped at once: every later
-    step would replay a step that neither settled nor failed.  Results
+    function, so a start stops at a state that an earlier visit reached
+    with at least as many of the min(max_iter, 100) steps left: that
+    visit found first all the start could still find.  An even cycle's
+    orbit thus stops at once, and a start that joins an earlier orbit in
+    no fewer steps repeats none of its steps or its verdict.  Results
     are deduplicated within tol (earliest kept) and sorted
     lexicographically by atom values.
     """
@@ -440,21 +481,20 @@ def find_stable_models(program: Program, cfg: StableSearchConfig,
         starts = [bottom_interpretation(atoms), top_interpretation(atoms)][:max(1, cfg.seeds)]
         draws = ({a: rng.random() for a in atoms} for _ in range(cfg.seeds - 2))  # one at a time
         outer_cap = min(cfg.max_iter, 100)
-        for I in itertools.chain(starts, draws):
-            M = I
-            seen = {tuple(M[a] for a in atoms)}
-            for _ in range(outer_cap):
+        fewest: dict[tuple, int] = {}   # state -> the fewest steps any start took to it
+        for M in itertools.chain(starts, draws):
+            for steps in range(outer_cap):
+                key = tuple(M.values())   # every start and result is in atoms order
+                if fewest.get(key, outer_cap) <= steps:
+                    break   # an earlier visit went on from here with as many steps left
+                fewest[key] = steps
                 N, trace = stable_operator(program, M, cfg.tol, cfg.max_iter)
                 if not trace.converged:
                     break
-                if interp_distance(M, N) <= cfg.tol:
+                if max(map(abs, map(sub, M.values(), N.values())), default=0.0) <= cfg.tol:
                     if is_stable(program, N, cfg.tol, cfg.max_iter) is True:
                         found.append(N)
                     break
-                key = tuple(N[a] for a in atoms)
-                if key in seen:
-                    break   # the orbit repeats and never settles (an even cycle)
-                seen.add(key)
                 M = N
     else:
         raise MalpError(f"unknown search mode: {cfg.mode!r}")

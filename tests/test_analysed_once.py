@@ -10,6 +10,7 @@ sub-grid with the grid search's walker; the `itertools.product` loop it
 used before is kept here as the oracle.
 """
 
+import gc
 import itertools
 import json
 import math
@@ -24,6 +25,8 @@ import pytest
 import emalp.program as program_module
 from emalp import (
     BudgetExceeded,
+    StableSearchConfig,
+    find_stable_models,
     is_minimal_model,
     is_model,
     lattice_grid,
@@ -31,7 +34,7 @@ from emalp import (
     reduct,
 )
 from emalp.cli import main
-from emalp.semantics import _analysis
+from emalp.semantics import _analysis, stable_check
 
 from genprog import random_emalp
 
@@ -216,3 +219,27 @@ def test_is_minimal_model_with_no_grid_point_below(value):
     # the sub-grid below M is empty, so nothing below M is a model
     program = parse_program("p <-g 0.5 with 1;")
     assert is_minimal_model(program, {"p": value}, 0.5) is True
+
+
+def test_searches_and_checks_leave_no_reference_cycles(motor_text, model_m, model_n):
+    # each call's closures, checks and walks are freed by reference
+    # counting when it returns, so the cyclic collector finds nothing
+    programs = [parse_program(motor_text), parse_program(GRID8)]
+    calls = []
+    for p in programs:
+        M = dict.fromkeys(p.atoms(), 0.5)
+        calls += [lambda p=p: _analysis(p, 1e-9),
+                  lambda p=p: find_stable_models(p, StableSearchConfig(grid_step=0.25)),
+                  lambda p=p: find_stable_models(p, StableSearchConfig(mode="iterate", seeds=8)),
+                  lambda p=p, M=M: stable_check(p, M),
+                  lambda p=p, M=M: is_minimal_model(p, M, 0.25)]
+    calls += [lambda: stable_check(programs[0], model_n),
+              lambda: is_minimal_model(programs[0], model_m, 0.1)]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

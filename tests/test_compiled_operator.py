@@ -2,7 +2,9 @@
 
 `stable_operator`, `least_model` and `immediate_consequence` run on an
 analysis made once per program and tolerance: the freeze sites are
-found once and every body is compiled into a closure.  A verdict
+found once, every body is compiled into a closure, and each head gets a
+level, so that a Kleene step of the reduct's T after the first
+recomputes only the heads that can still move.  A verdict
 (`stable_check`) runs the stable operator as a search step does; a
 reduct is a plain program that carries no analysis, so T compiles it
 from its own rules.  The oracle is the path they replaced, kept here:
@@ -212,22 +214,45 @@ def test_reduct_carries_what_compiling_it_would_give(tol):
         assert immediate_consequence(got, I, tol) == immediate_consequence(fresh, I, tol) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 9), st.sampled_from(TOLS))
-def test_a_search_step_gives_the_verdicts_trace(seed, tol):
-    # the search step and the verdict run the same operator: the two
-    # traces are one trace
-    rng = random.Random(seed)
-    if seed % 2:
-        program = random_emalp(rng, max_atoms=4, max_rules=5, max_constraints=2)
-    else:
-        program = parse_program(gen.iterate_program(6 + seed % 3, seed % 4 == 0, seed)[0])
-    for M in starts_for(program, rng):
-        want = stable_check(program, M, tol, MAX_ITER)[1]
-        assert stable_operator(program, M, tol, MAX_ITER)[1] == want
+POOL = ([parse_program(gen.grid_program(n, i)) for n in (5, 6) for i in range(6)]
+        + [parse_program(gen.equiv_program(c, i)) for c in (1, 2) for i in range(4)])
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 200])
+@pytest.mark.parametrize("tol", TOLS)
+def test_every_trace_matches_the_oracle_under_every_cap(tol, max_iter):
+    # a Kleene step of the reduct's T after the first recomputes only the
+    # heads of level >= k; every iterate, the stop and the cap must still
+    # be the full T's, in the program as written and in its reduct
+    rng = random.Random(10)
+    programs = [MOTOR] + GENPROG[:60] + CYCLES[::3] + POOL
+    programs += [flipped(p, wrap) for p in [MOTOR] + GENPROG[:20] + CYCLES[::9] for wrap in WRAPS]
+    unconverged = 0
+    for program in programs:
+        assert least_model(program, tol, max_iter) == oracle_least_model(program, tol, max_iter)
+        for M in starts_for(program, rng):
+            got = stable_operator(program, M, tol, max_iter)
+            assert got == oracle_stable_operator(program, M, tol, max_iter)
+            unconverged += not got[1].converged
         # a reduct is its own reduct: its operator is its least model
         frozen = reduct(program, M, tol)
-        assert stable_operator(frozen, M, tol, MAX_ITER) == least_model(frozen, tol, MAX_ITER)
+        assert stable_operator(frozen, M, tol, max_iter) == least_model(frozen, tol, max_iter)
+    assert unconverged > 0 if max_iter < 200 else unconverged == 0
+
+
+def test_levels_count_only_what_the_reduct_reads():
+    # d reads itself and e reads d: both on or below a cycle; c reads d
+    # only inside a freeze site, so its level comes from b alone; f heads
+    # no rule (level 0).  Step k recomputes the heads of level >= k.
+    program = parse_program("a <-g 0.5 with 1;\nb <-g min(a, f) with 1;\n"
+                            "c <-g min(b, neg1(d)) with 1;\nd <-l or_l(d, 0.25) with 1;\n"
+                            "e <-g d with 1;\nc <-g 0.25 with 1;\n0.5 <-g neg1(e) with 1;")
+    steps = _analysis(program, 1e-9).steps
+    assert [list(reset) for reset, _ in steps] == [["b", "c", "d", "e"], ["c", "d", "e"],
+                                                   ["d", "e"]]
+    assert [[r[0] for r in rules] for _, rules in steps] == [
+        ["b", "c", "d", "e", "c"], ["c", "d", "e", "c"], ["d", "e"]]
+    assert all(set(reset.values()) == {0.0} for reset, _ in steps)
 
 
 def test_a_search_step_builds_no_tree(monkeypatch):

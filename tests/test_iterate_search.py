@@ -2,10 +2,13 @@
 
 `full_cap_search` is the loop the search used before: every start runs
 the stable operator until it settles, fails to converge, or reaches the
-outer cap of 100 steps.  `find_stable_models` stops a start as soon as
-its orbit revisits a state; it must return exactly the same models.
+outer cap of min(max_iter, 100) steps.  `find_stable_models` keeps, for
+the whole search, the fewest steps any start took to each state, and
+stops a start at a state an earlier visit reached with at least as many
+steps left; it must return exactly the same models.
 """
 
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -13,6 +16,7 @@ import pytest
 
 import emalp.semantics as semantics
 from emalp import (
+    Program,
     StableSearchConfig,
     bottom_interpretation,
     eliminate_constraints_fc,
@@ -144,3 +148,49 @@ def test_random_starts_are_drawn_one_at_a_time(monkeypatch, motor):
     assert min(d for d in draws_at_step if d) == n      # one start's values, not all of them
     assert {b - a for a, b in zip(draws_at_step, draws_at_step[1:])} <= {0, n}
     assert draws[0] == (cfg.seeds - 2) * n
+
+
+def test_a_later_start_that_joins_with_more_steps_left_goes_on(operator_calls):
+    # x' = 1 - min(x, 0.5): bottom steps 0 -> 1 -> 0.5 and meets the cap
+    # of 2 before it can settle.  Top starts at 1, which bottom reached
+    # with one step fewer left, so top goes on, reaches 0.5 and settles
+    # there.  Stopping top at 1 because bottom visited it would lose the
+    # model.
+    program = parse_program("x <-l neg1(min(x, 0.5)) with 1;")
+    cfg = StableSearchConfig(mode="iterate", seeds=2, max_iter=2)
+    want = full_cap_search(program, cfg)
+    assert want == [{"x": 0.5}]
+    operator_calls.clear()
+    assert find_stable_models(program, cfg) == want
+    assert operator_calls == [2, 3]   # bottom; top's two steps and the verdict on 0.5
+    assert find_stable_models(program, dataclasses.replace(cfg, seeds=1)) == []
+
+
+def test_a_later_start_stops_where_an_earlier_one_went_on(operator_calls):
+    # every start reaches x = 0.5 and settles there.  Bottom takes three
+    # steps and a verdict, top (which reaches 0.5 one step sooner) two
+    # and a verdict; a random start reaches 0.5 after one or two steps,
+    # no sooner than top did, and stops there without a verdict
+    program = parse_program("x <-l neg1(min(x, 0.5)) with 1;")
+    cfg = StableSearchConfig(mode="iterate", seeds=8)
+    assert find_stable_models(program, cfg) == full_cap_search(program, cfg) == [{"x": 0.5}]
+    operator_calls.clear()
+    find_stable_models(program, cfg)
+    assert operator_calls[:2] == [4, 3] and len(operator_calls) == 8
+    assert set(operator_calls[2:]) == {1, 2}
+
+
+@pytest.mark.parametrize("text, want", [
+    ("", [{}]),
+    ("0.5 <-g 0.25 with 1;", [{}]),
+    ("0.25 <-g 0.5 with 1;", []),
+    ("0.5 <-g neg1(a) with 1;", []),
+    ("1 <-g neg1(a) with 1;", [{"a": 0.0}]),
+])
+def test_programs_without_rules_for_the_operator(text, want):
+    # no definite rule: the operator returns bottom at once, and the
+    # constraints alone decide
+    program = parse_program(text) if text else Program()
+    for seeds in (1, 4):
+        cfg = StableSearchConfig(mode="iterate", seeds=seeds)
+        assert find_stable_models(program, cfg) == full_cap_search(program, cfg) == want

@@ -70,11 +70,16 @@ def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
     # The tracer counts a function by rebinding module globals.  Were the
     # search to reach the stable operator, the reduct or the fixpoint
     # through a captured reference or a private twin, `--trace 1` would
-    # silently stop counting it.  On the even cycle each of the four
-    # starts takes two operator steps and then revisits a state: 8 calls,
-    # each one least model, 14 Kleene steps in all, as before the
-    # operator was compiled.  A search step builds no reduct, and no
-    # start settles, so no verdict builds one either.
+    # silently stop counting it.  On the even cycle bottom steps to top
+    # and back, and stops there; top, visited again with more steps left,
+    # steps once to bottom, which bottom already went on from; each
+    # random start steps twice and returns to itself: 7 calls, each one
+    # least model.  The two at p = q = 1 stop after one Kleene step (T
+    # is bottom there), the other five after two: 12 steps.  In the
+    # reduct p and q read only frozen values, so both have level 1: step
+    # 1 is one T call (two conjunctor calls) and step 2 recomputes
+    # nothing.  A search step builds no reduct, and no start settles, so
+    # no verdict builds one either.
     path = tmp_path / "cycle.malp"
     path.write_text("p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n")
     rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4"])
@@ -83,17 +88,20 @@ def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
     calls = {layer: tracer.layer(layer)[0] for layer in (
         "semantics.find_stable_models", "semantics.stable_operator", "semantics.reduct",
         "semantics.least_model", "semantics.immediate_consequence", "lattice.eval_conjunctor")}
-    assert calls == {"semantics.find_stable_models": 1, "semantics.stable_operator": 8,
-                     "semantics.reduct": 0, "semantics.least_model": 8,
-                     "semantics.immediate_consequence": 14, "lattice.eval_conjunctor": 28}
-    assert tracer.counts["lm_iterations"] == 14 and tracer.counts["lm_unconverged"] == 0
+    assert calls == {"semantics.find_stable_models": 1, "semantics.stable_operator": 7,
+                     "semantics.reduct": 0, "semantics.least_model": 7,
+                     "semantics.immediate_consequence": 7, "lattice.eval_conjunctor": 14}
+    assert tracer.counts["lm_iterations"] == 12 and tracer.counts["lm_unconverged"] == 0
 
 
 def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
-    # every start settles on a = b = 1: top after one operator step,
-    # bottom and the two random starts after two.  Each settled start gets
-    # one verdict, which runs the stable operator once more and builds one
-    # reduct for its constraints; the search steps build none.
+    # every start reaches a = b = 1.  Bottom steps there and settles
+    # (two steps and a verdict); top, which bottom reached with fewer
+    # steps left, settles in one step and gets a verdict too; each random
+    # start steps once to a = b = 1, from which top went on with more
+    # steps left, and stops.  A verdict runs the stable operator once more
+    # and builds one reduct for its constraints; the search steps build
+    # none.
     path = tmp_path / "chain.malp"
     path.write_text("a <-g 1 with 1;\nb <-g a with 1;\n")
     rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4"])
@@ -102,8 +110,8 @@ def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
     calls = {layer: tracer.layer(layer)[0] for layer in (
         "semantics.stable_operator", "semantics.reduct", "semantics.is_stable",
         "semantics.least_model")}
-    assert calls == {"semantics.stable_operator": 11, "semantics.reduct": 4,
-                     "semantics.is_stable": 4, "semantics.least_model": 11}
+    assert calls == {"semantics.stable_operator": 7, "semantics.reduct": 2,
+                     "semantics.is_stable": 2, "semantics.least_model": 7}
 
 
 def test_tracer_counts_an_unconverged_stable_operator(tmp_path, capsys):
