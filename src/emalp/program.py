@@ -28,6 +28,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import MalpError
@@ -453,16 +454,18 @@ class Program:
     def __getstate__(self) -> dict:
         return {"rules": self.rules}
 
+    _derived = cached_property(lambda self: {})   # what derived() has made, by key
+
     def derived(self, key, make: Callable[[], object]):
         """make(), computed on first use per key and kept outside the fields:
         equality, hashing, repr and pickling see only the rules."""
-        memo = self.__dict__.setdefault("_derived", {})
+        memo = self._derived
         if key not in memo:
             memo[key] = make()   # a lost race computes it twice
         return memo[key]
 
     def atoms(self) -> tuple[str, ...]:
-        return self.derived("atoms", lambda: tuple(sorted(
+        return self._derived.get("atoms") or self.derived("atoms", lambda: tuple(sorted(
             {r.head.name for r in self.definite_rules()}.union(
                 o.atom for occs in self.rule_occurrences() for o in occs))))
 

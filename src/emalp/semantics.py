@@ -16,13 +16,14 @@ consequence operator from the bottom interpretation, with a tolerance
 and an iteration cap; non-convergence is a flagged result, never an
 exception.  The operators run on an analysis made once per program and
 tolerance: bodies compiled to closures, the freeze sites of the reduct,
-and each head's level in it.  The stable operator evaluates the sites at
-M and iterates the program's own closures reading those values, so it
-builds no reduct, and after step 1 recomputes only the heads that can
-move; search steps and verdicts both run it.  `reduct` builds the trees
-as a plain program that carries no analysis.  Constraints never feed the
-operator (they have no head atom to update); they act as satisfaction
-filters on stable-model checks, which read them from the reduct.
+and the rules in the order of their heads' levels in it.  The stable
+operator evaluates the sites at M and runs the program's own closures
+on those values, so it builds no reduct; search steps and verdicts take
+its value from one pass in level order when the reduct is acyclic, as
+for a stratified program.  `reduct` builds the trees as a plain program
+that carries no analysis.  Constraints never feed the operator (they
+have no head atom to update); they act as satisfaction filters on
+stable-model checks, which read them from the reduct.
 """
 
 from __future__ import annotations
@@ -67,10 +68,12 @@ def interp_distance(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     return max(abs(a[k] - b[k]) for k in a)
 
 
-def require_total(I: Mapping[str, float], program: Program) -> None:
-    missing = [a for a in program.atoms() if a not in I]
+def require_total(I: Mapping[str, float], program: Program) -> tuple[str, ...]:
+    names = program.atoms()
+    missing = [a for a in names if a not in I]
     if missing:
         raise MalpError(f"interpretation is not total: missing {', '.join(missing)}")
+    return names
 
 
 def satisfies(I: Mapping[str, float], rule: Rule, tol: float = DEFAULT_TOL) -> bool:
@@ -120,34 +123,35 @@ class _Analysis:
     compiled body): read with frozen=None a body is the program's as
     written, read with the values of the freeze `sites` at M it is the
     reduct's, and `builds` (one per rule, None for a rule without a
-    site) turns those values into the reduct's bodies.  Kleene step k >= 2
-    of the reduct's T recomputes steps[k - 2] (the last entry for later
-    k): the heads of level >= k at bottom, and their rules.
+    site) turns those values into the reduct's bodies.  `by_level` holds
+    them stably sorted by head level (`_levels`), and `top` is the
+    highest level; if that is inf, `by_level` is None.
     """
     rules: Rules
     sites: tuple[Compiled, ...]
     builds: tuple[Optional[Builder], ...]
-    steps: tuple[tuple[dict[str, float], Rules], ...]
+    by_level: Optional[Rules]
+    top: float
 
 
 def _analysis(program: Program, tol: float) -> _Analysis:
-    def make() -> _Analysis:
-        sites: list[Compiled] = []
-        builds, rules = [], []
-        reads: dict[str, set] = {}   # what a head's bodies read outside freeze sites
-        for r in program.rules:
-            live = None if r.is_constraint else reads.setdefault(r.head.name, set())
-            body, build = compile_body(r.body, tol, sites, live)
-            builds.append(build)
-            if not r.is_constraint:
-                rules.append((r.head.name, r.impl, r.weight, body))
-        level = _levels(reads)
-        top = max((n for n in level.values() if n < math.inf), default=1)
-        steps = tuple((dict.fromkeys((h for h in reads if level[h] >= k), 0.0),
-                       tuple(r for r in rules if level[r[0]] >= k))
-                      for k in range(2, top + 2))
-        return _Analysis(tuple(rules), tuple(sites), tuple(builds), steps)
-    return program.derived(("analysis", tol), make)
+    analyses = program.derived("analyses", dict)   # by tol
+    if tol in analyses:
+        return analyses[tol]   # allocates nothing
+    sites: list[Compiled] = []
+    builds, rules = [], []
+    reads: dict[str, set] = {}   # what a head's bodies read outside freeze sites
+    for r in program.rules:
+        live = None if r.is_constraint else reads.setdefault(r.head.name, set())
+        body, build = compile_body(r.body, tol, sites, live)
+        builds.append(build)
+        if not r.is_constraint:
+            rules.append((r.head.name, r.impl, r.weight, body))
+    level = _levels(reads)
+    top = max(level.values(), default=0)
+    by_level = tuple(sorted(rules, key=lambda r: level[r[0]])) if top < math.inf else None
+    analyses[tol] = _Analysis(tuple(rules), tuple(sites), tuple(builds), by_level, top)
+    return analyses[tol]
 
 
 def _levels(reads: dict[str, set]) -> dict[str, float]:
@@ -208,27 +212,16 @@ def least_model(program: Program, tol: float = DEFAULT_TOL,
     from I: for a monotone T the least fixpoint then lies between T(I),
     which is returned, and X.  At the cap the trace is flagged
     unconverged.  The result is the least model when the program is
-    positive.  `frozen` goes to every T step; then step 1 is a full T,
-    and a later step k recomputes only the heads of level >= k
-    (`_levels`) and copies the rest, so every iterate is still T's.
+    positive.  `frozen` goes to every T step.
     """
     names = program.atoms()
     I = bottom_interpretation(names)
     if not names:
         return I, FixpointTrace((dict(I),), True, 0)
-    steps = _analysis(program, tol).steps if frozen is not None else ()
     iterates = [dict(I)]
     converged = False
-    for k in range(1, max_iter + 1):
-        if k == 1 or not steps:
-            J = immediate_consequence(program, I, tol, frozen)
-        else:
-            reset, rules = steps[min(k - 2, len(steps) - 1)]
-            J = I | reset
-            for head, impl, weight, body in rules:
-                v = eval_conjunctor(impl, weight, body(I, frozen))
-                if v > J[head]:
-                    J[head] = v
+    for _ in range(max_iter):
+        J = immediate_consequence(program, I, tol, frozen)
         iterates.append(J)    # a new dict, never mutated, in program.atoms() order as I is
         if J == I or (max(map(abs, map(sub, I.values(), J.values()))) < tol
                       and _bounds_above(program, I, J, tol, frozen)):
@@ -248,9 +241,8 @@ def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAU
                     max_iter: int = DEFAULT_MAX_ITER) -> tuple[Interpretation, FixpointTrace]:
     """Least model of the constraint-free part of the reduct with respect to M.
 
-    Interpretations that are fixpoints of this operator and satisfy the
-    frozen constraints are exactly the stable models.  T skips the
-    constraints and reads each freeze site as its value at M, so the
+    Its fixpoints that satisfy the frozen constraints are exactly the
+    stable models.  T reads each freeze site as its value at M, so the
     reduct's trees are never built.
     """
     require_total(M, program)
@@ -258,27 +250,52 @@ def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAU
     return least_model(program, tol, max_iter, frozen=frozen)
 
 
+def _stable_value(program: Program, M: Mapping[str, float], tol: float, max_iter: int,
+                  trace: Optional[FixpointTrace] = None) -> tuple[Interpretation, bool]:
+    """The stable operator's value at M and whether it converged.
+
+    If max_iter > top, one pass over the rules in level order gives the
+    value Kleene iteration settles at by step top + 1, from the same
+    calls on the same values (a stop within tol may return an iterate
+    within tol of it); else `least_model`'s, read from `trace` if given.
+    """
+    names = require_total(M, program)
+    analysis = _analysis(program, tol)
+    frozen = tuple(site(M, None) for site in analysis.sites)
+    if max_iter <= analysis.top:
+        trace = trace or least_model(program, tol, max_iter, frozen=frozen)[1]
+        return trace.iterates[-1], trace.converged
+    J = dict.fromkeys(names, 0.0)
+    for head, impl, weight, body in analysis.by_level:
+        v = eval_conjunctor(impl, weight, body(J, frozen))
+        if v > J[head]:
+            J[head] = v
+    return J, True
+
+
 def stable_check(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> tuple[Optional[bool], FixpointTrace]:
-    """The `is_stable` verdict together with the trace of the stable operator at M.
-
-    M is stable when it is the stable operator's fixpoint at M and
-    satisfies the reduct's constraints; the trace is computed even when
-    a constraint fails.
-    """
-    lfp, trace = stable_operator(program, M, tol, max_iter)
-    # the reduct is built for its constraints; ROADMAP item 1 step 2 reads program.constraints()
-    if not all(satisfies(M, r, tol) for r in reduct(program, M, tol).constraints()):
-        return False, trace
-    if not trace.converged:
-        return None, trace
-    return interp_distance(lfp, M) <= tol, trace
+    """The `is_stable` verdict together with the stable operator's Kleene trace at M."""
+    trace = stable_operator(program, M, tol, max_iter)[1]
+    return _verdict(program, M, tol, max_iter, trace), trace
 
 
 def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> Optional[bool]:
     """True/False verdict, or None when the inner fixpoint fails to converge."""
-    return stable_check(program, M, tol, max_iter)[0]
+    return _verdict(program, M, tol, max_iter)
+
+
+def _verdict(program: Program, M: Mapping[str, float], tol: float, max_iter: int,
+             trace: Optional[FixpointTrace] = None) -> Optional[bool]:
+    # M is stable when it is the operator's fixpoint and satisfies the reduct's
+    # constraints (the reduct is built for them; ROADMAP item 1 step 2 drops it)
+    value, converged = _stable_value(program, M, tol, max_iter, trace)
+    if not all(satisfies(M, r, tol) for r in reduct(program, M, tol).constraints()):
+        return False
+    if not converged:
+        return None
+    return interp_distance(value, M) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +505,8 @@ def find_stable_models(program: Program, cfg: StableSearchConfig,
                 if fewest.get(key, outer_cap) <= steps:
                     break   # an earlier visit went on from here with as many steps left
                 fewest[key] = steps
-                N, trace = stable_operator(program, M, cfg.tol, cfg.max_iter)
-                if not trace.converged:
+                N, converged = _stable_value(program, M, cfg.tol, cfg.max_iter)
+                if not converged:
                     break
                 if max(map(abs, map(sub, M.values(), N.values())), default=0.0) <= cfg.tol:
                     if is_stable(program, N, cfg.tol, cfg.max_iter) is True:

@@ -2,22 +2,23 @@
 
 `stable_operator`, `least_model` and `immediate_consequence` run on an
 analysis made once per program and tolerance: the freeze sites are
-found once, every body is compiled into a closure, and each head gets a
-level, so that a Kleene step of the reduct's T after the first
-recomputes only the heads that can still move.  A verdict
-(`stable_check`) runs the stable operator as a search step does; a
-reduct is a plain program that carries no analysis, so T compiles it
-from its own rules.  The oracle is the path they replaced, kept here:
-take the reduct's rules (its trees are checked against a tree oracle in
+found once, every body is compiled into a closure, and the rules are
+ordered by their heads' levels in the reduct.  A reduct is a plain
+program that carries no analysis, so T compiles it from its own rules.
+The oracle is the path they replaced, kept here: take the reduct's
+rules (its trees are checked against a tree oracle in
 test_body_walks.py), then iterate T by walking the trees with
 `eval_body`; a verdict's oracle freezes P at M with that tree oracle
 and checks the frozen constraints at M.  Values, verdicts and
-`FixpointTrace`s must be equal (`==`), not merely close.
+`FixpointTrace`s must be equal (`==`), not merely close.  Search steps
+and verdicts take the operator's value from one pass in level order
+when the reduct is acyclic; it is held to Kleene's `stable_operator`.
 """
 
 import dataclasses
 import importlib.util
 import itertools
+import math
 import pickle
 import random
 import re
@@ -50,7 +51,15 @@ from emalp import (
 )
 import emalp.semantics as semantics
 from emalp.program import BUILTINS, RangeViolation, compile_body
-from emalp.semantics import StableSearchConfig, _analysis, find_stable_models, stable_check
+from emalp.semantics import (
+    StableSearchConfig,
+    _analysis,
+    _stable_value,
+    find_stable_models,
+    interp_distance,
+    is_stable,
+    stable_check,
+)
 
 from genprog import random_emalp
 from test_body_walks import WRAPS, flipped, freeze_oracle
@@ -221,9 +230,8 @@ POOL = ([parse_program(gen.grid_program(n, i)) for n in (5, 6) for i in range(6)
 @pytest.mark.parametrize("max_iter", [1, 2, 200])
 @pytest.mark.parametrize("tol", TOLS)
 def test_every_trace_matches_the_oracle_under_every_cap(tol, max_iter):
-    # a Kleene step of the reduct's T after the first recomputes only the
-    # heads of level >= k; every iterate, the stop and the cap must still
-    # be the full T's, in the program as written and in its reduct
+    # every iterate, the stop and the cap are the full T's, in the
+    # program as written and in its reduct
     rng = random.Random(10)
     programs = [MOTOR] + GENPROG[:60] + CYCLES[::3] + POOL
     programs += [flipped(p, wrap) for p in [MOTOR] + GENPROG[:20] + CYCLES[::9] for wrap in WRAPS]
@@ -240,19 +248,23 @@ def test_every_trace_matches_the_oracle_under_every_cap(tol, max_iter):
     assert unconverged > 0 if max_iter < 200 else unconverged == 0
 
 
+LEVELLED = ("a <-g 0.5 with 1;\nb <-g min(a, f) with 1;\nc <-g min(b, neg1(d)) with 1;\n"
+            "d <-l or_l({}, 0.25) with 1;\ne <-g d with 1;\nc <-g 0.25 with 1;\n"
+            "0.5 <-g neg1(e) with 1;")
+
+
 def test_levels_count_only_what_the_reduct_reads():
-    # d reads itself and e reads d: both on or below a cycle; c reads d
-    # only inside a freeze site, so its level comes from b alone; f heads
-    # no rule (level 0).  Step k recomputes the heads of level >= k.
-    program = parse_program("a <-g 0.5 with 1;\nb <-g min(a, f) with 1;\n"
-                            "c <-g min(b, neg1(d)) with 1;\nd <-l or_l(d, 0.25) with 1;\n"
-                            "e <-g d with 1;\nc <-g 0.25 with 1;\n0.5 <-g neg1(e) with 1;")
-    steps = _analysis(program, 1e-9).steps
-    assert [list(reset) for reset, _ in steps] == [["b", "c", "d", "e"], ["c", "d", "e"],
-                                                   ["d", "e"]]
-    assert [[r[0] for r in rules] for _, rules in steps] == [
-        ["b", "c", "d", "e", "c"], ["c", "d", "e", "c"], ["d", "e"]]
-    assert all(set(reset.values()) == {0.0} for reset, _ in steps)
+    # c reads d only inside a freeze site, so its level comes from b
+    # alone; f heads no rule (level 0); d reads a and e reads d.  The
+    # rules are sorted stably by level, and program order stays within one.
+    analysis = _analysis(parse_program(LEVELLED.format("a")), 1e-9)
+    assert analysis.top == 3
+    assert [r[0] for r in analysis.by_level] == ["a", "b", "d", "c", "e", "c"]
+    assert [r[3] for r in analysis.by_level if r[0] == "c"] == [
+        r[3] for r in analysis.rules if r[0] == "c"]
+    # once d reads itself, d and e (downstream) have level inf: no order
+    cyclic = _analysis(parse_program(LEVELLED.format("d")), 1e-9)
+    assert cyclic.top == math.inf and cyclic.by_level is None
 
 
 def test_a_search_step_builds_no_tree(monkeypatch):
@@ -270,9 +282,10 @@ def test_a_search_step_builds_no_tree(monkeypatch):
     monkeypatch.setattr(semantics, "reduct", boom)
     for program, M, want in cases:
         analysis = _analysis(program, 1e-9)
-        monkeypatch.setitem(program.__dict__["_derived"], ("analysis", 1e-9), dataclasses.replace(
+        monkeypatch.setitem(program.derived("analyses", dict), 1e-9, dataclasses.replace(
             analysis, builds=tuple(None if b is None else boom for b in analysis.builds)))
         assert stable_operator(program, M, 1e-9, MAX_ITER) == want
+        assert _stable_value(program, M, 1e-9, MAX_ITER) == (want[0], want[1].converged)
     # no start of the even cycle settles, so the search runs no verdict
     assert find_stable_models(cycle, cycle_cfg) == []
 
@@ -414,3 +427,83 @@ def test_verdict_matches_tree_oracle(model_m, model_n):
     # whose least model did not converge
     assert verdicts[True, True, True] > 0 and verdicts[None, False, False] > 0
     assert verdicts[False, True, True] > 0 and verdicts[False, False, False] > 0
+
+
+PASS_CAPS = (1, 2, 3, 200)
+
+
+def pass_cases(rng):
+    """(program, points): genprog with its wraps, and the benchmark's
+    iterate, equiv and grid programs, at every grid-0.5 point (four of
+    them past three atoms) and at two random points."""
+    programs = GENPROG[:16] + [flipped(p, wrap) for p in GENPROG[:6] for wrap in WRAPS]
+    programs += [MOTOR] + CYCLES[::9] + POOL[::3]
+    for program in programs:
+        atoms = program.atoms()
+        grid = [dict(zip(atoms, values))
+                for values in itertools.product(lattice_grid(0.5), repeat=len(atoms))]
+        if len(atoms) > 3:
+            grid = rng.sample(grid, 4)
+        yield program, grid + [{a: rng.random() for a in atoms} for _ in range(2)]
+
+
+def test_the_level_pass_gives_the_stable_operators_value():
+    # where Kleene stops at T(I) == I the pass's floats are the same; a
+    # stop within tol of the fixpoint is within tol of it; no cap changes
+    # the converged flag; and both verdicts read the same value
+    rng = random.Random(12)
+    taken = Counter()
+    for program, points in pass_cases(rng):
+        for tol, max_iter in itertools.product(TOLS, PASS_CAPS):
+            top = _analysis(program, tol).top
+            taken["pass" if max_iter > top else "cycle" if top == math.inf else "cap"] += 1
+            for M in points:
+                value, converged = _stable_value(program, M, tol, max_iter)
+                want, trace = stable_operator(program, M, tol, max_iter)
+                assert converged == trace.converged
+                exact = trace.iterations == 0 or trace.iterates[-2] == want
+                if exact or not converged:
+                    assert value == want
+                else:
+                    assert interp_distance(value, want) <= tol
+                    taken["tol stop"] += 1
+                assert is_stable(program, M, tol, max_iter) == stable_check(
+                    program, M, tol, max_iter)[0]
+    # guards against a vacuous pass: the pass runs, and so does the Kleene
+    # fallback, on a cyclic reduct and under a cap at or below top; Kleene
+    # stops within tol short of the fixpoint (at tol 0.3 only)
+    assert taken["pass"] > 0 and taken["cycle"] > 0 and taken["cap"] > 0
+    assert taken["tol stop"] > 0
+
+
+TOL_STOP = "a <-g 0.1 with 1;\nb <-g 0.2 with 1;\na <-p b with 0.6;"
+
+
+def test_a_kleene_stop_within_tol_is_within_tol_of_the_pass():
+    # at tol 0.3 Kleene stops after step 1, at a = 0.1: X = (0.4, 0.5) is a
+    # pre-fixpoint.  The pass gives the fixpoint a = max(0.1, 0.6 * 0.2).
+    program = parse_program(TOL_STOP)
+    M = {"a": 0.41, "b": 0.2}
+    kleene, trace = stable_operator(program, M, 0.3)
+    assert kleene == {"a": 0.1, "b": 0.2} and trace.iterations == 1 and trace.converged
+    assert _stable_value(program, M, 0.3, 10) == ({"a": 0.6 * 0.2, "b": 0.2}, True)
+    # M is within 0.3 of the pass's value, not of Kleene's iterate; both
+    # verdicts read the pass
+    assert is_stable(program, M, 0.3) is True
+    assert stable_check(program, M, 0.3) == (True, trace)
+    assert _stable_value(program, M, 1e-9, 10) == (stable_operator(program, M, 1e-9)[0], True)
+
+
+def test_an_unvalidated_body_out_of_range_at_bottom_only():
+    # Kleene's step 1 evaluates sub(q, 0.5) at q = 0, which is out of
+    # range; the pass evaluates it once, after q = 1.  So the verdict is
+    # given, while stable_check, which shows Kleene's trace, raises; under
+    # a cap at top the verdict falls back to Kleene and raises too
+    program = parse_program("p <-g sub(q, 0.5) with 1;\nq <-g 1 with 1;", validate=False)
+    M = {"p": 0.5, "q": 1.0}
+    assert is_stable(program, M, 1e-9, 10) is True
+    message = re.escape("body value -0.5 outside [0, 1]: sub(q, 0.5)")
+    with pytest.raises(RangeViolation, match=message):
+        stable_check(program, M, 1e-9, 10)
+    with pytest.raises(RangeViolation, match=message):
+        is_stable(program, M, 1e-9, 2)

@@ -24,7 +24,6 @@ from emalp import (
     interp_distance,
     is_stable,
     parse_program,
-    stable_operator,
     top_interpretation,
 )
 from emalp.semantics import _dedup, _sort_models
@@ -45,8 +44,8 @@ def full_cap_search(program, cfg):
     found = []
     for M in starts:
         for _ in range(min(cfg.max_iter, 100)):
-            N, trace = semantics.stable_operator(program, M, cfg.tol, cfg.max_iter)
-            if not trace.converged:
+            N, converged = semantics._stable_value(program, M, cfg.tol, cfg.max_iter)
+            if not converged:
                 break
             if interp_distance(M, N) <= cfg.tol:
                 if is_stable(program, N, cfg.tol, cfg.max_iter) is True:
@@ -58,22 +57,23 @@ def full_cap_search(program, cfg):
 
 @pytest.fixture
 def operator_calls(monkeypatch):
-    """Count stable-operator calls, one entry per start.
+    """Count the search steps' stable-operator values, one entry per start.
 
     A call whose argument is not the result of the previous call begins
-    a new start.
+    a new start.  A verdict takes its value from the same function.
     """
     per_start = []
     last = [None]
+    original = semantics._stable_value
 
     def counting(program, M, *args):
         if M is not last[0]:
             per_start.append(0)
         per_start[-1] += 1
-        last[0], trace = stable_operator(program, M, *args)
-        return last[0], trace
+        last[0], converged = original(program, M, *args)
+        return last[0], converged
 
-    monkeypatch.setattr(semantics, "stable_operator", counting)
+    monkeypatch.setattr(semantics, "_stable_value", counting)
     return per_start
 
 
@@ -133,15 +133,16 @@ def test_random_starts_are_drawn_one_at_a_time(monkeypatch, motor):
             return super().random()
 
     draws_at_step = []
+    original = semantics._stable_value
 
     def counting(program, M, *args):
         draws_at_step.append(draws[0])
-        return stable_operator(program, M, *args)
+        return original(program, M, *args)
 
     cfg = StableSearchConfig(mode="iterate", seeds=64, rng_seed=5)
     want = full_cap_search(motor, cfg)
     monkeypatch.setattr(semantics, "random", SimpleNamespace(Random=CountingRandom))
-    monkeypatch.setattr(semantics, "stable_operator", counting)
+    monkeypatch.setattr(semantics, "_stable_value", counting)
     assert find_stable_models(motor, cfg) == want
     n = len(motor.atoms())
     assert draws_at_step[0] == 0                        # bottom and top draw nothing

@@ -67,19 +67,17 @@ def traced_main(args):
 
 
 def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
-    # The tracer counts a function by rebinding module globals.  Were the
-    # search to reach the stable operator, the reduct or the fixpoint
-    # through a captured reference or a private twin, `--trace 1` would
-    # silently stop counting it.  On the even cycle bottom steps to top
+    # The tracer counts a function by rebinding module globals.  A search
+    # step on an acyclic reduct is one private pass in level order, which
+    # the tracer cannot see: until ROADMAP item 1's stats exist, only the
+    # conjunctor calls count it.  On the even cycle bottom steps to top
     # and back, and stops there; top, visited again with more steps left,
     # steps once to bottom, which bottom already went on from; each
-    # random start steps twice and returns to itself: 7 calls, each one
-    # least model.  The two at p = q = 1 stop after one Kleene step (T
-    # is bottom there), the other five after two: 12 steps.  In the
-    # reduct p and q read only frozen values, so both have level 1: step
-    # 1 is one T call (two conjunctor calls) and step 2 recomputes
-    # nothing.  A search step builds no reduct, and no start settles, so
-    # no verdict builds one either.
+    # random start steps twice and returns to itself: 7 steps.  In the
+    # reduct p and q read only frozen values, so both have level 1, and
+    # each step is two conjunctor calls, with no Kleene iteration.  A
+    # search step builds no reduct, and no start settles, so no verdict
+    # builds one either.
     path = tmp_path / "cycle.malp"
     path.write_text("p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n")
     rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4"])
@@ -88,10 +86,10 @@ def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
     calls = {layer: tracer.layer(layer)[0] for layer in (
         "semantics.find_stable_models", "semantics.stable_operator", "semantics.reduct",
         "semantics.least_model", "semantics.immediate_consequence", "lattice.eval_conjunctor")}
-    assert calls == {"semantics.find_stable_models": 1, "semantics.stable_operator": 7,
-                     "semantics.reduct": 0, "semantics.least_model": 7,
-                     "semantics.immediate_consequence": 7, "lattice.eval_conjunctor": 14}
-    assert tracer.counts["lm_iterations"] == 12 and tracer.counts["lm_unconverged"] == 0
+    assert calls == {"semantics.find_stable_models": 1, "semantics.stable_operator": 0,
+                     "semantics.reduct": 0, "semantics.least_model": 0,
+                     "semantics.immediate_consequence": 0, "lattice.eval_conjunctor": 14}
+    assert tracer.counts["lm_iterations"] == 0 and tracer.counts["lm_unconverged"] == 0
 
 
 def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
@@ -99,28 +97,39 @@ def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
     # (two steps and a verdict); top, which bottom reached with fewer
     # steps left, settles in one step and gets a verdict too; each random
     # start steps once to a = b = 1, from which top went on with more
-    # steps left, and stops.  A verdict runs the stable operator once more
-    # and builds one reduct for its constraints; the search steps build
-    # none.
+    # steps left, and stops.  A verdict takes its value from the level
+    # pass too, and builds one reduct for its constraints; the search
+    # steps build none.  Only a verdict that shows its trace, as
+    # `stable verify` does, runs the stable operator's Kleene iteration.
     path = tmp_path / "chain.malp"
     path.write_text("a <-g 1 with 1;\nb <-g a with 1;\n")
     rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4"])
     assert rc == 0
     assert '"count": 1' in capsys.readouterr().out
-    calls = {layer: tracer.layer(layer)[0] for layer in (
-        "semantics.stable_operator", "semantics.reduct", "semantics.is_stable",
-        "semantics.least_model")}
-    assert calls == {"semantics.stable_operator": 7, "semantics.reduct": 2,
-                     "semantics.is_stable": 2, "semantics.least_model": 7}
+    layers = ("semantics.stable_operator", "semantics.reduct", "semantics.is_stable",
+              "semantics.least_model")
+    calls = {layer: tracer.layer(layer)[0] for layer in layers}
+    assert calls == {"semantics.stable_operator": 0, "semantics.reduct": 2,
+                     "semantics.is_stable": 2, "semantics.least_model": 0}
+    model = tmp_path / "model.json"
+    model.write_text('{"a": 1, "b": 1}')
+    rc, tracer = traced_main(["stable", "verify", str(path), "-i", str(model)])
+    assert rc == 0
+    calls = {layer: tracer.layer(layer)[0] for layer in layers}
+    assert calls == {"semantics.stable_operator": 1, "semantics.reduct": 1,
+                     "semantics.is_stable": 0, "semantics.least_model": 1}
+    assert tracer.counts["lm_iterations"] == 3
 
 
 def test_tracer_counts_an_unconverged_stable_operator(tmp_path, capsys):
-    # b needs two Kleene steps, so with --max-iter 1 every start's first
-    # operator call is unconverged and ends that start
+    # b needs two Kleene steps (its level, top, is 2), so with --max-iter 1
+    # a search step falls back to Kleene's least model, every start's
+    # first one is unconverged, and it ends that start
     path = tmp_path / "chain.malp"
     path.write_text("a <-g 1 with 1;\nb <-g a with 1;\n")
     rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4", "--max-iter", "1"])
     assert rc == 0
     assert '"count": 0' in capsys.readouterr().out
-    assert tracer.layer("semantics.stable_operator")[0] == 4
+    assert tracer.layer("semantics.least_model")[0] == 4
+    assert tracer.layer("semantics.stable_operator")[0] == 0
     assert tracer.counts["lm_unconverged"] == 4 and tracer.counts["lm_iterations"] == 4
