@@ -16,14 +16,15 @@ consequence operator from the bottom interpretation, with a tolerance
 and an iteration cap; non-convergence is a flagged result, never an
 exception.  The operators run on an analysis made once per program and
 tolerance: bodies compiled to closures, the freeze sites of the reduct,
-and the rules in the order of their heads' levels in it.  The stable
-operator evaluates the sites at M and runs the program's own closures
-on those values, so it builds no reduct; search steps and verdicts take
-its value from one pass in level order when the reduct is acyclic, as
-for a stratified program.  `reduct` builds the trees as a plain program
-that carries no analysis.  Constraints never feed the operator (they
-have no head atom to update); they act as satisfaction filters on
-stable-model checks, which read them from the reduct.
+and the rules split by their heads' levels in it.  The stable operator
+evaluates the sites at M and runs the program's own closures on those
+values, so it builds no reduct.  For search steps and verdicts its
+value comes from one pass over the heads of finite level, in level
+order as for a stratified program, then Kleene iteration of the rules
+on or downstream of a cycle alone.  `reduct` builds the trees as a
+plain program that carries no analysis.  Constraints never feed the
+operator (they have no head atom to update); they act as satisfaction
+filters on stable-model checks, which read them from the reduct.
 """
 
 from __future__ import annotations
@@ -124,14 +125,16 @@ class _Analysis:
     written, read with the values of the freeze `sites` at M it is the
     reduct's, and `builds` (one per rule, None for a rule without a
     site) turns those values into the reduct's bodies.  `by_level` holds
-    them stably sorted by head level (`_levels`), and `top` is the
-    highest level; if that is inf, `by_level` is None.
+    the rules whose heads have a finite level (`_levels`), stably sorted
+    by it, and `top` is the highest finite level (0 if none); `cyclic`
+    holds the rest, those on or downstream of a cycle, in program order.
     """
     rules: Rules
     sites: tuple[Compiled, ...]
     builds: tuple[Optional[Builder], ...]
-    by_level: Optional[Rules]
-    top: float
+    by_level: Rules
+    cyclic: Rules
+    top: int
 
 
 def _analysis(program: Program, tol: float) -> _Analysis:
@@ -148,24 +151,32 @@ def _analysis(program: Program, tol: float) -> _Analysis:
         if not r.is_constraint:
             rules.append((r.head.name, r.impl, r.weight, body))
     level = _levels(reads)
-    top = max(level.values(), default=0)
-    by_level = tuple(sorted(rules, key=lambda r: level[r[0]])) if top < math.inf else None
-    analyses[tol] = _Analysis(tuple(rules), tuple(sites), tuple(builds), by_level, top)
+    top = max((n for n in level.values() if n < math.inf), default=0)
+    by_level = tuple(sorted((r for r in rules if level[r[0]] <= top), key=lambda r: level[r[0]]))
+    cyclic = tuple(r for r in rules if level[r[0]] > top)
+    analyses[tol] = _Analysis(tuple(rules), tuple(sites), tuple(builds), by_level, cyclic, top)
     return analyses[tol]
 
 
 def _levels(reads: dict[str, set]) -> dict[str, float]:
     """Each head's level: 1 + the highest level its bodies read (0 for an atom
     that heads no rule), inf on or downstream of a cycle.  From bottom, a
-    head of level n is final from Kleene step n on."""
-    level: dict[str, float] = {}
-    while True:
-        ready = {h: 1 + max((level.get(a, 0) for a in atoms), default=0)
-                 for h, atoms in reads.items()
-                 if h not in level and all(a in level or a not in reads for a in atoms)}
-        if not ready:
-            return {h: level.get(h, math.inf) for h in reads}
-        level.update(ready)
+    head of level n is final from Kleene step n on.  In Kahn's order: a
+    head is levelled once every head it reads is, so each read counts once."""
+    waits = {h: atoms & reads.keys() for h, atoms in reads.items()}   # heads read, not levelled
+    readers: dict[str, list] = {h: [] for h in reads}
+    for h, atoms in waits.items():
+        for a in atoms:
+            readers[a].append(h)
+    level = dict.fromkeys(reads, 1)
+    ready = [h for h, atoms in waits.items() if not atoms]
+    for h in ready:   # grows as heads get levelled
+        for r in readers[h]:
+            level[r] = max(level[r], level[h] + 1)
+            waits[r].discard(h)
+            if not waits[r]:
+                ready.append(r)
+    return {h: math.inf if waits[h] else n for h, n in level.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +205,12 @@ def immediate_consequence(program: Program, I: Mapping[str, float],
     Atoms with no rule map to bottom (the sup over an empty set).  Given
     the freeze sites' values at M as `frozen`, it is the T of reduct(P, M).
     """
-    out = dict.fromkeys(I, 0.0)
-    for head, impl, weight, body in _analysis(program, tol).rules:
+    return _raise_heads(_analysis(program, tol).rules, I, frozen, dict.fromkeys(I, 0.0))
+
+
+def _raise_heads(rules: Rules, I, frozen, out: Interpretation) -> Interpretation:
+    """Raise out[head] to each rule's weight &_i body(I), in order; I may be out."""
+    for head, impl, weight, body in rules:
         v = eval_conjunctor(impl, weight, body(I, frozen))
         if head not in out or v > out[head]:
             out[head] = v
@@ -205,36 +220,33 @@ def immediate_consequence(program: Program, I: Mapping[str, float],
 def least_model(program: Program, tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER,
                 frozen: Optional[tuple[float, ...]] = None) -> tuple[Interpretation, FixpointTrace]:
-    """Kleene iteration of T from the bottom interpretation.
-
-    Stops at an iterate I with T(I) == I, or with |T(I) - I| < tol and
-    T(X) <= X for X = T(I) raised by tol at each atom where it differs
-    from I: for a monotone T the least fixpoint then lies between T(I),
-    which is returned, and X.  At the cap the trace is flagged
-    unconverged.  The result is the least model when the program is
-    positive.  `frozen` goes to every T step.
-    """
-    names = program.atoms()
-    I = bottom_interpretation(names)
-    if not names:
-        return I, FixpointTrace((dict(I),), True, 0)
-    iterates = [dict(I)]
-    converged = False
-    for _ in range(max_iter):
-        J = immediate_consequence(program, I, tol, frozen)
-        iterates.append(J)    # a new dict, never mutated, in program.atoms() order as I is
-        if J == I or (max(map(abs, map(sub, I.values(), J.values()))) < tol
-                      and _bounds_above(program, I, J, tol, frozen)):
-            converged = True
-            break
-        I = J
+    """Kleene iteration of T from the bottom interpretation, stopped by
+    `_kleene`, else flagged unconverged at the cap: the least model when the
+    program is positive.  `frozen` goes to every T step."""
+    iterates = [bottom_interpretation(program.atoms())]
+    converged = not iterates[0] or _kleene(
+        lambda I: immediate_consequence(program, I, tol, frozen), iterates, tol, max_iter)
     return iterates[-1], FixpointTrace(tuple(iterates), converged, len(iterates) - 1)
 
 
-def _bounds_above(program: Program, I, J, tol: float, frozen) -> bool:
-    """Whether X, J = T(I) raised by tol (capped at 1) where J != I, has T(X) <= X."""
-    X = {a: v if v == I[a] else min(1.0, v + tol) for a, v in J.items()}
-    return all(v <= X[a] for a, v in immediate_consequence(program, X, tol, frozen).items())
+def _kleene(T, iterates: list[Interpretation], tol: float, max_iter: int) -> bool:
+    """Append up to max_iter iterates of T to `iterates`, from its last; whether
+    it stopped first.  It stops at an iterate I with T(I) == I, or with
+    |T(I) - I| < tol and T(X) <= X for X = T(I) raised by tol where it differs
+    from I: for a monotone T iterated from below its least fixpoint, that
+    fixpoint then lies between T(I), which is appended, and X."""
+    I = iterates[-1]
+    for _ in range(max_iter):
+        J = T(I)
+        iterates.append(J)    # a new dict, never mutated, in the order of I
+        if J == I:
+            return True
+        if max(map(abs, map(sub, I.values(), J.values()))) < tol:
+            X = {a: v if v == I[a] else min(1.0, v + tol) for a, v in J.items()}
+            if all(v <= X[a] for a, v in T(X).items()):
+                return True
+        I = J
+    return False
 
 
 def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
@@ -250,34 +262,33 @@ def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAU
     return least_model(program, tol, max_iter, frozen=frozen)
 
 
-def _stable_value(program: Program, M: Mapping[str, float], tol: float, max_iter: int,
-                  trace: Optional[FixpointTrace] = None) -> tuple[Interpretation, bool]:
+def _stable_value(program: Program, M: Mapping[str, float], tol: float,
+                  max_iter: int) -> tuple[Interpretation, bool]:
     """The stable operator's value at M and whether it converged.
 
-    If max_iter > top, one pass over the rules in level order gives the
-    value Kleene iteration settles at by step top + 1, from the same
-    calls on the same values (a stop within tol may return an iterate
-    within tol of it); else `least_model`'s, read from `trace` if given.
+    A pass over `by_level` sets the heads of finite level to their final
+    values, from the calls Kleene's step `top` makes, and counts as `top`
+    steps.  Kleene iteration of the `cyclic` rules alone, which is T's from
+    there, runs for the other max_iter - top.  The value is Kleene's from
+    bottom where both stop at T(I) == I, and within tol where one stops within tol.
     """
-    names = require_total(M, program)
+    J = dict.fromkeys(require_total(M, program), 0.0)
     analysis = _analysis(program, tol)
-    frozen = tuple(site(M, None) for site in analysis.sites)
     if max_iter <= analysis.top:
-        trace = trace or least_model(program, tol, max_iter, frozen=frozen)[1]
-        return trace.iterates[-1], trace.converged
-    J = dict.fromkeys(names, 0.0)
-    for head, impl, weight, body in analysis.by_level:
-        v = eval_conjunctor(impl, weight, body(J, frozen))
-        if v > J[head]:
-            J[head] = v
-    return J, True
+        return J, False
+    frozen = tuple(site(M, None) for site in analysis.sites)
+    iterates = [_raise_heads(analysis.by_level, J, frozen, J)]
+    bottom = dict.fromkeys([r[0] for r in analysis.cyclic], 0.0)
+    converged = not bottom or _kleene(lambda I: _raise_heads(
+        analysis.cyclic, I, frozen, {**I, **bottom}), iterates, tol, max_iter - analysis.top)
+    return iterates[-1], converged
 
 
 def stable_check(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> tuple[Optional[bool], FixpointTrace]:
     """The `is_stable` verdict together with the stable operator's Kleene trace at M."""
     trace = stable_operator(program, M, tol, max_iter)[1]
-    return _verdict(program, M, tol, max_iter, trace), trace
+    return _verdict(program, M, tol, max_iter), trace
 
 
 def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
@@ -286,11 +297,10 @@ def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL
     return _verdict(program, M, tol, max_iter)
 
 
-def _verdict(program: Program, M: Mapping[str, float], tol: float, max_iter: int,
-             trace: Optional[FixpointTrace] = None) -> Optional[bool]:
+def _verdict(program: Program, M: Mapping[str, float], tol: float, max_iter: int) -> Optional[bool]:
     # M is stable when it is the operator's fixpoint and satisfies the reduct's
     # constraints (the reduct is built for them; ROADMAP item 1 step 2 drops it)
-    value, converged = _stable_value(program, M, tol, max_iter, trace)
+    value, converged = _stable_value(program, M, tol, max_iter)
     if not all(satisfies(M, r, tol) for r in reduct(program, M, tol).constraints()):
         return False
     if not converged:

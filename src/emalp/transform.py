@@ -41,6 +41,7 @@ from .program import (
     Polarity,
     Program,
     Rule,
+    body_interval,
     body_ops,
     op_spec,
     rewrite,
@@ -282,26 +283,37 @@ class ContinuityReport:
 
 
 def check_continuity(program: Program) -> ContinuityReport:
-    """Report whether every operator used by the program is continuous.
+    """Report whether every operator used by the program is continuous, and
+    whether a theorem backs the existence of a stable model.
 
-    Rule conjunctors are always continuous; body operators carry a flag,
-    with the threshold maps the only discontinuous builtins.  For a
-    finite program built from continuous operators the report notes that
-    at least one stable model is guaranteed to exist.
+    Body operators carry a flag, and a `div1` whose argument intervals both
+    reach 0 is a site too: div1(0, y) is 0 for y > 0 and 1 at y = 0.  With no
+    constraints, every order reversal directly under a negation (a positive
+    program or a MANLP) and continuous operators, a stable model exists
+    (Cornejo, Lobo and Medina, Fuzzy Sets and Systems 2018, via Brouwer's
+    theorem); else the note names the first of these that fails.
     """
     sites = []
     for idx, r in enumerate(program.rules):
         for node in body_ops(r.body):
-            if not op_spec(node.op).continuous:
+            if node.op == "div1" and all(body_interval(a)[0] <= 0.0 for a in node.args):
+                sites.append((idx, node.op, 0.0))
+            elif not op_spec(node.op).continuous:
                 c = node.args[0].value if isinstance(node.args[0], Const) else float("nan")
                 sites.append((idx, node.op, c))
-    continuous = not sites
-    if continuous:
-        notes = ("all operators continuous on a finite program: "
-                 "a stable model is guaranteed to exist")
+    constraints = [str(i) for i, r in enumerate(program.rules) if r.is_constraint]
+    reversals = [i for i, occs in enumerate(program.rule_occurrences())
+                 if any(o.sign < 0 and not o.direct_negation for o in occs)]
+    if constraints:
+        fails = "constraint rules " + ", ".join(constraints)
+    elif reversals:
+        fails = f"an order reversal outside a negation in rule {reversals[0]}"
+    elif sites:
+        fails = "discontinuous " + ", ".join(f"{op} in rule {i}" for i, op, _ in sites)
     else:
-        notes = "discontinuous threshold operators present: no existence guarantee"
-    return ContinuityReport(continuous, tuple(sites), notes)
+        return ContinuityReport(True, (), "no constraints, every order reversal under a negation, "
+                                "all operators continuous: a stable model is guaranteed to exist")
+    return ContinuityReport(not sites, tuple(sites), f"{fails}: no existence guarantee")
 
 
 @dataclass(frozen=True)

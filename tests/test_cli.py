@@ -28,6 +28,7 @@ def test_check_reports_class_and_continuity(capsys, motor_file):
     assert data["valid"] is True
     assert data["class"] == "EMALP"
     assert data["continuity"]["continuous"] is True
+    assert data["continuity"]["notes"] == "constraint rules 2: no existence guarantee"
     assert data["polarity"][0] == {"q": "positive", "s": "negative", "t": "negative"}
 
 

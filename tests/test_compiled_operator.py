@@ -12,7 +12,8 @@ test_body_walks.py), then iterate T by walking the trees with
 and checks the frozen constraints at M.  Values, verdicts and
 `FixpointTrace`s must be equal (`==`), not merely close.  Search steps
 and verdicts take the operator's value from one pass in level order
-when the reduct is acyclic; it is held to Kleene's `stable_operator`.
+followed by Kleene iteration of the cyclic rules alone; that routine is
+held to Kleene's `stable_operator` from bottom.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import math
 import pickle
 import random
 import re
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -258,13 +260,29 @@ def test_levels_count_only_what_the_reduct_reads():
     # alone; f heads no rule (level 0); d reads a and e reads d.  The
     # rules are sorted stably by level, and program order stays within one.
     analysis = _analysis(parse_program(LEVELLED.format("a")), 1e-9)
-    assert analysis.top == 3
+    assert analysis.top == 3 and analysis.cyclic == ()
     assert [r[0] for r in analysis.by_level] == ["a", "b", "d", "c", "e", "c"]
     assert [r[3] for r in analysis.by_level if r[0] == "c"] == [
         r[3] for r in analysis.rules if r[0] == "c"]
-    # once d reads itself, d and e (downstream) have level inf: no order
+    # once d reads itself, d and e (downstream) have no level: they are
+    # cyclic, in program order, and top is c's level
     cyclic = _analysis(parse_program(LEVELLED.format("d")), 1e-9)
-    assert cyclic.top == math.inf and cyclic.by_level is None
+    assert cyclic.top == 3
+    assert [r[0] for r in cyclic.by_level] == ["a", "b", "c", "c"]
+    assert [r[0] for r in cyclic.cyclic] == ["d", "e"]
+
+
+def test_levels_take_linear_time_on_a_long_chain():
+    # x_i reads x_(i-1); y and z read each other at the chain's end
+    chain = ["x0 <-g 0.5 with 1;"] + [f"x{i} <-g x{i - 1} with 1;" for i in range(1, 3000)]
+    program = parse_program("\n".join(chain + ["y <-g min(x2999, z) with 1;", "z <-g y with 1;"]))
+    M = dict.fromkeys(program.atoms(), 0.5)
+    start = time.perf_counter()
+    analysis = _analysis(program, 1e-9)
+    assert is_stable(program, M, 1e-9) is False   # the least model has y = z = 0
+    assert time.perf_counter() - start < 1.0
+    assert len(analysis.by_level) == 3000 and analysis.top == 3000
+    assert [r[0] for r in analysis.cyclic] == ["y", "z"]
 
 
 def test_a_search_step_builds_no_tree(monkeypatch):
@@ -414,19 +432,28 @@ def test_verdict_matches_tree_oracle(model_m, model_n):
         for variant in [program] + [flipped(program, wrap) for wrap in WRAPS]:
             cases.append((variant, verdict_points(variant, rng)))
     verdicts = Counter()
-    for tol, max_iter in itertools.product(TOLS, (2, 200)):
+    for tol in TOLS:
         for program, points in cases:
             for M in points:
-                verdict, trace = stable_check(program, M, tol, max_iter)
-                assert (verdict, trace) == oracle_stable_check(program, M, tol, max_iter)
-                lfp = trace.iterates[-1]
-                settled = trace.converged and all(abs(v - M[a]) <= tol for a, v in lfp.items())
-                verdicts[verdict, trace.converged, settled] += 1
+                verdict, trace = stable_check(program, M, tol, 200)
+                assert (verdict, trace) == oracle_stable_check(program, M, tol, 200)
+                # under a cap of 2 the trace is Kleene's, and a decided
+                # verdict is the uncapped one
+                capped, capped_trace = stable_check(program, M, tol, 2)
+                want, want_trace = oracle_stable_check(program, M, tol, 2)
+                assert capped_trace == want_trace and capped in (None, verdict)
+                for v, t in ((verdict, trace), (capped, capped_trace)):
+                    lfp = t.iterates[-1]
+                    settled = t.converged and all(abs(x - M[a]) <= tol for a, x in lfp.items())
+                    verdicts[v, t.converged, settled] += 1
+                verdicts["capped", capped is None, verdict is None] += 1
     # guards against a vacuous pass: stable points, undecided points, and
     # constraints that reject a point whose least model is M and a point
-    # whose least model did not converge
+    # whose least model did not converge; a cap that decides a verdict
+    # the pass and Kleene reach, and one that leaves a decided verdict open
     assert verdicts[True, True, True] > 0 and verdicts[None, False, False] > 0
     assert verdicts[False, True, True] > 0 and verdicts[False, False, False] > 0
+    assert verdicts["capped", False, False] > 0 and verdicts["capped", True, False] > 0
 
 
 PASS_CAPS = (1, 2, 3, 200)
@@ -447,33 +474,71 @@ def pass_cases(rng):
         yield program, grid + [{a: rng.random() for a in atoms} for _ in range(2)]
 
 
+def reduct_kind(analysis):
+    return "all cyclic" if not analysis.by_level else "mixed" if analysis.cyclic else "acyclic"
+
+
 def test_the_level_pass_gives_the_stable_operators_value():
-    # where Kleene stops at T(I) == I the pass's floats are the same; a
-    # stop within tol of the fixpoint is within tol of it; no cap changes
-    # the converged flag; and both verdicts read the same value
+    # the routine (a pass in level order, then Kleene on the cyclic rules)
+    # against Kleene's stable_operator from bottom.  Uncapped: the same
+    # converged flag, and the same floats where Kleene stops at T(I) == I,
+    # within tol of them where it stops within tol.  Under every cap: both
+    # verdicts read the routine, and a run that converges under a cap is
+    # a prefix of the uncapped one, so its value and verdict are the same.
     rng = random.Random(12)
     taken = Counter()
     for program, points in pass_cases(rng):
-        for tol, max_iter in itertools.product(TOLS, PASS_CAPS):
-            top = _analysis(program, tol).top
-            taken["pass" if max_iter > top else "cycle" if top == math.inf else "cap"] += 1
+        for tol in TOLS:
+            analysis = _analysis(program, tol)
+            taken[reduct_kind(analysis)] += 1
             for M in points:
-                value, converged = _stable_value(program, M, tol, max_iter)
-                want, trace = stable_operator(program, M, tol, max_iter)
+                full, converged = _stable_value(program, M, tol, MAX_ITER)
+                want, trace = stable_operator(program, M, tol, MAX_ITER)
                 assert converged == trace.converged
-                exact = trace.iterations == 0 or trace.iterates[-2] == want
-                if exact or not converged:
-                    assert value == want
-                else:
-                    assert interp_distance(value, want) <= tol
+                if trace.iterations == 0 or trace.iterates[-2] == want:
+                    assert full == want
+                elif converged:
+                    assert interp_distance(full, want) <= tol
                     taken["tol stop"] += 1
-                assert is_stable(program, M, tol, max_iter) == stable_check(
-                    program, M, tol, max_iter)[0]
-    # guards against a vacuous pass: the pass runs, and so does the Kleene
-    # fallback, on a cyclic reduct and under a cap at or below top; Kleene
-    # stops within tol short of the fixpoint (at tol 0.3 only)
-    assert taken["pass"] > 0 and taken["cycle"] > 0 and taken["cap"] > 0
-    assert taken["tol stop"] > 0
+                verdict = is_stable(program, M, tol, MAX_ITER)
+                for max_iter in PASS_CAPS:
+                    taken["cap at or below top"] += max_iter <= analysis.top
+                    value, capped = _stable_value(program, M, tol, max_iter)
+                    assert not capped or (value, converged) == (full, True)
+                    got = is_stable(program, M, tol, max_iter)
+                    assert got == stable_check(program, M, tol, max_iter)[0]
+                    assert got in (None, verdict)
+    # guards against a vacuous pass: acyclic, mixed and all-cyclic
+    # reducts, a cap the pass alone uses up, and a Kleene stop within tol
+    # short of the fixpoint (at tol 0.3 only)
+    assert all(taken[kind] > 0 for kind in ("acyclic", "mixed", "all cyclic"))
+    assert taken["cap at or below top"] > 0 and taken["tol stop"] > 0
+
+
+MIXED = "a <-g 0.5 with 1;\nb <-g a with 1;\nc <-g max(c, b) with 1;\nd <-g c with 1;"
+
+
+def test_a_mixed_reduct_iterates_only_its_cyclic_rules(monkeypatch):
+    # a and b have levels 1 and 2; c reads itself and d reads c.  The pass
+    # settles a and b in two calls, and Kleene on c and d from there takes
+    # three steps of two calls; Kleene over all four rules from bottom
+    # takes five steps of four.  Both converge from a cap of 5 on.
+    program = parse_program(MIXED)
+    M = dict.fromkeys("abcd", 0.5)
+    analysis = _analysis(program, 1e-9)
+    assert reduct_kind(analysis) == "mixed" and analysis.top == 2
+    for max_iter in range(1, 7):
+        converged = _stable_value(program, M, 1e-9, max_iter)[1]
+        assert converged == stable_operator(program, M, 1e-9, max_iter)[1].converged
+        assert converged == (max_iter >= 5)
+    calls = Counter()
+
+    def counting(*args):
+        calls["eval_conjunctor"] += 1
+        return eval_conjunctor(*args)
+    monkeypatch.setattr(semantics, "eval_conjunctor", counting)
+    assert is_stable(program, M, 1e-9) is True
+    assert calls["eval_conjunctor"] == 8
 
 
 TOL_STOP = "a <-g 0.1 with 1;\nb <-g 0.2 with 1;\na <-p b with 0.6;"
@@ -497,13 +562,12 @@ def test_a_kleene_stop_within_tol_is_within_tol_of_the_pass():
 def test_an_unvalidated_body_out_of_range_at_bottom_only():
     # Kleene's step 1 evaluates sub(q, 0.5) at q = 0, which is out of
     # range; the pass evaluates it once, after q = 1.  So the verdict is
-    # given, while stable_check, which shows Kleene's trace, raises; under
-    # a cap at top the verdict falls back to Kleene and raises too
+    # given, while stable_check, which shows Kleene's trace, raises; a cap
+    # at top leaves the verdict undecided, with no body evaluated
     program = parse_program("p <-g sub(q, 0.5) with 1;\nq <-g 1 with 1;", validate=False)
     M = {"p": 0.5, "q": 1.0}
     assert is_stable(program, M, 1e-9, 10) is True
     message = re.escape("body value -0.5 outside [0, 1]: sub(q, 0.5)")
     with pytest.raises(RangeViolation, match=message):
         stable_check(program, M, 1e-9, 10)
-    with pytest.raises(RangeViolation, match=message):
-        is_stable(program, M, 1e-9, 2)
+    assert is_stable(program, M, 1e-9, 2) is None

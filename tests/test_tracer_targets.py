@@ -75,7 +75,7 @@ def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
     # steps once to bottom, which bottom already went on from; each
     # random start steps twice and returns to itself: 7 steps.  In the
     # reduct p and q read only frozen values, so both have level 1, and
-    # each step is two conjunctor calls, with no Kleene iteration.  A
+    # each step is two conjunctor calls, with no cyclic rule to iterate.  A
     # search step builds no reduct, and no start settles, so no verdict
     # builds one either.
     path = tmp_path / "cycle.malp"
@@ -123,13 +123,13 @@ def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
 
 def test_tracer_counts_an_unconverged_stable_operator(tmp_path, capsys):
     # b needs two Kleene steps (its level, top, is 2), so with --max-iter 1
-    # a search step falls back to Kleene's least model, every start's
-    # first one is unconverged, and it ends that start
+    # the level pass alone uses up the cap: every start's first step is
+    # unconverged and ends that start, and no least model runs
     path = tmp_path / "chain.malp"
     path.write_text("a <-g 1 with 1;\nb <-g a with 1;\n")
     rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4", "--max-iter", "1"])
     assert rc == 0
     assert '"count": 0' in capsys.readouterr().out
-    assert tracer.layer("semantics.least_model")[0] == 4
+    assert tracer.layer("semantics.least_model")[0] == 0
     assert tracer.layer("semantics.stable_operator")[0] == 0
-    assert tracer.counts["lm_unconverged"] == 4 and tracer.counts["lm_iterations"] == 4
+    assert tracer.counts["lm_unconverged"] == 0 and tracer.counts["lm_iterations"] == 0

@@ -229,6 +229,49 @@ def test_continuity_reports(motor, motor_unconstrained):
     assert check_continuity(Program(())).continuous is True
 
 
+GUARANTEED = "a stable model is guaranteed to exist"
+
+
+@pytest.mark.parametrize("text, sites, note", [
+    # the constraint fails at the only fixpoint p = 0.5: no stable model
+    ("p <-g 0.5 with 1;\n0.2 <-g p with 1;", [], "constraint rules 1"),
+    # an arithmetic order reversal is not frozen, and Kleene oscillates
+    ("p <-g sub(1, p) with 1;", [], "an order reversal outside a negation in rule 0"),
+    ("q <-g 0.5 with 1;\np <-g f(0.3, q) with 1;", [(1, "f", 0.3)], "discontinuous f in rule 1"),
+    # div1 jumps at (0, 0); here the denominator also reverses order
+    ("q <-g 0.5 with 1;\np <-g div1(q, p) with 1;", [(1, "div1", 0.0)],
+     "an order reversal outside a negation in rule 1"),
+    ("q <-g 0.5 with 1;\np <-g div1(q, neg1(r)) with 1;", [(1, "div1", 0.0)],
+     "discontinuous div1 in rule 1"),
+])
+def test_continuity_names_the_first_hypothesis_that_fails(text, sites, note):
+    report = check_continuity(parse_program(text))
+    assert report.continuous == (not sites) and list(report.discontinuous_sites) == sites
+    assert report.notes == f"{note}: no existence guarantee"
+
+
+@pytest.mark.parametrize("text", [
+    "p <-g max(p, 0.5) with 1;",                                  # positive
+    "p <-g neg1(q) with 1;\nq <-g neg2(p) with 1;",               # a MANLP
+    "q <-g 0.5 with 1;\np <-p div1(q, max(neg1(r), 0.1)) with 1;",  # denominator >= 0.1
+    "q <-g 0.5 with 1;\np <-p div1(max(q, 0.2), neg1(r)) with 1;",  # numerator >= 0.2
+])
+def test_continuity_guarantees_existence_when_every_hypothesis_holds(text):
+    report = check_continuity(parse_program(text))
+    assert report.continuous and report.discontinuous_sites == ()
+    assert report.notes.endswith(GUARANTEED)
+
+
+def test_motor_is_continuous_but_constrained(motor, motor_unconstrained):
+    report = check_continuity(motor)
+    assert report.continuous is True
+    assert report.notes == "constraint rules 2: no existence guarantee"
+    # s and t reverse order in the denominator; manlp moves them under negations
+    assert check_continuity(motor_unconstrained).notes == (
+        "an order reversal outside a negation in rule 0: no existence guarantee")
+    assert check_continuity(to_manlp(motor_unconstrained).target).notes.endswith(GUARANTEED)
+
+
 # --- equivalence ------------------------------------------------------------------
 
 
