@@ -333,7 +333,7 @@ Builder = Callable[[Sequence[float]], BodyExpr]
 
 def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
                  sites: Optional[list[Compiled]] = None,
-                 reads: Optional[set[str]] = None) -> tuple[Compiled, Optional[Builder]]:
+                 reads: Optional[dict[str, int]] = None) -> tuple[Compiled, Optional[Builder]]:
     """Compile a body into f(env, frozen) -> float, evaluated as eval_body does.
 
     f(env, None) is the body as written.  With a `sites` list, the closure
@@ -342,9 +342,10 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
     body when frozen holds [site(M, None) for site in sites], and
     `build(frozen)` returns that body as a tree, each site replaced by
     Const(frozen[k]).  Bodies may share one list.  Without it, or when the
-    body has no freeze site, `build` is None.  A `reads` set receives, in
+    body has no freeze site, `build` is None.  A `reads` dict receives, in
     the same walk, the atoms f(env, frozen) reads: those outside the
-    freeze sites, or all of them without `sites`.  Each operator calls the
+    freeze sites, or all of them without `sites`, each mapped to -1 if
+    some such read is order-reversing, else to 1.  Each operator calls the
     function eval_expr calls, on the same arguments in the same order, so
     the floats are the same, as are the range check, the clamp and the
     RangeViolation message, whose reduct body is built only on error.
@@ -360,14 +361,14 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
 
 
 def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compiled]],
-             reads: Optional[set[str]]) -> tuple[Compiled, Optional[Builder]]:
+             reads: Optional[dict[str, int]]) -> tuple[Compiled, Optional[Builder]]:
     if isinstance(node, Const):
         value = node.value
         return (lambda env, frozen: value), None
     if isinstance(node, Atom):
         name = node.name
         if reads is not None:
-            reads.add(name)
+            reads[name] = min(sign, reads.get(name, sign))
 
         def atom(env, frozen):
             try:
@@ -484,12 +485,18 @@ class Program:
     def definite_rules(self) -> tuple[Rule, ...]:
         return self.derived("definite", lambda: tuple(r for r in self.rules if not r.is_constraint))
 
+    def reversing_rules(self) -> tuple[int, ...]:
+        """The indices of the rules that reverse the order other than by a
+        negation applied directly to an atom: what keeps a MANLP out."""
+        return tuple(i for i, occs in enumerate(self.rule_occurrences())
+                     if any(o.sign < 0 and not o.direct_negation for o in occs))
+
     def classify(self) -> ProgramClass:
         has_constraints = bool(self.constraints())
         negatives = [o for occs in self.rule_occurrences() for o in occs if o.sign < 0]
         if not has_constraints and not negatives:
             return ProgramClass.POSITIVE
-        if not has_constraints and all(o.direct_negation for o in negatives):
+        if not has_constraints and not self.reversing_rules():
             return ProgramClass.MANLP
         if not has_constraints:
             return ProgramClass.CONSTRAINT_FREE

@@ -21,10 +21,11 @@ evaluates the sites at M and runs the program's own closures on those
 values, so it builds no reduct.  For search steps and verdicts its
 value comes from one pass over the heads of finite level, in level
 order as for a stratified program, then Kleene iteration of the rules
-on or downstream of a cycle alone.  `reduct` builds the trees as a
-plain program that carries no analysis.  Constraints never feed the
-operator (they have no head atom to update); they act as satisfaction
-filters on stable-model checks, which read them from the reduct.
+on or downstream of a cycle alone (of every rule from bottom, when T
+is not monotone or the cap leaves the pass no room).  `reduct` builds
+the trees as a plain program that carries no analysis.  Constraints
+never feed the operator (they have no head atom to update); they act as
+satisfaction filters on stable-model checks, which read them from the reduct.
 """
 
 from __future__ import annotations
@@ -128,6 +129,8 @@ class _Analysis:
     the rules whose heads have a finite level (`_levels`), stably sorted
     by it, and `top` is the highest finite level (0 if none); `cyclic`
     holds the rest, those on or downstream of a cycle, in program order.
+    A cycle with an order-reversing read (a subtrahend, a divisor) makes every
+    rule cyclic and `top` 0: T is then not monotone, so only Kleene's run reads it.
     """
     rules: Rules
     sites: tuple[Compiled, ...]
@@ -143,9 +146,9 @@ def _analysis(program: Program, tol: float) -> _Analysis:
         return analyses[tol]   # allocates nothing
     sites: list[Compiled] = []
     builds, rules = [], []
-    reads: dict[str, set] = {}   # what a head's bodies read outside freeze sites
+    reads: dict[str, dict] = {}   # what a head's bodies read outside freeze sites, with signs
     for r in program.rules:
-        live = None if r.is_constraint else reads.setdefault(r.head.name, set())
+        live = None if r.is_constraint else reads.setdefault(r.head.name, {})
         body, build = compile_body(r.body, tol, sites, live)
         builds.append(build)
         if not r.is_constraint:
@@ -154,16 +157,18 @@ def _analysis(program: Program, tol: float) -> _Analysis:
     top = max((n for n in level.values() if n < math.inf), default=0)
     by_level = tuple(sorted((r for r in rules if level[r[0]] <= top), key=lambda r: level[r[0]]))
     cyclic = tuple(r for r in rules if level[r[0]] > top)
+    if cyclic and any(-1 in signs.values() for signs in reads.values()):
+        by_level, cyclic, top = (), tuple(rules), 0
     analyses[tol] = _Analysis(tuple(rules), tuple(sites), tuple(builds), by_level, cyclic, top)
     return analyses[tol]
 
 
-def _levels(reads: dict[str, set]) -> dict[str, float]:
+def _levels(reads: dict[str, dict]) -> dict[str, float]:
     """Each head's level: 1 + the highest level its bodies read (0 for an atom
     that heads no rule), inf on or downstream of a cycle.  From bottom, a
     head of level n is final from Kleene step n on.  In Kahn's order: a
     head is levelled once every head it reads is, so each read counts once."""
-    waits = {h: atoms & reads.keys() for h, atoms in reads.items()}   # heads read, not levelled
+    waits = {h: signs.keys() & reads.keys() for h, signs in reads.items()}   # heads not levelled
     readers: dict[str, list] = {h: [] for h in reads}
     for h, atoms in waits.items():
         for a in atoms:
@@ -268,19 +273,20 @@ def _stable_value(program: Program, M: Mapping[str, float], tol: float,
 
     A pass over `by_level` sets the heads of finite level to their final
     values, from the calls Kleene's step `top` makes, and counts as `top`
-    steps.  Kleene iteration of the `cyclic` rules alone, which is T's from
-    there, runs for the other max_iter - top.  The value is Kleene's from
-    bottom where both stop at T(I) == I, and within tol where one stops within tol.
+    steps; Kleene iteration of the `cyclic` rules alone, which is T's from
+    there, runs for the other max_iter - top.  A cap of at most `top` leaves
+    the pass no room: then all rules are iterated from bottom, as Kleene does.
+    The value is Kleene's where both stop at T(I) == I, within tol where one does.
     """
     J = dict.fromkeys(require_total(M, program), 0.0)
     analysis = _analysis(program, tol)
-    if max_iter <= analysis.top:
-        return J, False
+    by_level, cyclic, top = ((analysis.by_level, analysis.cyclic, analysis.top)
+                             if max_iter > analysis.top else ((), analysis.rules, 0))
     frozen = tuple(site(M, None) for site in analysis.sites)
-    iterates = [_raise_heads(analysis.by_level, J, frozen, J)]
-    bottom = dict.fromkeys([r[0] for r in analysis.cyclic], 0.0)
+    iterates = [_raise_heads(by_level, J, frozen, J)]
+    bottom = dict.fromkeys([r[0] for r in cyclic], 0.0)
     converged = not bottom or _kleene(lambda I: _raise_heads(
-        analysis.cyclic, I, frozen, {**I, **bottom}), iterates, tol, max_iter - analysis.top)
+        cyclic, I, frozen, {**I, **bottom}), iterates, tol, max_iter - top)
     return iterates[-1], converged
 
 

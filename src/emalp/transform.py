@@ -40,6 +40,7 @@ from .program import (
     MalpError,
     Polarity,
     Program,
+    ProgramClass,
     Rule,
     body_interval,
     body_ops,
@@ -301,13 +302,12 @@ def check_continuity(program: Program) -> ContinuityReport:
             elif not op_spec(node.op).continuous:
                 c = node.args[0].value if isinstance(node.args[0], Const) else float("nan")
                 sites.append((idx, node.op, c))
-    constraints = [str(i) for i, r in enumerate(program.rules) if r.is_constraint]
-    reversals = [i for i, occs in enumerate(program.rule_occurrences())
-                 if any(o.sign < 0 and not o.direct_negation for o in occs)]
-    if constraints:
-        fails = "constraint rules " + ", ".join(constraints)
-    elif reversals:
-        fails = f"an order reversal outside a negation in rule {reversals[0]}"
+    kind = program.classify()
+    if kind is ProgramClass.EMALP:
+        fails = "constraint rules " + ", ".join(
+            str(i) for i, r in enumerate(program.rules) if r.is_constraint)
+    elif kind is ProgramClass.CONSTRAINT_FREE:
+        fails = f"an order reversal outside a negation in rule {program.reversing_rules()[0]}"
     elif sites:
         fails = "discontinuous " + ", ".join(f"{op} in rule {i}" for i, op, _ in sites)
     else:

@@ -504,6 +504,24 @@ def test_stable_verify_output_unchanged(capsys, motor, motor_file, tmp_path,
     assert f"{verdict}".lower() in out.splitlines()[1 if output == "json" else 0].lower()
 
 
+@pytest.mark.parametrize("text, interp, max_iter, verdict", [
+    # Kleene stops at step 1, within a cap the level pass would use up
+    ("a <-g b with 1;\nb <-g c with 1;\nc <-g d with 1;\n", dict.fromkeys("abcd", 0), 1, True),
+    # p reads a as a subtrahend on a cycle: Kleene from bottom ends at p = 1
+    ("a <-g 1 with 1;\np <-g max(p, sub(1, a)) with 1;\n", {"a": 1, "p": 1}, 10_000, True),
+    ("a <-g 1 with 1;\np <-g max(p, sub(1, a)) with 1;\n", {"a": 1, "p": 0}, 10_000, False),
+], ids=["chain-at-cap-1", "subtrahend-on-cycle-stable", "subtrahend-on-cycle-not-stable"])
+def test_stable_verify_agrees_with_the_trace_it_prints(capsys, tmp_path, text, interp,
+                                                       max_iter, verdict):
+    path, i = tmp_path / "p.malp", tmp_path / "i.json"
+    path.write_text(text)
+    i.write_text(json.dumps(interp))
+    code, out, _ = run(capsys, "stable", "verify", path, "-i", i, "--max-iter", max_iter)
+    data = json.loads(out)
+    assert code == 0 and data["trace"]["converged"] is True
+    assert data["stable"] is verdict is (data["trace"]["iterates"][-1] == interp)
+
+
 def _nested_file(tmp_path, depth):
     from emalp.parser import MAX_DEPTH
 

@@ -483,8 +483,10 @@ def test_the_level_pass_gives_the_stable_operators_value():
     # against Kleene's stable_operator from bottom.  Uncapped: the same
     # converged flag, and the same floats where Kleene stops at T(I) == I,
     # within tol of them where it stops within tol.  Under every cap: both
-    # verdicts read the routine, and a run that converges under a cap is
-    # a prefix of the uncapped one, so its value and verdict are the same.
+    # verdicts read the routine.  A cap of at most top leaves the pass no
+    # room, so the routine is Kleene's capped run itself; otherwise, and
+    # where that run stops at T(I) == I, a run that converges under a cap
+    # is a prefix of the uncapped one, so its value and verdict are the same.
     rng = random.Random(12)
     taken = Counter()
     for program, points in pass_cases(rng):
@@ -502,17 +504,23 @@ def test_the_level_pass_gives_the_stable_operators_value():
                     taken["tol stop"] += 1
                 verdict = is_stable(program, M, tol, MAX_ITER)
                 for max_iter in PASS_CAPS:
-                    taken["cap at or below top"] += max_iter <= analysis.top
                     value, capped = _stable_value(program, M, tol, max_iter)
-                    assert not capped or (value, converged) == (full, True)
+                    exact = True
+                    if max_iter <= analysis.top:
+                        kleene, kt = stable_operator(program, M, tol, max_iter)
+                        assert (value, capped) == (kleene, kt.converged)
+                        exact = kt.iterations == 0 or kt.iterates[-2] == kleene
+                        taken["cap at or below top", capped] += 1
+                    assert not (capped and exact) or (value, converged) == (full, True)
                     got = is_stable(program, M, tol, max_iter)
                     assert got == stable_check(program, M, tol, max_iter)[0]
-                    assert got in (None, verdict)
+                    assert got in (None, verdict) or not exact
     # guards against a vacuous pass: acyclic, mixed and all-cyclic
-    # reducts, a cap the pass alone uses up, and a Kleene stop within tol
-    # short of the fixpoint (at tol 0.3 only)
+    # reducts, caps of at most top under which Kleene does and does not
+    # converge, and a Kleene stop within tol short of the fixpoint (at tol 0.3 only)
     assert all(taken[kind] > 0 for kind in ("acyclic", "mixed", "all cyclic"))
-    assert taken["cap at or below top"] > 0 and taken["tol stop"] > 0
+    assert taken["cap at or below top", True] > 0 and taken["cap at or below top", False] > 0
+    assert taken["tol stop"] > 0
 
 
 MIXED = "a <-g 0.5 with 1;\nb <-g a with 1;\nc <-g max(c, b) with 1;\nd <-g c with 1;"
@@ -541,6 +549,26 @@ def test_a_mixed_reduct_iterates_only_its_cyclic_rules(monkeypatch):
     assert calls["eval_conjunctor"] == 8
 
 
+ANTITONE_CYCLE = "a <-g 1 with 1;\np <-g max(p, sub(1, a)) with 1;"
+
+
+def test_a_cycle_that_reads_order_reversingly_is_iterated_from_bottom():
+    # p reads a as a subtrahend: Kleene from bottom reads a = 0 at step 1,
+    # so p = 1 from then on, while iterating p from a pass that settled
+    # a = 1 would leave p at 0.  With T not monotone, every rule is
+    # iterated from bottom; on an acyclic reduct (the motor's divisor)
+    # the pass stays exact and is kept
+    program = parse_program(ANTITONE_CYCLE)
+    analysis = _analysis(program, 1e-9)
+    assert (analysis.by_level, analysis.cyclic, analysis.top) == ((), analysis.rules, 0)
+    for M, stable in (({"a": 1.0, "p": 1.0}, True), ({"a": 1.0, "p": 0.0}, False)):
+        want, trace = stable_operator(program, M, 1e-9)
+        assert want == {"a": 1.0, "p": 1.0} and trace.converged
+        assert _stable_value(program, M, 1e-9, MAX_ITER) == (want, True)
+        assert is_stable(program, M, 1e-9) is stable_check(program, M, 1e-9)[0] is stable
+    assert reduct_kind(_analysis(MOTOR, 1e-9)) == "acyclic"
+
+
 TOL_STOP = "a <-g 0.1 with 1;\nb <-g 0.2 with 1;\na <-p b with 0.6;"
 
 
@@ -562,12 +590,13 @@ def test_a_kleene_stop_within_tol_is_within_tol_of_the_pass():
 def test_an_unvalidated_body_out_of_range_at_bottom_only():
     # Kleene's step 1 evaluates sub(q, 0.5) at q = 0, which is out of
     # range; the pass evaluates it once, after q = 1.  So the verdict is
-    # given, while stable_check, which shows Kleene's trace, raises; a cap
-    # at top leaves the verdict undecided, with no body evaluated
+    # given, while stable_check, which shows Kleene's trace, raises; under
+    # a cap at top the verdict is Kleene's run, which raises the same way
     program = parse_program("p <-g sub(q, 0.5) with 1;\nq <-g 1 with 1;", validate=False)
     M = {"p": 0.5, "q": 1.0}
     assert is_stable(program, M, 1e-9, 10) is True
     message = re.escape("body value -0.5 outside [0, 1]: sub(q, 0.5)")
     with pytest.raises(RangeViolation, match=message):
         stable_check(program, M, 1e-9, 10)
-    assert is_stable(program, M, 1e-9, 2) is None
+    with pytest.raises(RangeViolation, match=message):
+        is_stable(program, M, 1e-9, 2)
