@@ -1,8 +1,7 @@
 """Truth-value arithmetic on the unit interval.
 
 Conjunctors with their residuated implications (Goedel, product,
-Lukasiewicz), negation operators, parametric threshold maps, and
-grid-based verifiers of the order-theoretic laws the pairs must obey:
+Lukasiewicz), negation operators, the threshold map, and the value grid:
 
     x &_g y = min(x, y)            z <-g y = 1 if y <= z else z
     x &_p y = x * y                z <-p y = min(1, z / y)    (y = 0 -> 1)
@@ -12,18 +11,18 @@ Each conjunctor/implication pair satisfies the adjunction
 
     x <= (z <- y)  iff  (x & y) <= z
 
-which `check_adjoint_pair` verifies exhaustively on a grid.  The
-product residuum at y = 0 is defined as 1 (the supremum of
-{x | x * 0 <= z}), which keeps the adjunction total.
+which the operator contract tests check on a grid.  The product
+residuum at y = 0 is defined as 1 (the supremum of {x | x * 0 <= z}),
+which keeps the adjunction total.
 
 Negations: neg1(x) = 1 - x and neg2(x) = sqrt(1 - x^2), both antitone
 and involutive: neg2(neg2(x)) = |x| = x on [0, 1], up to rounding for
 x near 0.
 
 Thresholds: f(c, x) is 0 for x <= c and 1 above; g(c, x) is 1 for
-c < x and 0 otherwise.  On a totally ordered carrier the two coincide.
-Both compare against c + tol so that floating-point noise at the jump
-cannot flip the output; both are flagged discontinuous.
+c < x and 0 otherwise.  On a totally ordered carrier the two coincide,
+so both are one comparison, x > c + tol: the tolerance keeps
+floating-point noise at the jump from flipping the output.
 
 All functions are pure and operate on binary64 floats.  Top and bottom
 of the lattice are 1.0 and 0.0.
@@ -32,8 +31,6 @@ of the lattice are 1.0 and 0.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
 
 from .errors import MalpError
 
@@ -117,12 +114,9 @@ def eval_negation(kind: str, x: float) -> float:
         raise LatticeError(f"unknown negation: {kind!r}") from None
 
 
-def eval_threshold(kind: str, c: float, x: float, tol: float = DEFAULT_TOL) -> float:
-    if kind == "f":
-        return 0.0 if x <= c + tol else 1.0
-    if kind == "g":
-        return 1.0 if x > c + tol else 0.0
-    raise LatticeError(f"unknown threshold: {kind!r}")
+def eval_threshold(c: float, x: float, tol: float = DEFAULT_TOL) -> float:
+    """f(c, x) and g(c, x): 1 when x > c + tol, else 0."""
+    return 1.0 if x > c + tol else 0.0
 
 
 def truth_value(x, what: str) -> float:
@@ -130,25 +124,6 @@ def truth_value(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0.0 <= x <= 1.0:
         raise LatticeError(f"{what} must be a number in [0, 1], got {x!r}")
     return float(x)
-
-
-@dataclass(frozen=True)
-class Violation:
-    law: str
-    point: tuple
-    detail: str
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    kind: str
-    grid_step: float
-    checked: int
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def lattice_grid(step: float) -> list[float]:
@@ -177,48 +152,3 @@ def grid_count(step: float, upto: float = 1.0) -> int:
     while k >= 0 and k / n > upto:
         k -= 1
     return k + 1
-
-
-def check_adjoint_pair(kind: str, grid_step: float, tol: float = 1e-12) -> PropertyReport:
-    """Exhaustively verify the adjoint-pair laws on a grid.
-
-    Checks, for all grid points: monotonicity of the conjunctor in both
-    arguments, monotonicity of the implication in the consequent and
-    antitonicity in the antecedent, and the adjunction
-    x <= (z <- y) iff (x & y) <= z.  Comparisons carry the given
-    tolerance; violations are collected, not raised.
-    """
-    conj = _CONJUNCTORS[kind] if kind in _CONJUNCTORS else None
-    if conj is None:
-        raise LatticeError(f"unknown adjoint pair: {kind!r}")
-    impl = _IMPLICATIONS[kind]
-    grid = lattice_grid(grid_step)
-    violations: list[Violation] = []
-    checked = 0
-
-    for a, b in zip(grid, grid[1:]):
-        for y in grid:
-            checked += 2
-            if conj(a, y) > conj(b, y) + tol:
-                violations.append(Violation("conjunctor-monotone-1", (a, b, y),
-                                            f"{conj(a, y)} > {conj(b, y)}"))
-            if conj(y, a) > conj(y, b) + tol:
-                violations.append(Violation("conjunctor-monotone-2", (y, a, b),
-                                            f"{conj(y, a)} > {conj(y, b)}"))
-    for a, b in zip(grid, grid[1:]):
-        for w in grid:
-            checked += 2
-            if impl(a, w) > impl(b, w) + tol:
-                violations.append(Violation("implication-monotone-consequent", (a, b, w),
-                                            f"{impl(a, w)} > {impl(b, w)}"))
-            if impl(w, b) > impl(w, a) + tol:
-                violations.append(Violation("implication-antitone-antecedent", (w, a, b),
-                                            f"{impl(w, b)} > {impl(w, a)}"))
-    for x, y, z in product(grid, repeat=3):
-        checked += 1
-        lhs = x <= impl(z, y) + tol
-        rhs = conj(x, y) <= z + tol
-        if lhs != rhs:
-            violations.append(Violation("adjunction", (x, y, z),
-                                        f"x<=(z<-y) is {lhs} but (x&y)<=z is {rhs}"))
-    return PropertyReport(kind, grid_step, checked, tuple(violations))

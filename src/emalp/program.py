@@ -136,7 +136,6 @@ def _clamp01(x: float) -> float:
 
 @dataclass(frozen=True)
 class OpSpec:
-    name: str
     min_arity: int
     max_arity: Optional[int]            # None = unbounded
     polarities: Optional[tuple[int, ...]]  # None = all-preserving (variadic)
@@ -164,20 +163,20 @@ def _div1(x: float, y: float) -> float:
 
 
 BUILTINS: dict[str, OpSpec] = {
-    "min": OpSpec("min", 2, None, None, True, min),
-    "max": OpSpec("max", 2, None, None, True, max),
-    "and_g": OpSpec("and_g", 2, 2, (1, 1), True, t_godel),
-    "and_p": OpSpec("and_p", 2, 2, (1, 1), True, t_product, _iv_mul),
-    "and_l": OpSpec("and_l", 2, 2, (1, 1), True, t_lukasiewicz, _iv_and_l),
-    "or_l": OpSpec("or_l", 2, 2, (1, 1), True, _or_l),
-    "add": OpSpec("add", 2, 2, (1, 1), True, operator.add),
-    "sub": OpSpec("sub", 2, 2, (1, -1), True, operator.sub),
-    "mul": OpSpec("mul", 2, 2, (1, 1), True, operator.mul, _iv_mul),
-    "div1": OpSpec("div1", 2, 2, (1, -1), True, _div1, _iv_div1),
-    "neg1": OpSpec("neg1", 1, 1, (-1,), True, neg1, lattice_domain=(0,)),
-    "neg2": OpSpec("neg2", 1, 1, (-1,), True, neg2, lattice_domain=(0,)),
-    "f": OpSpec("f", 2, 2, (1, 1), False, None, lattice_domain=(1,), const_first=True),
-    "g": OpSpec("g", 2, 2, (1, 1), False, None, lattice_domain=(1,), const_first=True),
+    "min": OpSpec(2, None, None, True, min),
+    "max": OpSpec(2, None, None, True, max),
+    "and_g": OpSpec(2, 2, (1, 1), True, t_godel),
+    "and_p": OpSpec(2, 2, (1, 1), True, t_product, _iv_mul),
+    "and_l": OpSpec(2, 2, (1, 1), True, t_lukasiewicz, _iv_and_l),
+    "or_l": OpSpec(2, 2, (1, 1), True, _or_l),
+    "add": OpSpec(2, 2, (1, 1), True, operator.add),
+    "sub": OpSpec(2, 2, (1, -1), True, operator.sub),
+    "mul": OpSpec(2, 2, (1, 1), True, operator.mul, _iv_mul),
+    "div1": OpSpec(2, 2, (1, -1), False, _div1, _iv_div1),
+    "neg1": OpSpec(1, 1, (-1,), True, neg1, lattice_domain=(0,)),
+    "neg2": OpSpec(1, 1, (-1,), True, neg2, lattice_domain=(0,)),
+    "f": OpSpec(2, 2, (1, 1), False, None, lattice_domain=(1,), const_first=True),
+    "g": OpSpec(2, 2, (1, 1), False, None, lattice_domain=(1,), const_first=True),
 }
 
 
@@ -204,7 +203,7 @@ def eval_expr(node: BodyExpr, env: Mapping[str, float], tol: float = DEFAULT_TOL
     spec = op_spec(node.op)
     vals = [eval_expr(a, env, tol) for a in node.args]
     if spec.const_first:
-        return eval_threshold(node.op, vals[0], vals[1], tol)
+        return eval_threshold(vals[0], vals[1], tol)
     return spec.fn(*vals)
 
 
@@ -388,8 +387,8 @@ def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compile
     args = [f for f, _ in parts]
     build = _rebuild(node, [b for _, b in parts])
     if spec.const_first:
-        op, (c, x) = node.op, args
-        return (lambda env, frozen: eval_threshold(op, c(env, frozen), x(env, frozen), tol)), build
+        c, x = args
+        return (lambda env, frozen: eval_threshold(c(env, frozen), x(env, frozen), tol)), build
     fn = spec.fn
     if len(args) == 1:
         (a,) = args
@@ -564,7 +563,7 @@ def _check_expr(node: BodyExpr, issues: list[str], tol: float) -> Interval:
         return spec.interval(ivs)
     # monotone: with each antitone argument's interval turned over, fn at the
     # low and the high corner gives the range; thresholds cut at c + tol
-    fn = spec.fn or (lambda c, x: eval_threshold(node.op, c, x, tol))
+    fn = spec.fn or (lambda c, x: eval_threshold(c, x, tol))
     if spec.polarities is not None:
         ivs = [iv if s > 0 else iv[::-1] for iv, s in zip(ivs, spec.polarities)]
     low, high = zip(*ivs)

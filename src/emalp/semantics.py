@@ -294,16 +294,12 @@ def stable_check(program: Program, M: Mapping[str, float], tol: float = DEFAULT_
                  max_iter: int = DEFAULT_MAX_ITER) -> tuple[Optional[bool], FixpointTrace]:
     """The `is_stable` verdict together with the stable operator's Kleene trace at M."""
     trace = stable_operator(program, M, tol, max_iter)[1]
-    return _verdict(program, M, tol, max_iter), trace
+    return is_stable(program, M, tol, max_iter), trace
 
 
 def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> Optional[bool]:
     """True/False verdict, or None when the inner fixpoint fails to converge."""
-    return _verdict(program, M, tol, max_iter)
-
-
-def _verdict(program: Program, M: Mapping[str, float], tol: float, max_iter: int) -> Optional[bool]:
     # M is stable when it is the operator's fixpoint and satisfies the reduct's
     # constraints (the reduct is built for them; ROADMAP item 1 step 2 drops it)
     value, converged = _stable_value(program, M, tol, max_iter)

@@ -287,18 +287,19 @@ def check_continuity(program: Program) -> ContinuityReport:
     """Report whether every operator used by the program is continuous, and
     whether a theorem backs the existence of a stable model.
 
-    Body operators carry a flag, and a `div1` whose argument intervals both
-    reach 0 is a site too: div1(0, y) is 0 for y > 0 and 1 at y = 0.  With no
-    constraints, every order reversal directly under a negation (a positive
-    program or a MANLP) and continuous operators, a stable model exists
-    (Cornejo, Lobo and Medina, Fuzzy Sets and Systems 2018, via Brouwer's
-    theorem); else the note names the first of these that fails.
+    Body operators carry a flag; `div1`'s is False (div1(0, y) is 0 for y > 0,
+    1 at y = 0), but a `div1` is a site only where both argument intervals
+    reach 0.  With no constraints, every order reversal directly under a
+    negation (a positive program or a MANLP) and continuous operators, a stable
+    model exists (Cornejo, Lobo and Medina, Fuzzy Sets and Systems 2018, via
+    Brouwer's theorem); else the note names the first of these that fails.
     """
     sites = []
     for idx, r in enumerate(program.rules):
         for node in body_ops(r.body):
-            if node.op == "div1" and all(body_interval(a)[0] <= 0.0 for a in node.args):
-                sites.append((idx, node.op, 0.0))
+            if node.op == "div1":
+                if all(body_interval(a)[0] <= 0.0 for a in node.args):
+                    sites.append((idx, node.op, 0.0))
             elif not op_spec(node.op).continuous:
                 c = node.args[0].value if isinstance(node.args[0], Const) else float("nan")
                 sites.append((idx, node.op, c))

@@ -1,6 +1,15 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from emalp import parse_program
+
+# the benchmark's seeded program generator, for the tests that use its pools
+_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("emalp_bench_gen", _GEN)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 # Five-rule program with one constraint and one fact, used throughout:
 # the two model interpretations M and N below are fixtures of the

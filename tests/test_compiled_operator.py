@@ -17,7 +17,6 @@ held to Kleene's `stable_operator` from bottom.
 """
 
 import dataclasses
-import importlib.util
 import itertools
 import math
 import pickle
@@ -25,7 +24,6 @@ import random
 import re
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,16 +61,12 @@ from emalp.semantics import (
     stable_check,
 )
 
+from conftest import gen
 from genprog import random_emalp
 from test_body_walks import WRAPS, flipped, freeze_oracle
 
 TOLS = (1e-9, 0.3)
 MAX_ITER = 200
-
-_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("emalp_bench_gen", _GEN)
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
 
 
 def oracle_step(program, I, tol):

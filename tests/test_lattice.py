@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from emalp import (
-    check_adjoint_pair,
+    Apply,
+    Atom,
+    Const,
+    eval_body,
     eval_conjunctor,
     eval_implication,
     eval_negation,
@@ -15,6 +18,7 @@ from emalp import (
     parse_program,
 )
 from emalp.lattice import LatticeError, grid_count
+from emalp.program import compile_body
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -69,36 +73,30 @@ def test_negations_antitone(a, b):
 
 
 def test_threshold_values():
-    assert eval_threshold("f", 0.7, 0.64) == 0.0
-    assert eval_threshold("f", 0.0, 1.0) == 1.0
-    assert eval_threshold("g", 0.7, 0.7) == 0.0
+    assert eval_threshold(0.7, 0.64) == 0.0
+    assert eval_threshold(0.0, 1.0) == 1.0
+    assert eval_threshold(0.7, 0.7) == 0.0
     # tolerance keeps noise at the jump from flipping the output
-    assert eval_threshold("f", 0.7, 0.7 + 1e-12) == 0.0
-    assert eval_threshold("g", 0.7, 0.7 + 1e-12) == 0.0
-
-
-@given(units, units, st.sampled_from(["f", "g"]))
-def test_thresholds_order_preserving(a, b, kind):
-    c = 0.4
-    lo, hi = min(a, b), max(a, b)
-    assert eval_threshold(kind, c, lo) <= eval_threshold(kind, c, hi)
+    assert eval_threshold(0.7, 0.7 + 1e-12) == 0.0
+    assert eval_threshold(0.7, 0.7 + 2e-9) == 1.0
 
 
 @given(units, units)
-def test_thresholds_coincide_on_a_chain(c, x):
-    # x > c and not (x <= c) agree on a totally ordered carrier
-    assert eval_threshold("f", c, x) == eval_threshold("g", c, x)
+def test_thresholds_order_preserving(a, b):
+    c = 0.4
+    lo, hi = min(a, b), max(a, b)
+    assert eval_threshold(c, lo) <= eval_threshold(c, hi)
 
 
-@pytest.mark.parametrize("kind,step,points", [
-    ("godel", 0.25, 5),
-    ("product", 0.1, 11),
-    ("lukasiewicz", 0.5, 3),
-])
-def test_check_adjoint_pair_grids(kind, step, points):
-    report = check_adjoint_pair(kind, step)
-    assert report.ok
-    assert report.checked >= points ** 3
+@given(units, units, st.floats(-2e-9, 2e-9))
+def test_thresholds_coincide_on_a_chain(c, x, d):
+    # x > c and not (x <= c) agree on a totally ordered carrier, also at the cut
+    f, g = (Apply(op, (Const(c), Atom("x"))) for op in ("f", "g"))
+    for v in (x, min(1.0, max(0.0, c + d))):
+        env = {"x": v}
+        values = {eval_body(f, env), eval_body(g, env),
+                  compile_body(f)[0](env, None), compile_body(g)[0](env, None)}
+        assert values == {eval_threshold(c, v)}
 
 
 @given(units, units, units)
@@ -113,25 +111,12 @@ def test_adjunction_sampled(x, y, z):
             assert x > impl - 1e-12
 
 
-def test_check_adjoint_pair_detects_a_broken_pair(monkeypatch):
-    import emalp.lattice as lattice
-
-    # totalize the product residuum the wrong way and the adjunction breaks
-    monkeypatch.setitem(lattice._IMPLICATIONS, "product",
-                        lambda z, y: 0.0 if y == 0.0 else min(1.0, z / y))
-    report = check_adjoint_pair("product", 0.25)
-    assert not report.ok
-    assert any(v.law == "adjunction" for v in report.violations)
-
-
 def test_lattice_grid_validation():
     assert lattice_grid(0.5) == [0.0, 0.5, 1.0]
     with pytest.raises(LatticeError):
         lattice_grid(0.3)
     with pytest.raises(LatticeError):
         lattice_grid(0.7)
-    with pytest.raises(LatticeError):
-        check_adjoint_pair("godel", 0.0)
 
 
 def test_unknown_kinds_rejected():
@@ -139,8 +124,6 @@ def test_unknown_kinds_rejected():
         eval_conjunctor("hamacher", 0.5, 0.5)
     with pytest.raises(LatticeError):
         eval_negation("neg3", 0.5)
-    with pytest.raises(LatticeError):
-        eval_threshold("h", 0.5, 0.5)
 
 
 @pytest.mark.parametrize("step", [0.5, 0.25, 0.2, 0.1, 1 / 3, 1 / 7, 0.05, 0.01, 0.001])

@@ -1,4 +1,12 @@
-"""Operator contract: every builtin's value lies in its validation interval.
+"""Operator contract: the adjoint-pair laws, the `continuous` flags, and
+every builtin's value inside its validation interval.
+
+The three adjoint pairs are checked exhaustively on the 0.05 grid: each
+conjunctor is monotone in both arguments and stays in [0, 1], each
+implication is monotone in its consequent and antitone in its
+antecedent, and x <= (z <- y) holds exactly when x & y <= z.  An
+operator flagged continuous may not jump between a 0.25-grid point and
+a point 1e-12 away.
 
 For each `BUILTINS` entry Hypothesis draws one box per argument: signed
 boxes where the operator may take any number, boxes inside [0, 1] for
@@ -10,16 +18,55 @@ inner point, and 0 and 1 when the box holds them (where `div1` and
 validation gives the operator over those boxes.
 """
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emalp import Apply, Atom, Const, body_interval, eval_expr
-from emalp.lattice import DEFAULT_TOL
+from emalp import Apply, Atom, Const, body_interval, eval_conjunctor, eval_expr, eval_implication
+from emalp.lattice import ADJOINT_KINDS, DEFAULT_TOL, lattice_grid
 from emalp.program import BUILTINS
 
 TOL = DEFAULT_TOL
+LAW_TOL = 1e-12   # rounding slack of the adjoint-pair comparisons
+GRID = lattice_grid(0.05)
+
+
+@pytest.mark.parametrize("kind", ADJOINT_KINDS)
+def test_adjoint_pair_laws(kind):
+    conj, impl = functools.partial(eval_conjunctor, kind), functools.partial(eval_implication, kind)
+    for (a, b), w in itertools.product(zip(GRID, GRID[1:]), GRID):
+        assert conj(a, w) <= conj(b, w) + LAW_TOL, ("conjunctor monotone in x", a, b, w)
+        assert conj(w, a) <= conj(w, b) + LAW_TOL, ("conjunctor monotone in y", w, a, b)
+        assert impl(a, w) <= impl(b, w) + LAW_TOL, ("implication monotone in z", a, b, w)
+        assert impl(w, b) <= impl(w, a) + LAW_TOL, ("implication antitone in y", w, a, b)
+    for x, y, z in itertools.product(GRID, repeat=3):
+        assert 0.0 <= conj(x, y) <= 1.0, ("conjunctor in [0, 1]", x, y)
+        assert (x <= impl(z, y) + LAW_TOL) == (conj(x, y) <= z + LAW_TOL), ("adjunction", x, y, z)
+
+
+def test_the_law_test_fails_on_a_broken_pair(monkeypatch):
+    import emalp.lattice as lattice
+
+    # totalize the product residuum the wrong way: 0.05 <-p 0 is then below
+    # 0.05 <-p 0.05, so the residuum is no longer antitone in y
+    monkeypatch.setitem(lattice._IMPLICATIONS, "product",
+                        lambda z, y: 0.0 if y == 0.0 else min(1.0, z / y))
+    with pytest.raises(AssertionError, match="implication antitone in y"):
+        test_adjoint_pair_laws("product")
+
+
+@pytest.mark.parametrize("name", sorted(n for n, spec in BUILTINS.items() if spec.continuous))
+def test_an_operator_flagged_continuous_does_not_jump(name):
+    # div1 is not flagged: div1(0, 0) is 1, div1(0, 1e-12) is 0
+    spec = BUILTINS[name]
+    for point in itertools.product(lattice_grid(0.25), repeat=spec.min_arity):
+        v = spec.fn(*point)
+        for i, d in itertools.product(range(len(point)), (-1e-12, 1e-12)):
+            near = list(point)
+            near[i] = min(1.0, max(0.0, near[i] + d))
+            assert abs(spec.fn(*near) - v) <= 1e-5, (point, near)
 SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 0.3, 2.0, -2.0, 1e-20, 5e-324, -5e-324,
            1.0 - 2 ** -53, 1.0 + 2 ** -52)
 SIGNED_ENDS = st.sampled_from(SPECIAL) | st.floats(-2.0, 2.0)

@@ -7,12 +7,10 @@ and column of each token's offset) and every error message and position
 must be the same.
 """
 
-import importlib.util
 import random
 import re
 import string
 from dataclasses import astuple, dataclass
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,7 @@ from hypothesis import strategies as st
 
 from emalp.parser import MAX_DEPTH, ParseError, _tokenize, serialize_program
 
-from conftest import MOTOR_TEXT
+from conftest import MOTOR_TEXT, gen
 from genprog import random_emalp
 
 
@@ -86,12 +84,6 @@ def outcome(tokenize, text):
 def assert_same(text):
     expected = outcome(oracle_tokenize, text)
     assert outcome(_tokenize, text) == expected, text
-
-
-_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("emalp_bench_gen", _GEN)
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
 
 
 def bench_pool_texts():

@@ -100,7 +100,8 @@ def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
     # steps left, and stops.  A verdict takes its value from the level
     # pass too, and builds one reduct for its constraints; the search
     # steps build none.  Only a verdict that shows its trace, as
-    # `stable verify` does, runs the stable operator's Kleene iteration.
+    # `stable verify` does, runs the stable operator's Kleene iteration;
+    # it takes its verdict from `is_stable`, so the tracer counts it.
     path = tmp_path / "chain.malp"
     path.write_text("a <-g 1 with 1;\nb <-g a with 1;\n")
     rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4"])
@@ -117,7 +118,7 @@ def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
     assert rc == 0
     calls = {layer: tracer.layer(layer)[0] for layer in layers}
     assert calls == {"semantics.stable_operator": 1, "semantics.reduct": 1,
-                     "semantics.is_stable": 0, "semantics.least_model": 1}
+                     "semantics.is_stable": 1, "semantics.least_model": 1}
     assert tracer.counts["lm_iterations"] == 3
 
 
