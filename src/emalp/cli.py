@@ -21,7 +21,6 @@ from .parser import parse_program, serialize_program
 from .program import (
     MalpError,
     Program,
-    ProgramClass,
     eval_body,
     validate_program,
 )
@@ -161,9 +160,15 @@ def cmd_reduct(args) -> int:
 
 def cmd_lfp(args) -> int:
     program = _load_program(args.file, args)
-    if program.classify() is not ProgramClass.POSITIVE:
+    # Kleene from bottom reaches the least model of the definite rules when T
+    # is monotone, that is when none of them reads an atom order-reversingly
+    if any(o.sign < 0 for r, occs in zip(program.rules, program.rule_occurrences())
+           if not r.is_constraint for o in occs):
         print("note: program is not positive; the fixpoint is not guaranteed "
               "to be a least model", file=sys.stderr)
+    if program.constraints():
+        print("note: lfp iterates the definite rules only; it does not check "
+              "the constraint rules", file=sys.stderr)
     value, trace = least_model(program, args.tol, args.max_iter)
     if args.output == "table":
         for line in _trace_table(program.atoms(), trace):

@@ -327,43 +327,47 @@ def body_interval(body: BodyExpr) -> Interval:
 # compilation
 
 Compiled = Callable[[Mapping[str, float], Optional[Sequence[float]]], float]
-Builder = Callable[[Sequence[float]], BodyExpr]
 
 
 def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
                  sites: Optional[list[Compiled]] = None,
-                 reads: Optional[dict[str, int]] = None) -> tuple[Compiled, Optional[Builder]]:
+                 reads: Optional[dict[str, int]] = None) -> Compiled:
     """Compile a body into f(env, frozen) -> float, evaluated as eval_body does.
 
     f(env, None) is the body as written.  With a `sites` list, the closure
     that evaluates freeze site k's subtree is appended to `sites` as entry
     k; f(env, frozen) then reads frozen[k] there, so it is the reduct's
-    body when frozen holds [site(M, None) for site in sites], and
-    `build(frozen)` returns that body as a tree, each site replaced by
-    Const(frozen[k]).  Bodies may share one list.  Without it, or when the
-    body has no freeze site, `build` is None.  A `reads` dict receives, in
-    the same walk, the atoms f(env, frozen) reads: those outside the
-    freeze sites, or all of them without `sites`, each mapped to -1 if
-    some such read is order-reversing, else to 1.  Each operator calls the
-    function eval_expr calls, on the same arguments in the same order, so
-    the floats are the same, as are the range check, the clamp and the
-    RangeViolation message, whose reduct body is built only on error.
+    body when frozen holds [site(M, None) for site in sites].  Bodies may
+    share one list.  A `reads` dict receives, in the same walk, the atoms
+    f(env, frozen) reads: those outside the freeze sites, or all of them
+    without `sites`, each mapped to -1 if some such read is
+    order-reversing, else to 1.  Each operator calls the function
+    eval_expr calls, on the same arguments in the same order, so the
+    floats are the same, as are the range check, the clamp and the
+    RangeViolation message, whose reduct body `rewrite` builds only on
+    error, from the values in frozen of this body's own sites.
     """
-    expr, build = _compile(body, 1, tol, sites, reads)
+    first = None if sites is None else len(sites)   # this body's sites come next
+    expr = _compile(body, 1, tol, sites, reads)
 
     def evaluate(env, frozen):
         v = expr(env, frozen)
         if v < -tol or v > 1.0 + tol:
-            raise _range_violation(v, body if frozen is None or build is None else build(frozen))
+            read = body
+            if frozen is not None and first is not None:
+                values = iter(frozen[first:])
+                read = rewrite(body, lambda node, sign: Const(next(values))
+                               if is_freeze_site(node, sign) else None)
+            raise _range_violation(v, read)
         return _clamp01(v)
-    return evaluate, build
+    return evaluate
 
 
 def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compiled]],
-             reads: Optional[dict[str, int]]) -> tuple[Compiled, Optional[Builder]]:
+             reads: Optional[dict[str, int]]) -> Compiled:
     if isinstance(node, Const):
         value = node.value
-        return (lambda env, frozen: value), None
+        return lambda env, frozen: value
     if isinstance(node, Atom):
         name = node.name
         if reads is not None:
@@ -374,37 +378,26 @@ def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compile
                 return env[name]
             except KeyError:
                 raise _missing_atom(name) from None
-        return atom, None
+        return atom
     if sites is not None and is_freeze_site(node, sign):
         k = len(sites)
-        site = _compile(node, sign, tol, None, None)[0]
+        site = _compile(node, sign, tol, None, None)
         sites.append(site)
-        return ((lambda env, frozen: site(env, None) if frozen is None else frozen[k]),
-                (lambda frozen: Const(frozen[k])))
+        return lambda env, frozen: site(env, None) if frozen is None else frozen[k]
     spec = op_spec(node.op)
-    parts = [_compile(a, sign * spec.polarity(i), tol, sites, reads)
-             for i, a in enumerate(node.args)]
-    args = [f for f, _ in parts]
-    build = _rebuild(node, [b for _, b in parts])
+    args = [_compile(a, sign * spec.polarity(i), tol, sites, reads)
+            for i, a in enumerate(node.args)]
     if spec.const_first:
         c, x = args
-        return (lambda env, frozen: eval_threshold(c(env, frozen), x(env, frozen), tol)), build
+        return lambda env, frozen: eval_threshold(c(env, frozen), x(env, frozen), tol)
     fn = spec.fn
     if len(args) == 1:
         (a,) = args
-        return (lambda env, frozen: fn(a(env, frozen))), build
+        return lambda env, frozen: fn(a(env, frozen))
     if len(args) == 2:
         a, b = args
-        return (lambda env, frozen: fn(a(env, frozen), b(env, frozen))), build
-    return (lambda env, frozen: fn(*[a(env, frozen) for a in args])), build
-
-
-def _rebuild(node: Apply, builds: list[Optional[Builder]]) -> Optional[Builder]:
-    """A builder for node from its arguments' builders; None if none of them rebuilds."""
-    if all(b is None for b in builds):
-        return None
-    pairs = list(zip(node.args, builds))
-    return lambda frozen: Apply(node.op, tuple(a if b is None else b(frozen) for a, b in pairs))
+        return lambda env, frozen: fn(a(env, frozen), b(env, frozen))
+    return lambda env, frozen: fn(*[a(env, frozen) for a in args])
 
 
 # ---------------------------------------------------------------------------

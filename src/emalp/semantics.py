@@ -15,17 +15,17 @@ Least models are computed by Kleene iteration of the immediate
 consequence operator from the bottom interpretation, with a tolerance
 and an iteration cap; non-convergence is a flagged result, never an
 exception.  The operators run on an analysis made once per program and
-tolerance: bodies compiled to closures, the freeze sites of the reduct,
-and the rules split by their heads' levels in it.  The stable operator
-evaluates the sites at M and runs the program's own closures on those
-values, so it builds no reduct.  For search steps and verdicts its
-value comes from one pass over the heads of finite level, in level
+tolerance: the definite bodies compiled to closures, their freeze sites,
+and the rules split by their heads' levels in the reduct.  The stable
+operator evaluates the sites at M and runs the program's own closures
+on those values, so it builds no reduct.  For search steps and verdicts
+its value comes from one pass over the heads of finite level, in level
 order as for a stratified program, then Kleene iteration of the rules
 on or downstream of a cycle alone (of every rule from bottom, when T
 is not monotone or the cap leaves the pass no room).  `reduct` builds
-the trees as a plain program that carries no analysis.  Constraints
-never feed the operator (they have no head atom to update); they act as
-satisfaction filters on stable-model checks, which read them from the reduct.
+its trees with `rewrite` alone and reads no analysis.  Constraints
+never feed the operator (they have no head atom to update); a verdict
+reads them from the reduct, unless the operator's value converged away from M.
 """
 
 from __future__ import annotations
@@ -40,13 +40,16 @@ from typing import Iterator, Mapping, Optional
 
 from .lattice import DEFAULT_TOL, eval_conjunctor, eval_implication, grid_count, lattice_grid
 from .program import (
-    Builder,
     Compiled,
+    Const,
     MalpError,
     Program,
     Rule,
     compile_body,
     eval_body,
+    eval_expr,
+    is_freeze_site,
+    rewrite,
 )
 
 DEFAULT_MAX_ITER = 10_000
@@ -97,16 +100,19 @@ def is_model(I: Mapping[str, float], program: Program, tol: float = DEFAULT_TOL)
 def reduct(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL) -> Program:
     """Freeze every negation subtree at its value under M; heads and weights unchanged.
 
-    The freeze sites come from the program's analysis; a rule without
-    one is kept as it is.  The reduct is a plain program: whatever runs
-    T on it compiles it from its own rules.
+    Each freeze site (`is_freeze_site`) becomes the constant eval_expr
+    gives it at M; a rule with no order-reversing occurrence has none and
+    is kept as it is.  The reduct is a plain program: whatever runs T on
+    it compiles it from its own rules.
     """
     require_total(M, program)
-    analysis = _analysis(program, tol)
-    frozen = tuple(site(M, None) for site in analysis.sites)
+
+    def freeze(node, sign):
+        return Const(eval_expr(node, M, tol)) if is_freeze_site(node, sign) else None
     return Program(tuple(
-        r if build is None else Rule(r.head, r.impl, build(frozen), r.weight)
-        for r, build in zip(program.rules, analysis.builds)
+        Rule(r.head, r.impl, rewrite(r.body, freeze), r.weight)
+        if any(o.sign < 0 for o in occs) else r
+        for r, occs in zip(program.rules, program.rule_occurrences())
     ))
 
 
@@ -124,8 +130,8 @@ class _Analysis:
     The definite rules, in program order, as (head, implication, weight,
     compiled body): read with frozen=None a body is the program's as
     written, read with the values of the freeze `sites` at M it is the
-    reduct's, and `builds` (one per rule, None for a rule without a
-    site) turns those values into the reduct's bodies.  `by_level` holds
+    reduct's.  Constraint bodies are not compiled (no operator reads
+    them), so the sites are the definite bodies' alone.  `by_level` holds
     the rules whose heads have a finite level (`_levels`), stably sorted
     by it, and `top` is the highest finite level (0 if none); `cyclic`
     holds the rest, those on or downstream of a cycle, in program order.
@@ -134,7 +140,6 @@ class _Analysis:
     """
     rules: Rules
     sites: tuple[Compiled, ...]
-    builds: tuple[Optional[Builder], ...]
     by_level: Rules
     cyclic: Rules
     top: int
@@ -145,21 +150,17 @@ def _analysis(program: Program, tol: float) -> _Analysis:
     if tol in analyses:
         return analyses[tol]   # allocates nothing
     sites: list[Compiled] = []
-    builds, rules = [], []
     reads: dict[str, dict] = {}   # what a head's bodies read outside freeze sites, with signs
-    for r in program.rules:
-        live = None if r.is_constraint else reads.setdefault(r.head.name, {})
-        body, build = compile_body(r.body, tol, sites, live)
-        builds.append(build)
-        if not r.is_constraint:
-            rules.append((r.head.name, r.impl, r.weight, body))
+    rules = [(r.head.name, r.impl, r.weight,
+              compile_body(r.body, tol, sites, reads.setdefault(r.head.name, {})))
+             for r in program.definite_rules()]
     level = _levels(reads)
     top = max((n for n in level.values() if n < math.inf), default=0)
     by_level = tuple(sorted((r for r in rules if level[r[0]] <= top), key=lambda r: level[r[0]]))
     cyclic = tuple(r for r in rules if level[r[0]] > top)
     if cyclic and any(-1 in signs.values() for signs in reads.values()):
         by_level, cyclic, top = (), tuple(rules), 0
-    analyses[tol] = _Analysis(tuple(rules), tuple(sites), tuple(builds), by_level, cyclic, top)
+    analyses[tol] = _Analysis(tuple(rules), tuple(sites), by_level, cyclic, top)
     return analyses[tol]
 
 
@@ -301,13 +302,13 @@ def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL
               max_iter: int = DEFAULT_MAX_ITER) -> Optional[bool]:
     """True/False verdict, or None when the inner fixpoint fails to converge."""
     # M is stable when it is the operator's fixpoint and satisfies the reduct's
-    # constraints (the reduct is built for them; ROADMAP item 1 step 2 drops it)
+    # constraints, built only for them (ROADMAP item 1 step 2 drops the reduct)
     value, converged = _stable_value(program, M, tol, max_iter)
+    if converged and interp_distance(value, M) > tol:
+        return False
     if not all(satisfies(M, r, tol) for r in reduct(program, M, tol).constraints()):
         return False
-    if not converged:
-        return None
-    return interp_distance(value, M) <= tol
+    return True if converged else None
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,26 @@ def test_lfp_table_mirrors_iteration_rows(capsys, tmp_path):
     assert "converged: True" in out
 
 
+@pytest.mark.parametrize("text, notes", [
+    # T is monotone here, so the fixpoint is the least model of the
+    # definite rules; only the unchecked constraint is noted
+    ("p <-g 0.5 with 1;\n0.2 <-g p with 1;\n", [
+        "note: lfp iterates the definite rules only; it does not check the constraint rules"]),
+    (None, [
+        "note: program is not positive; the fixpoint is not guaranteed to be a least model",
+        "note: lfp iterates the definite rules only; it does not check the constraint rules"]),
+    ("p <-g min(q, 0.5) with 1;\nq <-g 0.9 with 0.8;\n", []),
+], ids=["monotone-with-constraint", "motor", "positive"])
+def test_lfp_notes_say_only_what_holds(capsys, tmp_path, motor_file, text, notes):
+    path = motor_file
+    if text is not None:
+        path = tmp_path / "p.malp"
+        path.write_text(text)
+    code, _, err = run(capsys, "lfp", path)
+    assert code == 0
+    assert err.splitlines() == notes
+
+
 def test_stable_verify(capsys, motor_file, tmp_path, model_n, model_m):
     good = tmp_path / "n.json"
     good.write_text(json.dumps(model_n))

@@ -2,8 +2,8 @@
 
 `stable_operator`, `least_model` and `immediate_consequence` run on an
 analysis made once per program and tolerance: the freeze sites are
-found once, every body is compiled into a closure, and the rules are
-ordered by their heads' levels in the reduct.  A reduct is a plain
+found once, every definite body is compiled into a closure, and the
+rules are ordered by their heads' levels in the reduct.  A reduct is a plain
 program that carries no analysis, so T compiles it from its own rules.
 The oracle is the path they replaced, kept here: take the reduct's
 rules (its trees are checked against a tree oracle in
@@ -16,7 +16,7 @@ followed by Kleene iteration of the cyclic rules alone; that routine is
 held to Kleene's `stable_operator` from bottom.
 """
 
-import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -90,6 +90,13 @@ def oracle_bounds_above(program, I, J, tol):
 
 def oracle_least_model(program, tol, max_iter, atoms=None):
     names = program.atoms() if atoms is None else tuple(sorted(atoms))
+    return _oracle_least_model(program, tol, max_iter, names)
+
+
+@functools.lru_cache(maxsize=256)
+def _oracle_least_model(program, tol, max_iter, names):
+    """Kept for the latest arguments: orbits and verdict points ask for
+    the same least model again within a few calls, about half the time."""
     I = {a: 0.0 for a in names}
     iterates = [dict(I)]
     if not names:
@@ -107,7 +114,14 @@ def oracle_least_model(program, tol, max_iter, atoms=None):
 
 
 def oracle_stable_operator(program, M, tol, max_iter):
-    rest = Program(reduct(program, M, tol).definite_rules())
+    return _oracle_stable_operator(program, tuple(M.items()), tol, max_iter)
+
+
+@functools.lru_cache(maxsize=256)
+def _oracle_stable_operator(program, M, tol, max_iter):
+    """Kept for the latest arguments, as `_oracle_least_model`: an orbit
+    that settles asks again at the same M."""
+    rest = Program(reduct(program, dict(M), tol).definite_rules())
     return oracle_least_model(rest, tol, max_iter, atoms=program.atoms())
 
 
@@ -292,14 +306,45 @@ def test_a_search_step_builds_no_tree(monkeypatch):
         raise AssertionError("a search step built a tree")
     monkeypatch.setattr(semantics, "Rule", boom)
     monkeypatch.setattr(semantics, "reduct", boom)
+    monkeypatch.setattr(semantics, "rewrite", boom)
     for program, M, want in cases:
-        analysis = _analysis(program, 1e-9)
-        monkeypatch.setitem(program.derived("analyses", dict), 1e-9, dataclasses.replace(
-            analysis, builds=tuple(None if b is None else boom for b in analysis.builds)))
         assert stable_operator(program, M, 1e-9, MAX_ITER) == want
         assert _stable_value(program, M, 1e-9, MAX_ITER) == (want[0], want[1].converged)
     # no start of the even cycle settles, so the search runs no verdict
     assert find_stable_models(cycle, cycle_cfg) == []
+
+
+def test_a_verdict_builds_a_reduct_only_where_the_operator_reaches_m(monkeypatch, model_m,
+                                                                      model_n):
+    # the operator converges away from motor's M, whose constraint holds,
+    # so no reduct is needed to reject it; a stable point (N) and an
+    # undecided point each build one reduct, for its constraints
+    assert _stable_value(MOTOR, model_m, 1e-9, MAX_ITER)[1]
+    assert all(satisfies(model_m, r) for r in MOTOR.constraints())
+    built = []
+
+    def boom(*args):
+        raise AssertionError("the verdict built a reduct")
+
+    def counting(*args):
+        built.append(args)
+        return reduct(*args)
+    monkeypatch.setattr(semantics, "reduct", boom)
+    assert is_stable(MOTOR, model_m) is False
+    monkeypatch.setattr(semantics, "reduct", counting)
+    undecided = parse_program("p <-g or_l(p, 0.1) with 1;\nq <-g neg1(p) with 1;")
+    for program, M, max_iter, verdict in ((MOTOR, model_n, MAX_ITER, True),
+                                          (undecided, {"p": 0.5, "q": 0.5}, 3, None)):
+        built.clear()
+        assert is_stable(program, M, 1e-9, max_iter) is verdict
+        assert len(built) == 1
+
+
+def test_reduct_reads_no_analysis(motor, model_n):
+    # the trees come from `rewrite` alone: the fresh program is not analysed
+    want = [freeze_oracle(r.body, 1, model_n, 1e-9) for r in motor.rules]
+    assert [r.body for r in reduct(motor, model_n).rules] == want
+    assert motor.derived("analyses", dict) == {}
 
 
 def test_unconverged_trace_matches_oracle():
@@ -339,6 +384,21 @@ def test_out_of_range_body_raises_alike():
     assert raised(least_model, program, 1e-9, 10) == live
 
 
+def test_a_later_rules_range_violation_names_its_own_reduct_body():
+    # r's site neg1(s) comes first, frozen at 0.5; p's site neg1(q) comes
+    # second, frozen at 1, so p's reduct body is add(1, 0.8), read from
+    # p's own slice of the frozen values
+    program = Program((Rule(Atom("r"), "godel", Apply("neg1", (Atom("s"),)), 1.0),
+                       Rule(Atom("p"), "godel", Apply("add", (Apply("neg1", (Atom("q"),)),
+                                                              Const(0.8))), 1.0),
+                       Rule(Atom("q"), "godel", Const(0.0), 1.0),
+                       Rule(Atom("s"), "godel", Const(0.5), 1.0)))
+    M = {"p": 0.0, "q": 0.0, "r": 0.5, "s": 0.5}
+    want = raised(oracle_stable_operator, program, M, 1e-9, 10)
+    assert want == (RangeViolation, "body value 1.8 outside [0, 1]: add(1, 0.8)")
+    assert raised(stable_operator, program, M, 1e-9, 10) == want
+
+
 def test_missing_atom_raises_alike():
     program = parse_program("p <-g min(q, neg1(r)) with 1;\nq <-g 0.5 with 1;")
     M = {"p": 0.0, "q": 0.0}
@@ -366,8 +426,7 @@ def test_every_operator_compiles_like_eval(name, tol):
     grid = lattice_grid(0.1)
     points = 0
     for body, atoms in operator_bodies(name, BUILTINS[name]):
-        f, build = compile_body(body, tol)
-        assert build is None
+        f = compile_body(body, tol)
         for values in itertools.product(grid, repeat=len(atoms)):
             env = dict(zip(atoms, values))
             try:
@@ -391,7 +450,7 @@ def test_one_closure_reads_the_body_as_written_and_as_the_reduct(seed, tol):
                         values=(0.0, 0.25, 0.5, 0.75, 1.0))
     for program in [base] + [flipped(base, wrap) for wrap in WRAPS]:
         sites = []
-        compiled = [compile_body(r.body, tol, sites)[0] for r in program.rules]
+        compiled = [compile_body(r.body, tol, sites) for r in program.rules]
         I = {a: rng.random() for a in program.atoms()}
         M = {a: rng.random() for a in program.atoms()}
         frozen = [site(M, None) for site in sites]

@@ -9,6 +9,8 @@ same walk with every propagator taken away, so each head is tested at
 every grid value as the full product would test it.
 """
 
+import array
+import functools
 import itertools
 import random
 
@@ -49,23 +51,35 @@ MUTUAL = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n"
 def brute_force_candidates(program, step, pre_tol, tol):
     """Every grid point that is a fixpoint of T and satisfies all constraints."""
     atoms = program.atoms()
-    values = lattice_grid(step)
-    definite = program.definite_rules()
     constraints = program.constraints()
+    points = itertools.product(lattice_grid(step), repeat=len(atoms))
     out = []
-    for point in itertools.product(values, repeat=len(atoms)):
+    for point, gap in zip(points, fixpoint_gaps(program, step, tol)):
+        if gap > pre_tol:
+            continue
+        M = dict(zip(atoms, point))
+        if any(not satisfies(M, r, tol) for r in constraints):
+            continue
+        out.append(M)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def fixpoint_gaps(program, step, tol):
+    """max |T(M)[a] - M[a]| at each grid point, in grid order: the one
+    pass over the full product that every pre_tol shares, once per run."""
+    atoms = program.atoms()
+    definite = program.definite_rules()
+    gaps = array.array("d")
+    for point in itertools.product(lattice_grid(step), repeat=len(atoms)):
         M = dict(zip(atoms, point))
         consequence = {a: 0.0 for a in atoms}
         for r in definite:
             v = eval_conjunctor(r.impl, r.weight, eval_body(r.body, M, tol))
             if v > consequence[r.head.name]:
                 consequence[r.head.name] = v
-        if any(abs(consequence[a] - M[a]) > pre_tol for a in atoms):
-            continue
-        if any(not satisfies(M, r, tol) for r in constraints):
-            continue
-        out.append(M)
-    return out
+        gaps.append(max((abs(consequence[a] - M[a]) for a in atoms), default=0.0))
+    return gaps
 
 
 def unpropagated_candidates(program, step, pre_tol, tol):

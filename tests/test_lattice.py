@@ -95,7 +95,7 @@ def test_thresholds_coincide_on_a_chain(c, x, d):
     for v in (x, min(1.0, max(0.0, c + d))):
         env = {"x": v}
         values = {eval_body(f, env), eval_body(g, env),
-                  compile_body(f)[0](env, None), compile_body(g)[0](env, None)}
+                  compile_body(f)(env, None), compile_body(g)(env, None)}
         assert values == {eval_threshold(c, v)}
 
 

@@ -407,8 +407,9 @@ def test_trace_json_shape(motor, model_n):
 
 @pytest.mark.parametrize("tol", [1e-9, 0.3])
 def test_analysis_compiles_each_body_in_one_pass(motor, model_n, tol, monkeypatch):
-    # one closure per body serves T, the reduct's T and the grid prune;
-    # q's body has two freeze sites, p's and t's none
+    # one closure per definite body serves T, the reduct's T and the grid
+    # prune; q's body has two freeze sites, p's and t's none, and the
+    # constraint's body is not compiled
     compiled = []
 
     def counting(body, *args):
@@ -419,4 +420,4 @@ def test_analysis_compiles_each_body_in_one_pass(motor, model_n, tol, monkeypatc
     stable_operator(motor, model_n, tol)
     is_stable(motor, model_n, tol)
     find_stable_models(motor, StableSearchConfig(grid_step=0.5, tol=tol))
-    assert compiled == [r.body for r in motor.rules]
+    assert compiled == [r.body for r in motor.definite_rules()]
