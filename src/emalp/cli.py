@@ -260,6 +260,9 @@ def cmd_equiv(args) -> int:
         print(f"note: {len(report.source_undecided)} source and {len(report.target_undecided)} "
               f"target grid point(s) undecided: the inner fixpoint did not converge within "
               f"--max-iter {args.max_iter}; bijection is indeterminate", file=sys.stderr)
+    elif not report.source_models and not report.target_models:
+        print("note: neither program has a stable model on this grid, so the bijection "
+              "is vacuous", file=sys.stderr)
     _emit(report.to_json(), args.output)
     return 0
 

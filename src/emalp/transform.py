@@ -19,7 +19,9 @@ fresh atoms it introduced and knows how to move interpretations across:
   added, and each order-reversing occurrence of q is rewired to
   neg(not_q), which makes not_q order-preserving in the whole body.
   Requires an involutive negation; both neg1 and neg2 are, but only
-  neg1 is accepted until ROADMAP item 14.  The target is a MANLP.
+  neg1 is accepted until ROADMAP item 14.  The target is a MANLP.  A
+  cycle with an order-reversing read outside every negation (a
+  subtrahend, a divisor) is refused: the target would freeze that read.
 
 Lifting extends an interpretation to the fresh atoms (p_bot to 0, p_c
 to c, not_q to neg(q)); projection restricts to the source symbols.
@@ -52,6 +54,7 @@ from .semantics import (
     DEFAULT_MAX_ITER,
     BudgetExceeded,
     StableSearchConfig,
+    _analysis,
     check_grid_budget,
     find_stable_models,
     interp_distance,
@@ -226,6 +229,11 @@ def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
         raise TransformError("program has constraints; eliminate them first")
     if neg_choice != "neg1":
         raise TransformError("normalization is defined for the involutive negation neg1 only")
+    antitone = _analysis(program, DEFAULT_TOL).antitone
+    if antitone is not None:
+        raise TransformError(f"rule {program.rules.index(antitone)} ({antitone}) reads an atom "
+                             "order-reversingly outside a negation, on a program with a cycle: "
+                             "manlp would change its stable models")
     negative: set[str] = set()
     for pols in program.polarities():
         for atom, pol in pols.items():

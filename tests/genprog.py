@@ -56,3 +56,15 @@ def random_emalp(rng: random.Random, max_atoms=3, max_rules=4, max_constraints=1
     report = validate_program(program)
     assert report.ok, [str(i) for i in report.issues]
     return program
+
+
+def flipped(program, wrap):
+    """The program with every body B replaced by wrap(B), so that its
+    negations also sit at order-reversing positions."""
+    return Program(tuple(Rule(r.head, r.impl, wrap(r.body), r.weight) for r in program.rules))
+
+
+WRAPS = (
+    lambda b: Apply("neg1", (Apply("neg1", (b,)),)),
+    lambda b: Apply("sub", (Const(1.0), Apply("neg2", (b,)))),
+)

@@ -6,12 +6,11 @@ compiled analyses) outside the dataclass fields.  The walk-count pins
 wrap `emalp.program.occurrences` and require one signed walk per rule
 body per program analysed; the compiler's freeze-site test on subtrees
 (`is_freeze_site`) is not counted.  `is_minimal_model` walks its
-sub-grid with the grid search's walker; the `itertools.product` loop it
-used before is kept here as the oracle.
+sub-grid with the grid search's walker; its oracle is
+`reference.grid_minimal`, the `itertools.product` loop it used before.
 """
 
 import gc
-import itertools
 import json
 import math
 import pickle
@@ -28,8 +27,6 @@ from emalp import (
     StableSearchConfig,
     find_stable_models,
     is_minimal_model,
-    is_model,
-    lattice_grid,
     parse_program,
     reduct,
 )
@@ -37,6 +34,7 @@ from emalp.cli import main
 from emalp.semantics import _analysis, stable_check
 
 from genprog import random_emalp
+import reference
 
 # Eight rules over five atoms: negation cycles, a fact, two constraints.
 GRID8 = """\
@@ -128,27 +126,15 @@ def test_derived_data_stays_outside_the_fields(motor_text, model_n):
     assert out == reduct(fresh, model_n, 1e-9) and out.__getstate__() == {"rules": out.rules}
 
 
-def product_minimal(program, M, step, tol=1e-9):
-    """The old is_minimal_model: every sub-grid point by itertools.product."""
-    atoms = program.atoms()
-    choices = [[v for v in lattice_grid(step) if v <= M[a] + tol] for a in atoms]
-    for point in itertools.product(*choices):
-        N = dict(zip(atoms, point))
-        if any(N[a] < M[a] - tol for a in atoms) and is_model(N, program, tol):
-            return False
-    return True
-
-
 @pytest.mark.parametrize("step", [0.5, 0.25])
 def test_is_minimal_model_matches_the_product_loop(step):
     verdicts = Counter()
     for seed in range(40):
         rng = random.Random(seed)
         program = random_emalp(rng, values=(0.0, 0.25, 0.5, 0.75, 1.0))
-        points = list(itertools.product(lattice_grid(step), repeat=len(program.atoms())))
-        for point in rng.sample(points, min(len(points), 12)):
-            M = dict(zip(program.atoms(), point))
-            want = product_minimal(program, M, step)
+        points = list(reference.grid_points(program, step))
+        for M in rng.sample(points, min(len(points), 12)):
+            want = reference.grid_minimal(program, M, step, 1e-9)
             assert is_minimal_model(program, M, step) is want, (seed, M)
             verdicts[want] += 1
     assert verdicts[True] > 20 and verdicts[False] > 20
@@ -157,7 +143,7 @@ def test_is_minimal_model_matches_the_product_loop(step):
 @pytest.mark.parametrize("step", [0.1, 0.05])
 def test_is_minimal_model_matches_the_product_loop_on_motor(motor, model_m, model_n, step):
     for M in (model_m, model_n):
-        assert is_minimal_model(motor, M, step) is product_minimal(motor, M, step)
+        assert is_minimal_model(motor, M, step) is reference.grid_minimal(motor, M, step, 1e-9)
 
 
 def peak_mb(fn, *args):

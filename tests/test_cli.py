@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from emalp import eliminate_constraints_fc, verify_equivalence
 from emalp.cli import main
 
 MUTUAL = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n"
 CONSTRAINED = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n0.5 <-g p with 1;\n"
+VACUOUS = "note: neither program has a stable model on this grid, so the bijection is vacuous\n"
 
 
 @pytest.fixture
@@ -283,6 +285,37 @@ def test_transform_then_equiv(capsys, tmp_path):
     assert data["source_count"] == data["target_count"] == 2
 
 
+def test_equiv_flags_a_vacuous_bijection(capsys, motor_file, tmp_path, motor):
+    # motor's one stable model has p = 9/85, on no grid: the check compares
+    # 0 models with 0, and says so on stderr; JSON and exit code are unchanged
+    rec = eliminate_constraints_fc(motor)
+    src, out_path, rec_path = _fc_files(capsys, tmp_path, motor_file.read_text())
+    code, out, err = run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5")
+    assert (code, err) == (0, VACUOUS)
+    assert json.loads(out) == verify_equivalence(motor, rec, 0.5).to_json()
+    assert json.loads(out)["source_count"] == json.loads(out)["target_count"] == 0
+    # with models on the grid there is no note
+    src, out_path, rec_path = _fc_files(capsys, tmp_path)
+    code, out, err = run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5")
+    assert (code, err, json.loads(out)["source_count"]) == (0, "", 2)
+
+
+@pytest.mark.parametrize("text, rule", [
+    ("a <-g 1 with 1;\np <-g max(p, sub(1, a)) with 1;\n",
+     "rule 1 (p <-g max(p, sub(1, a)) with 1;)"),
+    ("p <-g sub(1, p) with 1;\n", "rule 0 (p <-g sub(1, p) with 1;)"),
+], ids=["subtrahend-on-a-cycle", "subtrahend-is-the-head"])
+def test_transform_manlp_refuses_an_order_reversing_read_on_a_cycle(capsys, tmp_path, text,
+                                                                     rule):
+    src = tmp_path / "cycle.malp"
+    src.write_text(text)
+    code, out, err = run(capsys, "transform", src, "--method", "manlp")
+    assert (code, out) == (1, "")
+    assert err == (f"{rule} reads an atom order-reversingly outside a negation, on a program "
+                   "with a cycle: manlp would change its stable models\n")
+    assert not src.with_suffix(".manlp.malp").exists()
+
+
 def test_transform_of_a_tiny_constant_then_equiv(capsys, tmp_path):
     src = tmp_path / "tiny.malp"
     src.write_text("p <-g 0.00001 with 1;\n0.5 <-l neg1(p) with 1;\n")
@@ -292,7 +325,7 @@ def test_transform_of_a_tiny_constant_then_equiv(capsys, tmp_path):
                "-o", out_path, "--record", rec_path)[0] == 0
     assert out_path.read_text().startswith("p <-g 0.00001 with 1;\n")
     code, out, err = run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5")
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, VACUOUS)   # p = 0.00001 is on no grid
     assert json.loads(out)["bijection"] is True
 
 

@@ -5,20 +5,16 @@ analysis made once per program and tolerance: the freeze sites are
 found once, every definite body is compiled into a closure, and the
 rules are ordered by their heads' levels in the reduct.  A reduct is a plain
 program that carries no analysis, so T compiles it from its own rules.
-The oracle is the path they replaced, kept here: take the reduct's
-rules (its trees are checked against a tree oracle in
-test_body_walks.py), then iterate T by walking the trees with
-`eval_body`; a verdict's oracle freezes P at M with that tree oracle
-and checks the frozen constraints at M.  Values, verdicts and
-`FixpointTrace`s must be equal (`==`), not merely close.  Search steps
-and verdicts take the operator's value from one pass in level order
-followed by Kleene iteration of the cyclic rules alone; that routine is
-held to Kleene's `stable_operator` from bottom.
+The oracles are in `reference.py`: T walks the trees, the stable
+operator is the Kleene least model of the reduct built on trees, and a
+verdict checks that least model and the frozen constraints at M.
+Values, verdicts and `FixpointTrace`s must be equal (`==`), not merely
+close.  Search steps and verdicts take the operator's value from one
+pass in level order followed by Kleene iteration of the cyclic rules
+alone; that routine is held to Kleene's `stable_operator` from bottom.
 """
 
-import functools
 import itertools
-import math
 import pickle
 import random
 import re
@@ -32,7 +28,6 @@ from emalp import (
     Apply,
     Atom,
     Const,
-    FixpointTrace,
     MalpError,
     Program,
     Rule,
@@ -45,7 +40,6 @@ from emalp import (
     least_model,
     parse_program,
     reduct,
-    satisfies,
     stable_operator,
     to_manlp,
 )
@@ -62,85 +56,16 @@ from emalp.semantics import (
 )
 
 from conftest import gen
-from genprog import random_emalp
-from test_body_walks import WRAPS, flipped, freeze_oracle
+from genprog import WRAPS, flipped, random_emalp
+import reference
 
 TOLS = (1e-9, 0.3)
 MAX_ITER = 200
 
 
-def oracle_step(program, I, tol):
-    out = {a: 0.0 for a in I}
-    for r in program.rules:
-        if r.is_constraint:
-            continue
-        v = eval_conjunctor(r.impl, r.weight, eval_body(r.body, I, tol))
-        name = r.head.name
-        if name not in out or v > out[name]:
-            out[name] = v
-    return out
-
-
-def oracle_bounds_above(program, I, J, tol):
-    """The stop's second test: X, J raised by tol (capped at 1) where J != I, has T(X) <= X."""
-    X = {a: min(1.0, J[a] + tol) if J[a] != I[a] else J[a] for a in J}
-    TX = oracle_step(program, X, tol)
-    return all(TX[a] <= X[a] for a in X)
-
-
-def oracle_least_model(program, tol, max_iter, atoms=None):
-    names = program.atoms() if atoms is None else tuple(sorted(atoms))
-    return _oracle_least_model(program, tol, max_iter, names)
-
-
-@functools.lru_cache(maxsize=256)
-def _oracle_least_model(program, tol, max_iter, names):
-    """Kept for the latest arguments: orbits and verdict points ask for
-    the same least model again within a few calls, about half the time."""
-    I = {a: 0.0 for a in names}
-    iterates = [dict(I)]
-    if not names:
-        return I, FixpointTrace((dict(I),), True, 0)
-    converged = False
-    for _ in range(max_iter):
-        J = oracle_step(program, I, tol)
-        iterates.append(dict(J))
-        if J == I or (max(abs(I[k] - J[k]) for k in I) < tol
-                      and oracle_bounds_above(program, I, J, tol)):
-            converged = True
-            break
-        I = J
-    return iterates[-1], FixpointTrace(tuple(iterates), converged, len(iterates) - 1)
-
-
-def oracle_stable_operator(program, M, tol, max_iter):
-    return _oracle_stable_operator(program, tuple(M.items()), tol, max_iter)
-
-
-@functools.lru_cache(maxsize=256)
-def _oracle_stable_operator(program, M, tol, max_iter):
-    """Kept for the latest arguments, as `_oracle_least_model`: an orbit
-    that settles asks again at the same M."""
-    rest = Program(reduct(program, dict(M), tol).definite_rules())
-    return oracle_least_model(rest, tol, max_iter, atoms=program.atoms())
-
-
-def oracle_stable_check(program, M, tol, max_iter):
-    """The paper's verdict on trees: freeze P at M, take the least model
-    over P's atoms, and check the frozen constraints at M."""
-    frozen = Program(tuple(Rule(r.head, r.impl, freeze_oracle(r.body, 1, M, tol), r.weight)
-                           for r in program.rules))
-    lfp, trace = oracle_least_model(frozen, tol, max_iter, atoms=program.atoms())
-    if not all(satisfies(M, r, tol) for r in frozen.constraints()):
-        return False, trace
-    if not trace.converged:
-        return None, trace
-    return all(abs(lfp[a] - M[a]) <= tol for a in lfp), trace
-
-
 def assert_operator_matches(program, M, tol):
     got = stable_operator(program, M, tol, MAX_ITER)
-    assert got == oracle_stable_operator(program, M, tol, MAX_ITER)
+    assert got == reference.stable_operator(program, M, tol, MAX_ITER)
     return got
 
 
@@ -212,9 +137,9 @@ def test_transform_targets_match_oracle(tol):
 def test_least_model_and_consequence_match_oracle(tol):
     rng = random.Random(5)
     for program in [MOTOR] + GENPROG + CYCLES:
-        assert least_model(program, tol, MAX_ITER) == oracle_least_model(program, tol, MAX_ITER)
+        assert least_model(program, tol, MAX_ITER) == reference.least_model(program, tol, MAX_ITER)
         I = {a: rng.random() for a in program.atoms()}
-        assert immediate_consequence(program, I, tol) == oracle_step(program, I, tol)
+        assert immediate_consequence(program, I, tol) == reference.consequence(program, I, tol)
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -229,7 +154,7 @@ def test_reduct_carries_what_compiling_it_would_give(tol):
         assert not _analysis(fresh, tol).sites
         assert reduct(got, M, tol) == got == reduct(fresh, M, tol)
         I = {a: rng.random() for a in program.atoms()}
-        want = oracle_step(fresh, I, tol)
+        want = reference.consequence(fresh, I, tol)
         assert immediate_consequence(got, I, tol) == immediate_consequence(fresh, I, tol) == want
 
 
@@ -247,10 +172,10 @@ def test_every_trace_matches_the_oracle_under_every_cap(tol, max_iter):
     programs += [flipped(p, wrap) for p in [MOTOR] + GENPROG[:20] + CYCLES[::9] for wrap in WRAPS]
     unconverged = 0
     for program in programs:
-        assert least_model(program, tol, max_iter) == oracle_least_model(program, tol, max_iter)
+        assert least_model(program, tol, max_iter) == reference.least_model(program, tol, max_iter)
         for M in starts_for(program, rng):
             got = stable_operator(program, M, tol, max_iter)
-            assert got == oracle_stable_operator(program, M, tol, max_iter)
+            assert got == reference.stable_operator(program, M, tol, max_iter)
             unconverged += not got[1].converged
         # a reduct is its own reduct: its operator is its least model
         frozen = reduct(program, M, tol)
@@ -320,7 +245,7 @@ def test_a_verdict_builds_a_reduct_only_where_the_operator_reaches_m(monkeypatch
     # so no reduct is needed to reject it; a stable point (N) and an
     # undecided point each build one reduct, for its constraints
     assert _stable_value(MOTOR, model_m, 1e-9, MAX_ITER)[1]
-    assert all(satisfies(model_m, r) for r in MOTOR.constraints())
+    assert all(reference.satisfies(model_m, r, 1e-9) for r in MOTOR.constraints())
     built = []
 
     def boom(*args):
@@ -342,8 +267,7 @@ def test_a_verdict_builds_a_reduct_only_where_the_operator_reaches_m(monkeypatch
 
 def test_reduct_reads_no_analysis(motor, model_n):
     # the trees come from `rewrite` alone: the fresh program is not analysed
-    want = [freeze_oracle(r.body, 1, model_n, 1e-9) for r in motor.rules]
-    assert [r.body for r in reduct(motor, model_n).rules] == want
+    assert reduct(motor, model_n) == reference.reduct(motor, model_n, 1e-9)
     assert motor.derived("analyses", dict) == {}
 
 
@@ -351,7 +275,7 @@ def test_unconverged_trace_matches_oracle():
     program = parse_program("p <-g or_l(p, 0.1) with 1;\nq <-g neg1(p) with 1;")
     for max_iter in (1, 3):
         got = stable_operator(program, {"p": 0.5, "q": 0.5}, 1e-9, max_iter)
-        assert got == oracle_stable_operator(program, {"p": 0.5, "q": 0.5}, 1e-9, max_iter)
+        assert got == reference.stable_operator(program, {"p": 0.5, "q": 0.5}, 1e-9, max_iter)
         assert not got[1].converged
 
 
@@ -376,10 +300,10 @@ def test_out_of_range_body_raises_alike():
                                                               Const(0.8))), 1.0),
                        Rule(Atom("q"), "godel", Const(0.0), 1.0)))
     M = {"p": 0.0, "q": 0.0}
-    want = raised(oracle_stable_operator, program, M, 1e-9, 10)
+    want = raised(reference.stable_operator, program, M, 1e-9, 10)
     assert want == (RangeViolation, "body value 1.8 outside [0, 1]: add(1, 0.8)")
     assert raised(stable_operator, program, M, 1e-9, 10) == want
-    live = raised(oracle_least_model, program, 1e-9, 10)
+    live = raised(reference.least_model, program, 1e-9, 10)
     assert live == (RangeViolation, "body value 1.8 outside [0, 1]: add(neg1(q), 0.8)")
     assert raised(least_model, program, 1e-9, 10) == live
 
@@ -394,7 +318,7 @@ def test_a_later_rules_range_violation_names_its_own_reduct_body():
                        Rule(Atom("q"), "godel", Const(0.0), 1.0),
                        Rule(Atom("s"), "godel", Const(0.5), 1.0)))
     M = {"p": 0.0, "q": 0.0, "r": 0.5, "s": 0.5}
-    want = raised(oracle_stable_operator, program, M, 1e-9, 10)
+    want = raised(reference.stable_operator, program, M, 1e-9, 10)
     assert want == (RangeViolation, "body value 1.8 outside [0, 1]: add(1, 0.8)")
     assert raised(stable_operator, program, M, 1e-9, 10) == want
 
@@ -402,10 +326,11 @@ def test_a_later_rules_range_violation_names_its_own_reduct_body():
 def test_missing_atom_raises_alike():
     program = parse_program("p <-g min(q, neg1(r)) with 1;\nq <-g 0.5 with 1;")
     M = {"p": 0.0, "q": 0.0}
-    want = raised(oracle_stable_operator, program, M, 1e-9, 10)
+    want = raised(reference.stable_operator, program, M, 1e-9, 10)
     assert raised(stable_operator, program, M, 1e-9, 10) == want
     assert want[1] == "interpretation is not total: missing r"
-    assert raised(immediate_consequence, program, M) == raised(oracle_step, program, M, 1e-9)
+    want = raised(reference.consequence, program, M, 1e-9)
+    assert raised(immediate_consequence, program, M) == want
 
 
 def operator_bodies(name, spec):
@@ -423,6 +348,7 @@ def operator_bodies(name, spec):
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 @pytest.mark.parametrize("tol", TOLS)
 def test_every_operator_compiles_like_eval(name, tol):
+    # the closure and eval_body each give the reference's value, or its error
     grid = lattice_grid(0.1)
     points = 0
     for body, atoms in operator_bodies(name, BUILTINS[name]):
@@ -430,12 +356,13 @@ def test_every_operator_compiles_like_eval(name, tol):
         for values in itertools.product(grid, repeat=len(atoms)):
             env = dict(zip(atoms, values))
             try:
-                want = eval_body(body, env, tol)
+                want = reference.body_value(body, env, tol)
             except RangeViolation as exc:
-                with pytest.raises(RangeViolation, match=re.escape(str(exc))):
-                    f(env, None)
+                for run in (lambda: f(env, None), lambda: eval_body(body, env, tol)):
+                    with pytest.raises(RangeViolation, match=re.escape(str(exc))):
+                        run()
             else:
-                assert f(env, None) == want
+                assert f(env, None) == eval_body(body, env, tol) == want
             points += 1
     assert points >= 11
 
@@ -454,9 +381,10 @@ def test_one_closure_reads_the_body_as_written_and_as_the_reduct(seed, tol):
         I = {a: rng.random() for a in program.atoms()}
         M = {a: rng.random() for a in program.atoms()}
         frozen = [site(M, None) for site in sites]
-        for f, rule, frozen_rule in zip(compiled, program.rules, reduct(program, M, tol).rules):
-            assert f(I, None) == eval_body(rule.body, I, tol)
-            assert f(I, frozen) == eval_body(frozen_rule.body, I, tol)
+        frozen_rules = reference.reduct(program, M, tol).rules
+        for f, rule, frozen_rule in zip(compiled, program.rules, frozen_rules):
+            assert f(I, None) == reference.body_value(rule.body, I, tol)
+            assert f(I, frozen) == reference.body_value(frozen_rule.body, I, tol)
 
 
 def test_analysis_is_cached_outside_the_fields(motor, motor_text):
@@ -470,10 +398,8 @@ def test_analysis_is_cached_outside_the_fields(motor, motor_text):
 
 def verdict_points(program, rng):
     """Every grid-0.5 point of the program, and two random points."""
-    atoms = program.atoms()
-    grid = [dict(zip(atoms, values))
-            for values in itertools.product(lattice_grid(0.5), repeat=len(atoms))]
-    return grid + [{a: rng.random() for a in atoms} for _ in range(2)]
+    randoms = [{a: rng.random() for a in program.atoms()} for _ in range(2)]
+    return [*reference.grid_points(program, 0.5), *randoms]
 
 
 def test_verdict_matches_tree_oracle(model_m, model_n):
@@ -489,11 +415,11 @@ def test_verdict_matches_tree_oracle(model_m, model_n):
         for program, points in cases:
             for M in points:
                 verdict, trace = stable_check(program, M, tol, 200)
-                assert (verdict, trace) == oracle_stable_check(program, M, tol, 200)
+                assert (verdict, trace) == reference.verdict(program, M, tol, 200)
                 # under a cap of 2 the trace is Kleene's, and a decided
                 # verdict is the uncapped one
                 capped, capped_trace = stable_check(program, M, tol, 2)
-                want, want_trace = oracle_stable_check(program, M, tol, 2)
+                want, want_trace = reference.verdict(program, M, tol, 2)
                 assert capped_trace == want_trace and capped in (None, verdict)
                 for v, t in ((verdict, trace), (capped, capped_trace)):
                     lfp = t.iterates[-1]
@@ -519,12 +445,10 @@ def pass_cases(rng):
     programs = GENPROG[:16] + [flipped(p, wrap) for p in GENPROG[:6] for wrap in WRAPS]
     programs += [MOTOR] + CYCLES[::9] + POOL[::3]
     for program in programs:
-        atoms = program.atoms()
-        grid = [dict(zip(atoms, values))
-                for values in itertools.product(lattice_grid(0.5), repeat=len(atoms))]
-        if len(atoms) > 3:
+        grid = list(reference.grid_points(program, 0.5))
+        if len(program.atoms()) > 3:
             grid = rng.sample(grid, 4)
-        yield program, grid + [{a: rng.random() for a in atoms} for _ in range(2)]
+        yield program, grid + [{a: rng.random() for a in program.atoms()} for _ in range(2)]
 
 
 def reduct_kind(analysis):

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from emalp import (
     Polarity,
     Program,
     ProgramClass,
-    Rule,
     StableSearchConfig,
     bottom_interpretation,
     eval_body,
@@ -21,7 +19,6 @@ from emalp import (
     is_minimal_model,
     is_model,
     is_stable,
-    lattice_grid,
     least_model,
     parse_program,
     polarity_of,
@@ -32,6 +29,7 @@ from emalp import (
 from emalp import semantics
 from emalp.program import MalpError, compile_body
 from genprog import random_emalp
+import reference
 
 MUTUAL = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n"
 
@@ -39,17 +37,6 @@ MUTUAL = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n"
 def interp_leq(a, b, tol):
     """a <= b at every atom of a, within tol."""
     return all(a[k] <= b[k] + tol for k in a)
-
-
-def brute_force_stable(program, step, tol=1e-9):
-    """Independent oracle: test is_stable at every grid point, no pruning."""
-    atoms = program.atoms()
-    out = []
-    for point in itertools.product(lattice_grid(step), repeat=len(atoms)):
-        M = dict(zip(atoms, point))
-        if is_stable(program, M, tol) is True:
-            out.append(M)
-    return out
 
 
 # --- satisfaction and models -------------------------------------------------
@@ -232,8 +219,7 @@ def test_least_model_below_every_grid_model():
                           .definite_rules())
         value, trace = least_model(program)
         assert trace.converged
-        for point in itertools.product(lattice_grid(0.25), repeat=len(program.atoms())):
-            M = dict(zip(program.atoms(), point))
+        for M in reference.grid_points(program, 0.25):
             if is_model(M, program):
                 assert interp_leq(value, M, 1e-9)
 
@@ -293,12 +279,14 @@ def test_grid_search_agrees_with_brute_force_oracle():
     for _ in range(25):
         program = random_emalp(rng, max_atoms=3, max_rules=4, max_constraints=1)
         cfg = StableSearchConfig(mode="grid", grid_step=0.5)
-        assert find_stable_models(program, cfg) == brute_force_stable(program, 0.5)
+        want = reference.stable_models(program, 0.5, cfg.tol, cfg.max_iter)
+        assert find_stable_models(program, cfg) == want
     for _ in range(5):
         program = random_emalp(rng, max_atoms=2, max_rules=3, max_constraints=1,
                                values=(0.0, 0.25, 0.5, 0.75, 1.0))
         cfg = StableSearchConfig(mode="grid", grid_step=0.25)
-        assert find_stable_models(program, cfg) == brute_force_stable(program, 0.25)
+        want = reference.stable_models(program, 0.25, cfg.tol, cfg.max_iter)
+        assert find_stable_models(program, cfg) == want
 
 
 def test_grid_search_unsatisfiable_constraint():

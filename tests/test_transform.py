@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from emalp import (
     validate_program,
     verify_equivalence,
 )
+from emalp.semantics import _analysis
 from genprog import random_emalp
 
 
@@ -170,6 +172,35 @@ def test_to_manlp_rejects_non_involutive_choice(motor):
     rec = eliminate_constraints_fc(motor)
     with pytest.raises(TransformError, match="neg1"):
         to_manlp(rec.target, "neg2")
+
+
+ANTITONE_ON_A_CYCLE = [
+    # the source's stable model is {a: 1, p: 1}; the target's would set p to 0
+    ("a <-g 1 with 1;\np <-g max(p, sub(1, a)) with 1;", 1),
+    # the source's fixpoint p = 0.5 is undecided; the target's would be stable
+    ("p <-g sub(1, p) with 1;", 0),
+]
+
+
+@pytest.mark.parametrize("text, index", ANTITONE_ON_A_CYCLE,
+                         ids=["subtrahend-on-a-cycle", "subtrahend-is-the-head"])
+def test_to_manlp_refuses_an_order_reversing_read_on_a_cycle(text, index):
+    # the rule it names is the one the analysis runs Kleene from bottom for
+    program = parse_program(text)
+    analysis = _analysis(program, 1e-9)
+    assert analysis.antitone == program.rules[index] and analysis.by_level == ()
+    message = f"rule {index} ({program.rules[index]}) reads an atom order-reversingly"
+    with pytest.raises(TransformError, match=re.escape(message)):
+        to_manlp(program)
+
+
+def test_to_manlp_accepts_motor_and_its_targets(motor, motor_unconstrained):
+    # motor's divisor reads s and t live, but no head of motor is on a cycle
+    assert _analysis(motor, 1e-9).antitone is None
+    for program in (motor_unconstrained, eliminate_constraints_fc(motor).target,
+                    eliminate_constraints_janssen(motor).target):
+        assert _analysis(program, 1e-9).antitone is None
+        assert to_manlp(program).target.classify() is ProgramClass.MANLP
 
 
 # --- interpretation transport -------------------------------------------------
