@@ -36,10 +36,11 @@ from .program import (
 
 
 # Deepest nesting of operator applications in one body.  Parsing,
-# validation, evaluation, serialization and `==` all recurse on the tree,
-# at up to four interpreter frames per level (str and the dataclass
-# equality), so this keeps every walk well inside Python's default
-# recursion limit of 1000 even when called from a deep stack.
+# validation, evaluation, serialization, `==`, hash and repr all recurse
+# on the tree, at up to four interpreter frames per level on CPython 3.11
+# (str, and the nodes' __eq__ and __repr__; __hash__ takes two), so this
+# keeps every walk well inside Python's default recursion limit of 1000
+# even when called from a deep stack.
 MAX_DEPTH = 128
 
 
@@ -56,18 +57,25 @@ class Token(NamedTuple):
     pos: int    # offset in the text; _line_col turns it into a position
 
 
-# One match per token: whitespace and comments before it are skipped,
-# and the last alternatives match the end of the text or a bad character.
+# One match per token, its text the one group: whitespace and comments
+# before it are skipped, and the empty match at the end of the text is the
+# eof token.  A bad character takes the rest of the text with it, so only
+# the last token but one can be bad.
 _TOKEN_RE = re.compile(
-    r"""(?:\s+|\#[^\n]*)*
-      (?: (?P<number>\d+(?:\.\d+)?)
-        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-        | (?P<punct><-|[(),;/])
-        | (?P<eof>\Z)
-        | (?P<bad>.) )
+    r"""\s*(?:\#[^\n]*\s*)*
+      ( [A-Za-z_][A-Za-z0-9_]* | [(),;/] | \d+(?:\.\d+)? | <- | \Z | .+ )
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+
+def _kind(tok: str) -> str:
+    """A token's kind: an ident is an ASCII identifier, a number starts
+    with a Unicode decimal digit, and a bad character is none of these."""
+    if tok in ("<-", "(", ")", ",", ";", "/"):
+        return tok
+    return ("eof" if not tok else "number" if tok[0].isdecimal()
+            else "ident" if tok.isascii() and tok.isidentifier() else "bad")
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -75,121 +83,134 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens with their offsets: the parser's scan, made again only to
+    place an error."""
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok, pos = m[kind], m.start(kind)
+        tok, pos = m[1], m.start(1)
+        kind = _kind(tok)
         if kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", *_line_col(text, pos))
-        tokens.append(Token(tok if kind == "punct" else kind, tok, pos))
-        if kind == "eof":
+            raise ParseError(f"unexpected character {tok[0]!r}", *_line_col(text, pos))
+        tokens.append(Token(kind, tok, pos))
+        if kind == "eof":   # a second "" may follow trailing whitespace
             return tokens
 
 
+def _scan(text: str) -> list[str]:
+    """The token texts, up to eof's ""; a bad character raises its ParseError."""
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > 1:
+        if not tokens[-2]:   # after trailing whitespace the end matches twice
+            tokens.pop()
+        elif _kind(tokens[-2]) == "bad":
+            _tokenize(text)   # raises at the bad character
+    return tokens
+
+
 class _Parser:
+    """Recursive descent over `_scan`'s texts, in which a token is an ident
+    exactly when it is an identifier (no bad token is left)."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _scan(text)
         self.i = 0
         self.depth = 0   # operator applications open around the current token
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token `at`, by default the current one."""
+        pos = _tokenize(self.text)[self.i if at is None else at].pos
+        return ParseError(message, *_line_col(self.text, pos))
 
-    def next(self) -> Token:
+    def expect(self, kind: str) -> str:
+        """The current token, stepped over; a number, or the punctuation `kind`."""
         tok = self.tokens[self.i]
+        if not (tok[:1].isdecimal() if kind == "number" else tok == kind):
+            raise self.error(f"expected {kind!r}, found {tok!r}")
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.error(f"expected {kind!r}, found {tok.text!r}", tok)
-        return self.next()
-
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        """A ParseError at tok, by default the current token."""
-        pos = (self.peek() if tok is None else tok).pos
-        return ParseError(message, *_line_col(self.text, pos))
-
     def literal(self) -> float:
+        at = self.i
         tok = self.expect("number")
-        if self.peek().kind == "/":
-            if "." in tok.text:
-                raise self.error("fraction numerator must be an integer", tok)
-            self.next()
-            den = self.expect("number")
-            if "." in den.text:
-                raise self.error("fraction denominator must be an integer", den)
-            try:
-                value = int(tok.text) / int(den.text)
-            except ZeroDivisionError:
-                raise self.error("fraction denominator must be nonzero", den) from None
-            except OverflowError:
-                raise self.error("fraction too large for a float", tok) from None
-            except ValueError:   # past int's limit on decimal digits
-                raise self.error("fraction has too many digits", tok) from None
+        if self.tokens[self.i] != "/":
+            value = float(tok)
         else:
-            value = float(tok.text)
+            if "." in tok:
+                raise self.error("fraction numerator must be an integer", at)
+            self.i += 1
+            den = self.expect("number")
+            if "." in den:
+                raise self.error("fraction denominator must be an integer", at + 2)
+            try:
+                value = int(tok) / int(den)
+            except ZeroDivisionError:
+                raise self.error("fraction denominator must be nonzero", at + 2) from None
+            except OverflowError:
+                raise self.error("fraction too large for a float", at) from None
+            except ValueError:   # past int's limit on decimal digits
+                raise self.error("fraction has too many digits", at) from None
         if not 0.0 <= value <= 1.0:
-            raise self.error(f"literal {value} outside [0, 1]", tok)
+            raise self.error(f"literal {value} outside [0, 1]", at)
         return value
 
     def expr(self) -> BodyExpr:
-        tok = self.peek()
-        if tok.kind == "number":
-            return Const(self.literal())
-        if tok.kind != "ident":
-            raise self.error(f"expected an expression, found {tok.text!r}")
-        if tok.text == "with":
+        tokens, at = self.tokens, self.i
+        tok = tokens[at]
+        if not tok.isidentifier():
+            if tok[:1].isdecimal():
+                return Const(self.literal())
+            raise self.error(f"expected an expression, found {tok!r}")
+        if tok == "with":
             raise self.error("'with' is reserved")
-        self.next()
-        if self.peek().kind != "(":
-            return Atom(tok.text)
-        if tok.text not in BUILTINS:
-            raise self.error(f"unknown builtin: {tok.text!r}", tok)
+        if tokens[at + 1] != "(":
+            self.i = at + 1
+            return Atom(tok)
+        if tok not in BUILTINS:
+            raise self.error(f"unknown builtin: {tok!r}", at)
         if self.depth == MAX_DEPTH:
-            raise self.error(f"expression nested deeper than {MAX_DEPTH} applications", tok)
-        self.next()
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} applications", at)
+        self.i = at + 2
         self.depth += 1
         args = [self.expr()]
-        while self.peek().kind == ",":
-            self.next()
+        while tokens[self.i] == ",":
+            self.i += 1
             args.append(self.expr())
         self.expect(")")
         self.depth -= 1
-        spec = BUILTINS[tok.text]
+        spec = BUILTINS[tok]
         if len(args) < spec.min_arity or (spec.max_arity is not None and len(args) > spec.max_arity):
-            raise self.error(f"{tok.text} applied to {len(args)} arguments", tok)
-        if spec.const_first and not isinstance(args[0], Const):
-            raise self.error(f"first argument of {tok.text} must be a literal", tok)
-        return Apply(tok.text, tuple(args))
+            raise self.error(f"{tok} applied to {len(args)} arguments", at)
+        if spec.const_first and args[0].__class__ is not Const:
+            raise self.error(f"first argument of {tok} must be a literal", at)
+        return Apply(tok, tuple(args))
 
     def decl(self) -> Rule:
-        tok = self.peek()
-        if tok.kind == "number":
-            head: Atom | Const = Const(self.literal())
-        elif tok.kind == "ident" and tok.text != "with":
-            head = Atom(self.next().text)
+        tokens = self.tokens
+        tok = tokens[self.i]
+        if tok.isidentifier() and tok != "with":
+            head: Atom | Const = Atom(tok)
+            self.i += 1
+        elif tok[:1].isdecimal():
+            head = Const(self.literal())
         else:
-            raise self.error(f"expected a rule head, found {tok.text!r}")
+            raise self.error(f"expected a rule head, found {tok!r}")
         self.expect("<-")
-        tag = self.peek()
-        if tag.kind != "ident" or tag.text not in TAG_IMPLICATIONS:
+        tag = tokens[self.i]
+        if tag not in TAG_IMPLICATIONS:
             raise self.error("expected implication tag 'g', 'p' or 'l'")
-        self.next()
+        self.i += 1
         body = self.expr()
-        kw = self.peek()
-        if kw.kind != "ident" or kw.text != "with":
-            raise self.error(f"expected 'with', found {kw.text!r}")
-        self.next()
+        if tokens[self.i] != "with":
+            raise self.error(f"expected 'with', found {tokens[self.i]!r}")
+        self.i += 1
         weight = self.literal()
         self.expect(";")
-        return Rule(head, TAG_IMPLICATIONS[tag.text], body, weight)
+        return Rule(head, TAG_IMPLICATIONS[tag], body, weight)
 
     def program(self) -> Program:
         rules = []
-        while self.peek().kind != "eof":
+        while self.tokens[self.i]:   # until eof
             rules.append(self.decl())
         return Program(tuple(rules))
 
@@ -198,7 +219,8 @@ def parse_body(text: str) -> BodyExpr:
     """Parse a single body expression (no trailing input allowed)."""
     p = _Parser(text)
     e = p.expr()
-    p.expect("eof")
+    if p.tokens[p.i]:
+        raise p.error(f"expected 'eof', found {p.tokens[p.i]!r}")
     return e
 
 

@@ -24,10 +24,10 @@ truth-value lattice proper.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
-import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -48,30 +48,73 @@ class RangeViolation(MalpError):
     """A body evaluated to a value outside [0, 1] by more than the tolerance."""
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class _Node:
+    """An immutable node: equal to a node of the same class with equal
+    fields, and hashed, written by repr and pickled by those fields alone.
+    Its __init__ sets the fields with the slots' own setters, which the
+    frozen __setattr__ does not block."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, *value):   # also __delattr__, which passes no value
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Const(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        _set_value(self, value)
 
     def __str__(self) -> str:
         return format_value(self.value)
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Apply:
-    op: str
-    args: tuple["BodyExpr", ...]
+class Apply(_Node):
+    __slots__ = ("op", "args", "_signs")   # _signs: made on first use
+    _fields = ("op", "args")
+
+    def __init__(self, op: str, args: tuple["BodyExpr", ...]):
+        _set_op(self, op)
+        _set_args(self, args)
 
     def __str__(self) -> str:
         return f"{self.op}({', '.join(str(a) for a in self.args)})"
 
+
+_set_value, _set_name = Const.value.__set__, Atom.name.__set__
+_set_op, _set_args, _set_signs = Apply.op.__set__, Apply.args.__set__, Apply._signs.__set__
 
 BodyExpr = Union[Const, Atom, Apply]
 
@@ -237,30 +280,23 @@ class Polarity(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    atom: str
-    sign: int             # +1 order-preserving, -1 order-reversing
-    direct_negation: bool  # atom is the argument of a negation sitting at a positive position
+class Occurrence(_Node):
+    __slots__ = _fields = ("atom", "sign", "direct_negation")
+
+    def __init__(self, atom: str, sign: int, direct_negation: bool):
+        _set_atom(self, atom)
+        _set_sign(self, sign)             # +1 order-preserving, -1 order-reversing
+        _set_direct(self, direct_negation)   # the argument of a negation at a positive position
+
+
+_set_atom, _set_sign, _set_direct = (
+    Occurrence.atom.__set__, Occurrence.sign.__set__, Occurrence.direct_negation.__set__)
 
 
 def occurrences(body: BodyExpr, sign: int = 1) -> list[Occurrence]:
     out: list[Occurrence] = []
-    _collect(body, sign, False, out)
+    _walk(body, sign, False, out, [], DEFAULT_TOL)
     return out
-
-
-def _collect(node: BodyExpr, sign: int, direct_neg: bool, out: list[Occurrence]) -> None:
-    if isinstance(node, Atom):
-        out.append(Occurrence(node.name, sign, direct_neg))
-        return
-    if isinstance(node, Const):
-        return
-    spec = BUILTINS.get(node.op)
-    if spec is None or (spec.polarities is not None and len(node.args) > len(spec.polarities)):
-        return   # some argument has no sign; validation's _check_expr reports the node
-    for i, arg in enumerate(node.args):
-        _collect(arg, sign * spec.polarity(i), node.op in NEGATION_KINDS and sign > 0, out)
 
 
 def polarity_of(body: BodyExpr) -> dict[str, Polarity]:
@@ -312,15 +348,40 @@ def is_freeze_site(node: BodyExpr, sign: int) -> bool:
     their value under M.  Which subtrees they are depends on polarity
     alone, never on M.
     """
-    if not (isinstance(node, Apply) and node.op in NEGATION_KINDS):
-        return False
-    occs = occurrences(node, sign)
-    return bool(occs) and all(o.sign < 0 for o in occs)
+    return node.__class__ is Apply and node.op in NEGATION_KINDS and _signs(node) == {-sign}
+
+
+def _signs(node: BodyExpr) -> frozenset[int]:
+    """The signs the subtree's `occurrences` take, read at +1; an Apply node
+    keeps them once found."""
+    if node.__class__ is not Apply:
+        return frozenset((1,) if node.__class__ is Atom else ())
+    if not hasattr(node, "_signs"):
+        spec, n = BUILTINS.get(node.op), len(node.args)
+        signs = frozenset()   # no argument has a sign, as for `occurrences`
+        if spec is not None and n <= (spec.max_arity or n):
+            signs = frozenset(s * spec.polarity(i) for i, arg in enumerate(node.args)
+                              for s in _signs(arg))
+        _set_signs(node, signs)
+    return node._signs
+
+
+def _reads(node: BodyExpr, sign: int, out: dict[str, int]) -> dict[str, int]:
+    """Add to `out` the atoms the body's reduct reads, those outside its
+    freeze sites, each mapped to -1 if some such read is order-reversing,
+    else to 1."""
+    if node.__class__ is Atom:
+        out[node.name] = min(sign, out.get(node.name, sign))
+    elif node.__class__ is Apply and not is_freeze_site(node, sign):
+        spec = op_spec(node.op)
+        for i, arg in enumerate(node.args):
+            _reads(arg, sign * spec.polarity(i), out)
+    return out
 
 
 def body_interval(body: BodyExpr) -> Interval:
     """Natural interval extension over atoms in [0, 1], clamped as validation clamps it."""
-    return _check_expr(body, [], DEFAULT_TOL)
+    return _walk(body, 1, False, [], [], DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -330,25 +391,21 @@ Compiled = Callable[[Mapping[str, float], Optional[Sequence[float]]], float]
 
 
 def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
-                 sites: Optional[list[Compiled]] = None,
-                 reads: Optional[dict[str, int]] = None) -> Compiled:
+                 sites: Optional[list[Compiled]] = None) -> Compiled:
     """Compile a body into f(env, frozen) -> float, evaluated as eval_body does.
 
     f(env, None) is the body as written.  With a `sites` list, the closure
     that evaluates freeze site k's subtree is appended to `sites` as entry
     k; f(env, frozen) then reads frozen[k] there, so it is the reduct's
     body when frozen holds [site(M, None) for site in sites].  Bodies may
-    share one list.  A `reads` dict receives, in the same walk, the atoms
-    f(env, frozen) reads: those outside the freeze sites, or all of them
-    without `sites`, each mapped to -1 if some such read is
-    order-reversing, else to 1.  Each operator calls the function
-    eval_expr calls, on the same arguments in the same order, so the
-    floats are the same, as are the range check, the clamp and the
-    RangeViolation message, whose reduct body `rewrite` builds only on
-    error, from the values in frozen of this body's own sites.
+    share one list.  Each operator calls the function eval_expr calls, on
+    the same arguments in the same order, so the floats are the same, as
+    are the range check, the clamp and the RangeViolation message, whose
+    reduct body `rewrite` builds only on error, from the values in frozen
+    of this body's own sites.
     """
     first = None if sites is None else len(sites)   # this body's sites come next
-    expr = _compile(body, 1, tol, sites, reads)
+    expr = _compile(body, 1, tol, sites)
 
     def evaluate(env, frozen):
         v = expr(env, frozen)
@@ -363,15 +420,12 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
     return evaluate
 
 
-def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compiled]],
-             reads: Optional[dict[str, int]]) -> Compiled:
+def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compiled]]) -> Compiled:
     if isinstance(node, Const):
         value = node.value
         return lambda env, frozen: value
     if isinstance(node, Atom):
         name = node.name
-        if reads is not None:
-            reads[name] = min(sign, reads.get(name, sign))
 
         def atom(env, frozen):
             try:
@@ -381,11 +435,11 @@ def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compile
         return atom
     if sites is not None and is_freeze_site(node, sign):
         k = len(sites)
-        site = _compile(node, sign, tol, None, None)
+        site = _compile(node, sign, tol, None)
         sites.append(site)
         return lambda env, frozen: site(env, None) if frozen is None else frozen[k]
     spec = op_spec(node.op)
-    args = [_compile(a, sign * spec.polarity(i), tol, sites, reads)
+    args = [_compile(a, sign * spec.polarity(i), tol, sites)
             for i, a in enumerate(node.args)]
     if spec.const_first:
         c, x = args
@@ -463,7 +517,8 @@ class Program:
                 o.atom for occs in self.rule_occurrences() for o in occs))))
 
     def rule_occurrences(self) -> tuple[tuple[Occurrence, ...], ...]:
-        """The signed atom occurrences of each rule body, in rule order."""
+        """The signed atom occurrences of each rule body, in rule order;
+        `validate_program` leaves them here from its walk."""
         return self.derived("occurrences",
                             lambda: tuple(tuple(occurrences(r.body)) for r in self.rules))
 
@@ -483,16 +538,51 @@ class Program:
         return tuple(i for i, occs in enumerate(self.rule_occurrences())
                      if any(o.sign < 0 and not o.direct_negation for o in occs))
 
+    def levels(self) -> tuple[dict[str, float], Optional[Rule]]:
+        """Each head's level in the reduct, and what keeps its T from being monotone.
+
+        The levels are `_levels` of what each head's bodies read outside
+        their freeze sites.  If some head is on or downstream of a cycle
+        (level inf), the second item is the first definite rule that reads
+        an atom order-reversingly there (a subtrahend, a divisor), else None.
+        """
+        def make():
+            reads = [(r, _reads(r.body, 1, {})) for r in self.definite_rules()]
+            heads: dict[str, set] = {}
+            for r, read in reads:
+                heads.setdefault(r.head.name, set()).update(read)
+            level = _levels(heads)
+            antitone = [r for r, read in reads if -1 in read.values()]
+            return level, antitone[0] if antitone and math.inf in level.values() else None
+        return self.derived("levels", make)
+
     def classify(self) -> ProgramClass:
-        has_constraints = bool(self.constraints())
-        negatives = [o for occs in self.rule_occurrences() for o in occs if o.sign < 0]
-        if not has_constraints and not negatives:
+        if self.constraints():
+            return ProgramClass.EMALP
+        if not any(o.sign < 0 for occs in self.rule_occurrences() for o in occs):
             return ProgramClass.POSITIVE
-        if not has_constraints and not self.reversing_rules():
-            return ProgramClass.MANLP
-        if not has_constraints:
-            return ProgramClass.CONSTRAINT_FREE
-        return ProgramClass.EMALP
+        return ProgramClass.CONSTRAINT_FREE if self.reversing_rules() else ProgramClass.MANLP
+
+
+def _levels(reads: dict[str, set]) -> dict[str, float]:
+    """Each head's level: 1 + the highest level its bodies read (0 for an atom
+    that heads no rule), inf on or downstream of a cycle.  From bottom, a
+    head of level n is final from Kleene step n on.  In Kahn's order: a
+    head is levelled once every head it reads is, so each read counts once."""
+    waits = {h: atoms & reads.keys() for h, atoms in reads.items()}   # heads not levelled
+    readers: dict[str, list] = {h: [] for h in reads}
+    for h, atoms in waits.items():
+        for a in atoms:
+            readers[a].append(h)
+    level = dict.fromkeys(reads, 1)
+    ready = [h for h, atoms in waits.items() if not atoms]
+    for h in ready:   # grows as heads get levelled
+        for r in readers[h]:
+            level[r] = max(level[r], level[h] + 1)
+            waits[r].discard(h)
+            if not waits[r]:
+                ready.append(r)
+    return {h: math.inf if waits[h] else n for h, n in level.items()}
 
 
 @dataclass(frozen=True)
@@ -521,49 +611,72 @@ class ValidationFailure(MalpError):
         super().__init__("; ".join(str(i) for i in report.issues))
 
 
-def _check_expr(node: BodyExpr, issues: list[str], tol: float) -> Interval:
-    """Structural and range checks in one bottom-up pass; returns the interval."""
-    if isinstance(node, Const):
+def _walk(node: BodyExpr, sign: int, direct_neg: bool, occs: list[Occurrence],
+          issues: list[str], tol: float) -> Interval:
+    """Validation's one pass over a (sub)tree read at `sign`; returns its interval.
+
+    The signs go down, and each atom's Occurrence is appended to `occs`.
+    The intervals come up, and the structural and range issues are
+    appended to `issues`.  The arguments of a malformed node give their
+    occurrences but no issues, unless one has no sign (an unknown builtin,
+    too many arguments).  An operator monotone in each argument gets its
+    range from its function at the low and the high corner of the argument
+    box, each antitone argument's interval turned over.
+    """
+    if node.__class__ is Atom:
+        occs.append(Occurrence(node.name, sign, direct_neg))
+        return (0.0, 1.0)
+    if node.__class__ is Const:
         if not 0.0 <= node.value <= 1.0:
             issues.append(f"constant {node.value} outside [0, 1]")
         return (node.value, node.value)
-    if isinstance(node, Atom):
-        return (0.0, 1.0)
-    spec = BUILTINS.get(node.op)
+    op, args = node.op, node.args
+    spec = BUILTINS.get(op)
     if spec is None:
-        issues.append(f"unknown builtin: {node.op!r}")
+        issues.append(f"unknown builtin: {op!r}")
         return (0.0, 1.0)
-    n = len(node.args)
-    if n < spec.min_arity or (spec.max_arity is not None and n > spec.max_arity):
-        issues.append(f"{node.op} applied to {n} arguments")
+    n, most = len(args), spec.max_arity or len(args)
+    if not spec.min_arity <= n <= most:
+        wrong = f"{op} applied to {n} arguments"
+    elif spec.const_first and args[0].__class__ is not Const:
+        wrong = f"first argument of {op} must be a constant"
+    else:
+        wrong = None
+    if wrong:
+        issues.append(wrong)
+        if n > most:
+            return (0.0, 1.0)
+        issues = []
+    direct_neg = sign > 0 and op in NEGATION_KINDS   # for the arguments
+    ivs = []
+    for arg, s in zip(args, spec.polarities or _PRESERVING):
+        ivs.append(_walk(arg, sign * s, direct_neg, occs, issues, tol))
+    if wrong:
         return (0.0, 1.0)
-    if spec.const_first and not isinstance(node.args[0], Const):
-        issues.append(f"first argument of {node.op} must be a constant")
-        return (0.0, 1.0)
-    ivs = [_check_expr(a, issues, tol) for a in node.args]
     for i in spec.lattice_domain:
         lo, hi = ivs[i]
         if lo < -1e-12 or hi > 1.0 + 1e-12:
-            issues.append(f"argument of {node.op} may leave [0, 1] (interval [{lo}, {hi}])")
+            issues.append(f"argument of {op} may leave [0, 1] (interval [{lo}, {hi}])")
             ivs[i] = (_clamp01(lo), _clamp01(hi))
     if spec.interval is not None:
         if spec.interval in (_iv_mul, _iv_div1):
             # a product or quotient turns one argument over wherever the other is negative
             for i, j in ((0, 1), (1, 0)):
-                if ivs[i][0] < 0.0 and occurrences(node.args[j]):
-                    issues.append(f"argument {j + 1} of {node.op} holds atoms, but argument "
+                if ivs[i][0] < 0.0 and _signs(args[j]):
+                    issues.append(f"argument {j + 1} of {op} holds atoms, but argument "
                                   f"{i + 1} may be negative (interval [{ivs[i][0]}, {ivs[i][1]}])")
         return spec.interval(ivs)
-    # monotone: with each antitone argument's interval turned over, fn at the
-    # low and the high corner gives the range; thresholds cut at c + tol
-    fn = spec.fn or (lambda c, x: eval_threshold(c, x, tol))
-    if spec.polarities is not None:
-        ivs = [iv if s > 0 else iv[::-1] for iv, s in zip(ivs, spec.polarities)]
-    low, high = zip(*ivs)
-    return fn(*low), fn(*high)
+    if spec.polarities is None:   # min, max
+        return spec.fn(*[lo for lo, _ in ivs]), spec.fn(*[hi for _, hi in ivs])
+    fn = spec.fn or (lambda c, x: eval_threshold(c, x, tol))   # thresholds cut at c + tol
+    if n == 1:   # iv[::-1] turns an antitone argument's interval over
+        lo, hi = ivs[0][::spec.polarities[0]]
+        return fn(lo), fn(hi)
+    (a, b), (c, d) = ivs[0][::spec.polarities[0]], ivs[1][::spec.polarities[1]]
+    return fn(a, c), fn(b, d)
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_PRESERVING = itertools.repeat(1)   # the signs of a variadic operator's arguments
 
 
 def validate_program(program: Program, allow_repeats: bool = False,
@@ -572,18 +685,27 @@ def validate_program(program: Program, allow_repeats: bool = False,
 
     Violations are data, not errors; callers that need a hard failure
     (the parser, the CLI) raise ValidationFailure on a non-empty report.
+    Each body is walked once, and its occurrences are left in
+    `program.rule_occurrences()`.
     """
     issues: list[ValidationIssue] = []
-    for idx, (rule, occs) in enumerate(zip(program.rules, program.rule_occurrences())):
-        local: list[str] = []
-        counts: dict[tuple[str, int], int] = {}   # (atom, sign), in order of first occurrence
-        for occ in occs:
-            counts[occ.atom, occ.sign] = counts.get((occ.atom, occ.sign), 0) + 1
-        atoms = dict.fromkeys(atom for atom, _ in counts)
-        head = [rule.head.name] if isinstance(rule.head, Atom) else []
-        for name in sorted(set(atoms).union(head)):
-            if name == "with" or not _IDENT_RE.match(name):
-                local.append(f"invalid atom name {name!r}")
+    walked = []
+    seen: set[str] = set()   # the atom names checked so far, and the invalid ones
+    invalid: set[str] = set()
+    for idx, rule in enumerate(program.rules):
+        occs: list[Occurrence] = []
+        body: list[str] = []
+        top = _walk(rule.body, 1, False, occs, body, tol)
+        walked.append(tuple(occs))
+        names = {o.atom for o in occs}
+        repeats = len(names) < len(occs)
+        if isinstance(rule.head, Atom):
+            names.add(rule.head.name)
+        if not names <= seen:
+            invalid.update(n for n in names - seen   # an ident is an ASCII identifier
+                           if n == "with" or not (n.isascii() and n.isidentifier()))
+            seen |= names
+        local = [f"invalid atom name {n!r}" for n in sorted(names & invalid)] if invalid else []
         if not -tol <= rule.weight <= 1.0 + tol:
             local.append(f"weight {rule.weight} outside [0, 1]")
         if rule.is_constraint:
@@ -591,15 +713,21 @@ def validate_program(program: Program, allow_repeats: bool = False,
                 local.append(f"constraint head {rule.head.value} outside [0, 1]")
             if abs(rule.weight - 1.0) > tol:
                 local.append(f"constraint weight must be 1, got {format_value(rule.weight)}")
-        top = _check_expr(rule.body, local, tol)
+        local += body
         if top[0] < -tol or top[1] > 1.0 + tol:
             local.append(f"body may leave [0, 1] (interval [{top[0]}, {top[1]}])")
-        for atom in atoms:
-            if (atom, 1) in counts and (atom, -1) in counts:
-                local.append(f"atom {atom!r} occurs with both polarities")
-        if not allow_repeats:
-            for (atom, sign), n in sorted(counts.items()):
-                if n > 1:
-                    local.append(f"atom {atom!r} occurs {n} times with the same polarity")
-        issues.extend(ValidationIssue(idx, m) for m in local)
+        if repeats:
+            counts: dict[tuple[str, int], int] = {}   # (atom, sign), in order of first occurrence
+            for occ in occs:
+                counts[occ.atom, occ.sign] = counts.get((occ.atom, occ.sign), 0) + 1
+            for atom in dict.fromkeys(atom for atom, _ in counts):
+                if (atom, 1) in counts and (atom, -1) in counts:
+                    local.append(f"atom {atom!r} occurs with both polarities")
+            if not allow_repeats:
+                for (atom, sign), n in sorted(counts.items()):
+                    if n > 1:
+                        local.append(f"atom {atom!r} occurs {n} times with the same polarity")
+        if local:
+            issues += [ValidationIssue(idx, m) for m in local]
+    program.derived("occurrences", lambda: tuple(walked))
     return ValidationReport(tuple(issues), program.classify())

@@ -132,12 +132,11 @@ class _Analysis:
     written, read with the values of the freeze `sites` at M it is the
     reduct's.  Constraint bodies are not compiled (no operator reads
     them), so the sites are the definite bodies' alone.  `by_level` holds
-    the rules whose heads have a finite level (`_levels`), stably sorted
-    by it, and `top` is the highest finite level (0 if none); `cyclic`
-    holds the rest, those on or downstream of a cycle, in program order.
-    If some head is cyclic, `antitone` is the first rule with an order-reversing
-    read (a subtrahend, a divisor), and if there is one, every rule is cyclic
-    and `top` 0: T is not monotone, so only Kleene's run reads it.
+    the rules whose heads have a finite level (`Program.levels`), stably
+    sorted by it, and `top` is the highest finite level (0 if none);
+    `cyclic` holds the rest, those on or downstream of a cycle, in program
+    order.  If `levels` names an `antitone` rule, every rule is cyclic and
+    `top` 0: T is not monotone, so only Kleene's run reads it.
     """
     rules: Rules
     sites: tuple[Compiled, ...]
@@ -152,44 +151,16 @@ def _analysis(program: Program, tol: float) -> _Analysis:
     if tol in analyses:
         return analyses[tol]   # allocates nothing
     sites: list[Compiled] = []
-    definite = program.definite_rules()
-    reads = [{} for _ in definite]   # what each body reads outside freeze sites, with signs
-    rules = [(r.head.name, r.impl, r.weight, compile_body(r.body, tol, sites, read))
-             for r, read in zip(definite, reads)]
-    heads: dict[str, set] = {}   # what a head's bodies read
-    for (head, *_), read in zip(rules, reads):
-        heads.setdefault(head, set()).update(read)
-    level = _levels(heads)
+    rules = [(r.head.name, r.impl, r.weight, compile_body(r.body, tol, sites))
+             for r in program.definite_rules()]
+    level, antitone = program.levels()
     top = max((n for n in level.values() if n < math.inf), default=0)
     by_level = tuple(sorted((r for r in rules if level[r[0]] <= top), key=lambda r: level[r[0]]))
     cyclic = tuple(r for r in rules if level[r[0]] > top)
-    antitone = next((r for r, read in zip(definite, reads)
-                     if cyclic and -1 in read.values()), None)
     if antitone is not None:
         by_level, cyclic, top = (), tuple(rules), 0
     analyses[tol] = _Analysis(tuple(rules), tuple(sites), by_level, cyclic, top, antitone)
     return analyses[tol]
-
-
-def _levels(reads: dict[str, set]) -> dict[str, float]:
-    """Each head's level: 1 + the highest level its bodies read (0 for an atom
-    that heads no rule), inf on or downstream of a cycle.  From bottom, a
-    head of level n is final from Kleene step n on.  In Kahn's order: a
-    head is levelled once every head it reads is, so each read counts once."""
-    waits = {h: atoms & reads.keys() for h, atoms in reads.items()}   # heads not levelled
-    readers: dict[str, list] = {h: [] for h in reads}
-    for h, atoms in waits.items():
-        for a in atoms:
-            readers[a].append(h)
-    level = dict.fromkeys(reads, 1)
-    ready = [h for h, atoms in waits.items() if not atoms]
-    for h in ready:   # grows as heads get levelled
-        for r in readers[h]:
-            level[r] = max(level[r], level[h] + 1)
-            waits[r].discard(h)
-            if not waits[r]:
-                ready.append(r)
-    return {h: math.inf if waits[h] else n for h, n in level.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 `Program.derived` keeps what is derived from a program's rules (atoms,
 each rule body's signed occurrences, the rule partition, semantics'
 compiled analyses) outside the dataclass fields.  The walk-count pins
-wrap `emalp.program.occurrences` and require one signed walk per rule
-body per program analysed; the compiler's freeze-site test on subtrees
-(`is_freeze_site`) is not counted.  `is_minimal_model` walks its
+wrap `emalp.program._walk`, the signed walk that validation and
+`occurrences` make, and require one walk per rule body per program
+analysed, validation's own included.  `is_minimal_model` walks its
 sub-grid with the grid search's walker; its oracle is
 `reference.grid_minimal`, the `itertools.product` loop it used before.
 """
@@ -51,17 +51,16 @@ a <-g 0.25 with 1;
 
 @pytest.fixture
 def walks(monkeypatch):
-    """The bodies `occurrences` walks, outside is_freeze_site, in call order."""
+    """The bodies `_walk` starts on, not counting its own recursion, in call order."""
     walked = []
-    original = program_module.occurrences
-    freeze_check = program_module.is_freeze_site.__code__
+    original = program_module._walk
 
-    def counted(body, sign=1):
-        if sys._getframe(1).f_code is not freeze_check:
+    def counted(body, *args):
+        if sys._getframe(1).f_code is not original.__code__:
             walked.append(body)
-        return original(body, sign)
+        return original(body, *args)
 
-    monkeypatch.setattr(program_module, "occurrences", counted)
+    monkeypatch.setattr(program_module, "_walk", counted)
     return walked
 
 

@@ -328,6 +328,26 @@ def test_constraint_bound_on_models(motor, model_m, model_n):
     assert found >= 2
 
 
+@pytest.mark.parametrize("tol", [1e-9, 0.3])
+def test_is_model_is_every_rule_of_the_reference(tol):
+    # constraints included: on some points only a constraint fails
+    only_a_constraint = verdicts = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        program = random_emalp(rng, max_constraints=2, values=(0.0, 0.25, 0.5, 0.75, 1.0))
+        if not program.constraints():
+            continue
+        points = list(reference.grid_points(program, 0.5))
+        points += [{a: rng.random() for a in program.atoms()} for _ in range(10)]
+        for I in points:
+            want = all(reference.satisfies(I, r, tol) for r in program.rules)
+            assert is_model(I, program, tol) is want, (seed, I)
+            verdicts += want
+            only_a_constraint += not want and all(
+                reference.satisfies(I, r, tol) for r in program.definite_rules())
+    assert verdicts > 250 and only_a_constraint > 250
+
+
 def test_constraint_characterizes_lower_bound(motor):
     # <0.7 <-l neg1(q); 1> holds exactly when 1 - q <= 0.7, i.e. q >= 0.3
     constraint = motor.rules[2]
