@@ -16,14 +16,9 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .lattice import ADJOINT_KINDS, DEFAULT_TOL, NEGATION_KINDS, eval_implication, truth_value
+from .lattice import ADJOINT_KINDS, DEFAULT_TOL, NEGATION_KINDS, truth_value
 from .parser import parse_program, serialize_program
-from .program import (
-    MalpError,
-    Program,
-    eval_body,
-    validate_program,
-)
+from .program import MalpError, Program, validate_program
 from .semantics import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_ITER,
@@ -32,10 +27,12 @@ from .semantics import (
     StableSearchConfig,
     check_grid_budget,
     find_stable_models,
+    is_stable,
     least_model,
     reduct,
     require_total,
-    stable_check,
+    rule_check,
+    stable_operator,
 )
 from .transform import (
     check_continuity,
@@ -104,10 +101,6 @@ def _load_interpretation(path: str, program: Program) -> dict[str, float]:
     return _read(path, decode)
 
 
-def _interp_json(I: dict[str, float]) -> dict:
-    return {k: I[k] for k in sorted(I)}
-
-
 def cmd_check(args) -> int:
     program = _read(args.file, lambda t: parse_program(t, validate=False))
     report = validate_program(program, allow_repeats=args.allow_repeats, tol=args.tol)
@@ -133,15 +126,9 @@ def cmd_eval(args) -> int:
     I = _load_interpretation(args.interpretation, program)
     rows = []
     for idx, rule in enumerate(program.rules):
-        body_value = eval_body(rule.body, I, args.tol)
-        head_value = rule.head.value if rule.is_constraint else I[rule.head.name]
-        implication = eval_implication(rule.impl, head_value, body_value)
-        rows.append({
-            "rule": idx,
-            "body": body_value,
-            "implication": implication,
-            "satisfied": rule.weight <= implication + args.tol,   # as `satisfies` tests it
-        })
+        body_value, implication, satisfied = rule_check(I, rule, args.tol)
+        rows.append({"rule": idx, "body": body_value, "implication": implication,
+                     "satisfied": satisfied})
     _emit({"model": all(row["satisfied"] for row in rows), "rules": rows}, args.output)
     return 0
 
@@ -152,7 +139,7 @@ def cmd_reduct(args) -> int:
     text = serialize_program(reduct(program, I, args.tol))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        print(json.dumps({"written": args.out, "rules": len(program.rules)}))
+        _emit({"written": args.out, "rules": len(program.rules)}, args.output)
     else:
         sys.stdout.write(text)
     return 0
@@ -174,14 +161,15 @@ def cmd_lfp(args) -> int:
         for line in _trace_table(program.atoms(), trace):
             print(line)
     else:
-        _emit({"least_model": _interp_json(value), "trace": trace.to_json()}, "json")
+        _emit({"least_model": value, "trace": trace.to_json()}, "json")
     return 0
 
 
 def cmd_stable_verify(args) -> int:
     program = _load_program(args.file, args)
     I = _load_interpretation(args.interpretation, program)
-    verdict, trace = stable_check(program, I, args.tol, args.max_iter)
+    trace = stable_operator(program, I, args.tol, args.max_iter)[1]
+    verdict = is_stable(program, I, args.tol, args.max_iter)
     result = {True: True, False: False, None: "indeterminate"}[verdict]
     if args.output == "table":
         print(f"stable: {result}")
@@ -209,10 +197,10 @@ def cmd_stable_search(args) -> int:
     report = {
         "mode": cfg.mode,
         "count": len(models),
-        "stable_models": [_interp_json(m) for m in models],
+        "stable_models": models,
     }
     if cfg.mode == "grid":
-        report["undecided"] = [_interp_json(m) for m in undecided]
+        report["undecided"] = undecided
         if undecided:
             print(f"note: {len(undecided)} grid point(s) undecided: the inner fixpoint "
                   f"did not converge within --max-iter {args.max_iter}", file=sys.stderr)
@@ -254,7 +242,7 @@ def cmd_equiv(args) -> int:
     source = _load_program(args.source, args)
     target = _load_program(args.target, args)
     rec = _read(args.record, lambda text: record_from_json(json.loads(text), source, target))
-    report = verify_equivalence(source, rec, args.grid, args.tol,
+    report = verify_equivalence(rec, args.grid, args.tol,
                                 max_points=args.budget, max_iter=args.max_iter)
     if report.bijection is None:
         print(f"note: {len(report.source_undecided)} source and {len(report.target_undecided)} "

@@ -249,9 +249,7 @@ def serialize_program(program: Program) -> str:
         for v in _values(rule):
             if not math.isfinite(v):
                 raise MalpError(f"rule {idx}: cannot write the non-finite value {v}")
-    if not program.rules:
-        return ""
-    return "\n".join(str(r) for r in program.rules) + "\n"
+    return f"{program}\n" if program.rules else ""
 
 
 def _values(rule: Rule) -> Iterator[float]:

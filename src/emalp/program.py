@@ -293,9 +293,9 @@ _set_atom, _set_sign, _set_direct = (
     Occurrence.atom.__set__, Occurrence.sign.__set__, Occurrence.direct_negation.__set__)
 
 
-def occurrences(body: BodyExpr, sign: int = 1) -> list[Occurrence]:
+def occurrences(body: BodyExpr) -> list[Occurrence]:
     out: list[Occurrence] = []
-    _walk(body, sign, False, out, [], DEFAULT_TOL)
+    _walk(body, 1, False, out, [], DEFAULT_TOL)
     return out
 
 
@@ -351,6 +351,11 @@ def is_freeze_site(node: BodyExpr, sign: int) -> bool:
     return node.__class__ is Apply and node.op in NEGATION_KINDS and _signs(node) == {-sign}
 
 
+def freeze(body: BodyExpr, value: Callable[[BodyExpr], float]) -> BodyExpr:
+    """The body with each freeze site, in order, turned into Const(value(site))."""
+    return rewrite(body, lambda n, sign: Const(value(n)) if is_freeze_site(n, sign) else None)
+
+
 def _signs(node: BodyExpr) -> frozenset[int]:
     """The signs the subtree's `occurrences` take, read at +1; an Apply node
     keeps them once found."""
@@ -401,7 +406,7 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
     share one list.  Each operator calls the function eval_expr calls, on
     the same arguments in the same order, so the floats are the same, as
     are the range check, the clamp and the RangeViolation message, whose
-    reduct body `rewrite` builds only on error, from the values in frozen
+    reduct body `freeze` builds only on error, from the values in frozen
     of this body's own sites.
     """
     first = None if sites is None else len(sites)   # this body's sites come next
@@ -413,8 +418,7 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
             read = body
             if frozen is not None and first is not None:
                 values = iter(frozen[first:])
-                read = rewrite(body, lambda node, sign: Const(next(values))
-                               if is_freeze_site(node, sign) else None)
+                read = freeze(body, lambda site: next(values))
             raise _range_violation(v, read)
         return _clamp01(v)
     return evaluate

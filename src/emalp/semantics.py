@@ -25,7 +25,7 @@ on or downstream of a cycle alone (of every rule from bottom, when T
 is not monotone or the cap leaves the pass no room).  `reduct` builds
 its trees with `rewrite` alone and reads no analysis.  Constraints
 never feed the operator (they have no head atom to update); a verdict
-reads them from the reduct, unless the operator's value converged away from M.
+reads any from the reduct, unless the operator's value converged away from M.
 """
 
 from __future__ import annotations
@@ -41,15 +41,13 @@ from typing import Iterator, Mapping, Optional
 from .lattice import DEFAULT_TOL, eval_conjunctor, eval_implication, grid_count, lattice_grid
 from .program import (
     Compiled,
-    Const,
     MalpError,
     Program,
     Rule,
     compile_body,
     eval_body,
     eval_expr,
-    is_freeze_site,
-    rewrite,
+    freeze,
 )
 
 DEFAULT_MAX_ITER = 10_000
@@ -73,6 +71,10 @@ def interp_distance(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     return max(abs(a[k] - b[k]) for k in a)
 
 
+def sorted_interp(I: Mapping[str, float]) -> Interpretation:   # as every report lists I
+    return dict(sorted(I.items()))
+
+
 def require_total(I: Mapping[str, float], program: Program) -> tuple[str, ...]:
     names = program.atoms()
     missing = [a for a in names if a not in I]
@@ -81,11 +83,19 @@ def require_total(I: Mapping[str, float], program: Program) -> tuple[str, ...]:
     return names
 
 
-def satisfies(I: Mapping[str, float], rule: Rule, tol: float = DEFAULT_TOL) -> bool:
-    """weight <= (head <-i body) under I, with tolerance."""
+def rule_check(I: Mapping[str, float], rule: Rule,
+               tol: float = DEFAULT_TOL) -> tuple[float, float, bool]:
+    """The body's value under I, the implication head <-i body, and whether
+    weight <= that implication, with tolerance."""
     body_value = eval_body(rule.body, I, tol)
     head_value = rule.head.value if rule.is_constraint else I[rule.head.name]
-    return rule.weight <= eval_implication(rule.impl, head_value, body_value) + tol
+    implication = eval_implication(rule.impl, head_value, body_value)
+    return body_value, implication, rule.weight <= implication + tol
+
+
+def satisfies(I: Mapping[str, float], rule: Rule, tol: float = DEFAULT_TOL) -> bool:
+    """weight <= (head <-i body) under I, with tolerance."""
+    return rule_check(I, rule, tol)[2]
 
 
 def is_model(I: Mapping[str, float], program: Program, tol: float = DEFAULT_TOL) -> bool:
@@ -106,11 +116,8 @@ def reduct(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL) -
     it compiles it from its own rules.
     """
     require_total(M, program)
-
-    def freeze(node, sign):
-        return Const(eval_expr(node, M, tol)) if is_freeze_site(node, sign) else None
     return Program(tuple(
-        Rule(r.head, r.impl, rewrite(r.body, freeze), r.weight)
+        Rule(r.head, r.impl, freeze(r.body, lambda site: eval_expr(site, M, tol)), r.weight)
         if any(o.sign < 0 for o in occs) else r
         for r, occs in zip(program.rules, program.rule_occurrences())
     ))
@@ -135,7 +142,7 @@ class _Analysis:
     the rules whose heads have a finite level (`Program.levels`), stably
     sorted by it, and `top` is the highest finite level (0 if none);
     `cyclic` holds the rest, those on or downstream of a cycle, in program
-    order.  If `levels` names an `antitone` rule, every rule is cyclic and
+    order.  If `levels` names an antitone rule, every rule is cyclic and
     `top` 0: T is not monotone, so only Kleene's run reads it.
     """
     rules: Rules
@@ -143,7 +150,6 @@ class _Analysis:
     by_level: Rules
     cyclic: Rules
     top: int
-    antitone: Optional[Rule]
 
 
 def _analysis(program: Program, tol: float) -> _Analysis:
@@ -159,7 +165,7 @@ def _analysis(program: Program, tol: float) -> _Analysis:
     cyclic = tuple(r for r in rules if level[r[0]] > top)
     if antitone is not None:
         by_level, cyclic, top = (), tuple(rules), 0
-    analyses[tol] = _Analysis(tuple(rules), tuple(sites), by_level, cyclic, top, antitone)
+    analyses[tol] = _Analysis(tuple(rules), tuple(sites), by_level, cyclic, top)
     return analyses[tol]
 
 
@@ -171,11 +177,14 @@ def _analysis(program: Program, tol: float) -> _Analysis:
 class FixpointTrace:
     iterates: tuple[Interpretation, ...]
     converged: bool
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iterates) - 1
 
     def to_json(self) -> dict:
         return {
-            "iterates": [dict(sorted(i.items())) for i in self.iterates],
+            "iterates": [sorted_interp(i) for i in self.iterates],
             "converged": self.converged,
             "iterations": self.iterations,
         }
@@ -210,7 +219,7 @@ def least_model(program: Program, tol: float = DEFAULT_TOL,
     iterates = [bottom_interpretation(program.atoms())]
     converged = not iterates[0] or _kleene(
         lambda I: immediate_consequence(program, I, tol, frozen), iterates, tol, max_iter)
-    return iterates[-1], FixpointTrace(tuple(iterates), converged, len(iterates) - 1)
+    return iterates[-1], FixpointTrace(tuple(iterates), converged)
 
 
 def _kleene(T, iterates: list[Interpretation], tol: float, max_iter: int) -> bool:
@@ -269,22 +278,16 @@ def _stable_value(program: Program, M: Mapping[str, float], tol: float,
     return iterates[-1], converged
 
 
-def stable_check(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> tuple[Optional[bool], FixpointTrace]:
-    """The `is_stable` verdict together with the stable operator's Kleene trace at M."""
-    trace = stable_operator(program, M, tol, max_iter)[1]
-    return is_stable(program, M, tol, max_iter), trace
-
-
 def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> Optional[bool]:
     """True/False verdict, or None when the inner fixpoint fails to converge."""
     # M is stable when it is the operator's fixpoint and satisfies the reduct's
-    # constraints, built only for them (ROADMAP item 1 step 2 drops the reduct)
+    # constraints, built only if there are some (ROADMAP item 1 step 2 drops it)
     value, converged = _stable_value(program, M, tol, max_iter)
     if converged and interp_distance(value, M) > tol:
         return False
-    if not all(satisfies(M, r, tol) for r in reduct(program, M, tol).constraints()):
+    if program.constraints() and not all(
+            satisfies(M, r, tol) for r in reduct(program, M, tol).constraints()):
         return False
     return True if converged else None
 

@@ -36,6 +36,7 @@ from typing import Mapping, Optional
 
 from .lattice import DEFAULT_TOL, NEGATION_KINDS, eval_negation, truth_value
 from .program import (
+    IMPLICATION_TAGS,
     Apply,
     Atom,
     Const,
@@ -57,14 +58,12 @@ from .semantics import (
     check_grid_budget,
     find_stable_models,
     interp_distance,
+    sorted_interp,
 )
 
 
 class TransformError(MalpError):
     pass
-
-
-_CONJ_OPS = {"godel": "and_g", "product": "and_p", "lukasiewicz": "and_l"}
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def _bottom_rule(p_bot: str, threshold: str, c: float, arg, impl: str, conj: str
     """<p_bot <-impl threshold(0, neg(p_bot)) &conj threshold(c, arg); 1>."""
     guard = Apply(threshold, (Const(0.0), Apply(neg, (Atom(p_bot),))))
     bound = Apply(threshold, (Const(c), arg))
-    return Rule(Atom(p_bot), impl, Apply(_CONJ_OPS[conj], (guard, bound)), 1.0)
+    return Rule(Atom(p_bot), impl, Apply("and_" + IMPLICATION_TAGS[conj], (guard, bound)), 1.0)
 
 
 def eliminate_constraints_fc(program: Program, impl_choice: str = "lukasiewicz",
@@ -276,9 +275,12 @@ def project_interpretation(M: Mapping[str, float], rec: TranslationRecord) -> di
 
 @dataclass(frozen=True)
 class ContinuityReport:
-    continuous: bool
     discontinuous_sites: tuple[tuple[int, str, float], ...]  # (rule index, op, threshold)
     notes: str
+
+    @property
+    def continuous(self) -> bool:
+        return not self.discontinuous_sites
 
     def to_json(self) -> dict:
         return {
@@ -319,9 +321,9 @@ def check_continuity(program: Program) -> ContinuityReport:
     elif sites:
         fails = "discontinuous " + ", ".join(f"{op} in rule {i}" for i, op, _ in sites)
     else:
-        return ContinuityReport(True, (), "no constraints, every order reversal under a negation, "
+        return ContinuityReport((), "no constraints, every order reversal under a negation, "
                                 "all operators continuous: a stable model is guaranteed to exist")
-    return ContinuityReport(not sites, tuple(sites), f"{fails}: no existence guarantee")
+    return ContinuityReport(tuple(sites), f"{fails}: no existence guarantee")
 
 
 @dataclass(frozen=True)
@@ -341,10 +343,10 @@ class EquivalenceReport:
             "bijection": "indeterminate" if self.bijection is None else self.bijection,
             "source_count": len(self.source_models),
             "target_count": len(self.target_models),
-            "source_models": [dict(sorted(m.items())) for m in self.source_models],
-            "target_models": [dict(sorted(m.items())) for m in self.target_models],
-            "source_undecided": [dict(sorted(m.items())) for m in self.source_undecided],
-            "target_undecided": [dict(sorted(m.items())) for m in self.target_undecided],
+            "source_models": [sorted_interp(m) for m in self.source_models],
+            "target_models": [sorted_interp(m) for m in self.target_models],
+            "source_undecided": [sorted_interp(m) for m in self.source_undecided],
+            "target_undecided": [sorted_interp(m) for m in self.target_undecided],
             "counterexamples": list(self.counterexamples),
             "bottom_exact": self.bottom_exact,
             "witnesses_exact": self.witnesses_exact,
@@ -356,7 +358,7 @@ def _contains(models, M, tol) -> bool:
     return any(interp_distance(M, other) <= tol for other in models)
 
 
-def verify_equivalence(source: Program, rec: TranslationRecord, grid_step: float,
+def verify_equivalence(rec: TranslationRecord, grid_step: float,
                        tol: float = DEFAULT_TOL, max_points: int = DEFAULT_BUDGET,
                        max_iter: int = DEFAULT_MAX_ITER) -> EquivalenceReport:
     """Exhaustive grid check that lift/project pair up the stable models.
@@ -368,16 +370,16 @@ def verify_equivalence(source: Program, rec: TranslationRecord, grid_step: float
     whose stability is undecided on either side (the inner fixpoint hit
     max_iter) is listed, and leaves the bijection undecided (None).
     """
-    atoms = set(source.atoms())
+    atoms = set(rec.source.atoms())
     fresh = [a.name for a in rec.fresh_atoms]
-    if (atoms != set(rec.source.atoms()) or len(set(fresh)) < len(fresh)
-            or atoms.intersection(fresh) or set(rec.target.atoms()) != atoms.union(fresh)):
+    if (len(set(fresh)) < len(fresh) or atoms.intersection(fresh)
+            or set(rec.target.atoms()) != atoms.union(fresh)):
         raise MalpError("record does not link the given source and target programs")
-    points = check_grid_budget((source, rec.target), grid_step, max_points)
+    points = check_grid_budget((rec.source, rec.target), grid_step, max_points)
     cfg = StableSearchConfig(mode="grid", grid_step=grid_step, tol=tol, max_iter=max_iter)
     source_undecided: list = []
     target_undecided: list = []
-    source_models = find_stable_models(source, cfg, source_undecided)
+    source_models = find_stable_models(rec.source, cfg, source_undecided)
     target_models = find_stable_models(rec.target, cfg, target_undecided)
     problems: list[str] = []
 

@@ -121,7 +121,7 @@ def least_model(program, tol, max_iter, names=None):
         J = consequence(program, I, tol)
         iterates.append(J)
         converged, I = stops(program, I, J, tol), J
-    return I, FixpointTrace(tuple(iterates), converged, len(iterates) - 1)
+    return I, FixpointTrace(tuple(iterates), converged)
 
 
 def stable_operator(program, M, tol, max_iter):

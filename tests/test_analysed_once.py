@@ -27,11 +27,13 @@ from emalp import (
     StableSearchConfig,
     find_stable_models,
     is_minimal_model,
+    is_stable,
     parse_program,
     reduct,
+    stable_operator,
 )
 from emalp.cli import main
-from emalp.semantics import _analysis, stable_check
+from emalp.semantics import _analysis
 
 from genprog import random_emalp
 import reference
@@ -216,9 +218,9 @@ def test_searches_and_checks_leave_no_reference_cycles(motor_text, model_m, mode
         calls += [lambda p=p: _analysis(p, 1e-9),
                   lambda p=p: find_stable_models(p, StableSearchConfig(grid_step=0.25)),
                   lambda p=p: find_stable_models(p, StableSearchConfig(mode="iterate", seeds=8)),
-                  lambda p=p, M=M: stable_check(p, M),
+                  lambda p=p, M=M: (stable_operator(p, M), is_stable(p, M)),
                   lambda p=p, M=M: is_minimal_model(p, M, 0.25)]
-    calls += [lambda: stable_check(programs[0], model_n),
+    calls += [lambda: (stable_operator(programs[0], model_n), is_stable(programs[0], model_n)),
               lambda: is_minimal_model(programs[0], model_m, 0.1)]
     gc.collect()
     gc.disable()

@@ -94,7 +94,6 @@ def test_eval_evaluates_each_body_once(capsys, motor_file, tmp_path, motor,
                                        model_m, model_n, tol, monkeypatch):
     # a row's "satisfied" is read from its own implication value; it must
     # agree with `satisfies` at M, at N and at a non-model
-    import emalp.cli
     import emalp.program
     import emalp.semantics
     from emalp import eval_body, satisfies
@@ -108,7 +107,7 @@ def test_eval_evaluates_each_body_once(capsys, motor_file, tmp_path, motor,
     def counting(*args):
         calls.append(args[0])
         return eval_body(*args)
-    for module in (emalp.cli, emalp.program, emalp.semantics):
+    for module in (emalp.program, emalp.semantics):
         monkeypatch.setattr(module, "eval_body", counting)
     for I, want in cases:
         interp = tmp_path / "i.json"
@@ -142,6 +141,22 @@ def test_reduct_output_reparses(capsys, motor_file, tmp_path, model_n):
     # negation-mediated occurrences are gone; only the division body keeps s, t
     assert polarity_of(frozen.rules[1].body) == {}
     assert polarity_of(frozen.rules[2].body) == {}
+
+
+def test_reduct_written_to_a_file_reports_like_every_command(capsys, motor_file, tmp_path,
+                                                            motor, model_n):
+    from emalp import reduct, serialize_program
+
+    interp = tmp_path / "n.json"
+    interp.write_text(json.dumps(model_n))
+    out_path = tmp_path / "n.reduct.malp"
+    code, out, err = run(capsys, "reduct", motor_file, "-i", interp, "-o", out_path)
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"rules": 5, "written": str(out_path)}, indent=2) + "\n"
+    assert out_path.read_text() == serialize_program(reduct(motor, model_n))
+    code, out, err = run(capsys, "reduct", motor_file, "-i", interp, "-o", out_path,
+                         "--output", "table")
+    assert (code, out, err) == (0, f"written: {out_path}\nrules: 5\n", "")
 
 
 def test_reduct_of_negation_only_program_is_positive(capsys, tmp_path):
@@ -292,7 +307,7 @@ def test_equiv_flags_a_vacuous_bijection(capsys, motor_file, tmp_path, motor):
     src, out_path, rec_path = _fc_files(capsys, tmp_path, motor_file.read_text())
     code, out, err = run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5")
     assert (code, err) == (0, VACUOUS)
-    assert json.loads(out) == verify_equivalence(motor, rec, 0.5).to_json()
+    assert json.loads(out) == verify_equivalence(rec, 0.5).to_json()
     assert json.loads(out)["source_count"] == json.loads(out)["target_count"] == 0
     # with models on the grid there is no note
     src, out_path, rec_path = _fc_files(capsys, tmp_path)

@@ -52,7 +52,6 @@ from emalp.semantics import (
     find_stable_models,
     interp_distance,
     is_stable,
-    stable_check,
 )
 
 from conftest import gen
@@ -231,7 +230,7 @@ def test_a_search_step_builds_no_tree(monkeypatch):
         raise AssertionError("a search step built a tree")
     monkeypatch.setattr(semantics, "Rule", boom)
     monkeypatch.setattr(semantics, "reduct", boom)
-    monkeypatch.setattr(semantics, "rewrite", boom)
+    monkeypatch.setattr(semantics, "freeze", boom)
     for program, M, want in cases:
         assert stable_operator(program, M, 1e-9, MAX_ITER) == want
         assert _stable_value(program, M, 1e-9, MAX_ITER) == (want[0], want[1].converged)
@@ -243,7 +242,8 @@ def test_a_verdict_builds_a_reduct_only_where_the_operator_reaches_m(monkeypatch
                                                                       model_n):
     # the operator converges away from motor's M, whose constraint holds,
     # so no reduct is needed to reject it; a stable point (N) and an
-    # undecided point each build one reduct, for its constraints
+    # undecided point of a program with constraints each build one reduct,
+    # for its constraints, and a constraint-free undecided point builds none
     assert _stable_value(MOTOR, model_m, 1e-9, MAX_ITER)[1]
     assert all(reference.satisfies(model_m, r, 1e-9) for r in MOTOR.constraints())
     built = []
@@ -257,12 +257,14 @@ def test_a_verdict_builds_a_reduct_only_where_the_operator_reaches_m(monkeypatch
     monkeypatch.setattr(semantics, "reduct", boom)
     assert is_stable(MOTOR, model_m) is False
     monkeypatch.setattr(semantics, "reduct", counting)
-    undecided = parse_program("p <-g or_l(p, 0.1) with 1;\nq <-g neg1(p) with 1;")
-    for program, M, max_iter, verdict in ((MOTOR, model_n, MAX_ITER, True),
-                                          (undecided, {"p": 0.5, "q": 0.5}, 3, None)):
+    undecided = "p <-g or_l(p, 0.1) with 1;\nq <-g neg1(p) with 1;"
+    for program, M, max_iter, verdict, reducts in (
+            (MOTOR, model_n, MAX_ITER, True, 1),
+            (parse_program(undecided), {"p": 0.5, "q": 0.5}, 3, None, 0),
+            (parse_program(undecided + "\n1 <-g q with 1;"), {"p": 0.5, "q": 0.5}, 3, None, 1)):
         built.clear()
         assert is_stable(program, M, 1e-9, max_iter) is verdict
-        assert len(built) == 1
+        assert len(built) == reducts
 
 
 def test_reduct_reads_no_analysis(motor, model_n):
@@ -414,11 +416,13 @@ def test_verdict_matches_tree_oracle(model_m, model_n):
     for tol in TOLS:
         for program, points in cases:
             for M in points:
-                verdict, trace = stable_check(program, M, tol, 200)
+                trace = stable_operator(program, M, tol, 200)[1]
+                verdict = is_stable(program, M, tol, 200)
                 assert (verdict, trace) == reference.verdict(program, M, tol, 200)
                 # under a cap of 2 the trace is Kleene's, and a decided
                 # verdict is the uncapped one
-                capped, capped_trace = stable_check(program, M, tol, 2)
+                capped_trace = stable_operator(program, M, tol, 2)[1]
+                capped = is_stable(program, M, tol, 2)
                 want, want_trace = reference.verdict(program, M, tol, 2)
                 assert capped_trace == want_trace and capped in (None, verdict)
                 for v, t in ((verdict, trace), (capped, capped_trace)):
@@ -490,7 +494,6 @@ def test_the_level_pass_gives_the_stable_operators_value():
                         taken["cap at or below top", capped] += 1
                     assert not (capped and exact) or (value, converged) == (full, True)
                     got = is_stable(program, M, tol, max_iter)
-                    assert got == stable_check(program, M, tol, max_iter)[0]
                     assert got in (None, verdict) or not exact
     # guards against a vacuous pass: acyclic, mixed and all-cyclic
     # reducts, caps of at most top under which Kleene does and does not
@@ -542,7 +545,7 @@ def test_a_cycle_that_reads_order_reversingly_is_iterated_from_bottom():
         want, trace = stable_operator(program, M, 1e-9)
         assert want == {"a": 1.0, "p": 1.0} and trace.converged
         assert _stable_value(program, M, 1e-9, MAX_ITER) == (want, True)
-        assert is_stable(program, M, 1e-9) is stable_check(program, M, 1e-9)[0] is stable
+        assert is_stable(program, M, 1e-9) is stable
     assert reduct_kind(_analysis(MOTOR, 1e-9)) == "acyclic"
 
 
@@ -557,23 +560,22 @@ def test_a_kleene_stop_within_tol_is_within_tol_of_the_pass():
     kleene, trace = stable_operator(program, M, 0.3)
     assert kleene == {"a": 0.1, "b": 0.2} and trace.iterations == 1 and trace.converged
     assert _stable_value(program, M, 0.3, 10) == ({"a": 0.6 * 0.2, "b": 0.2}, True)
-    # M is within 0.3 of the pass's value, not of Kleene's iterate; both
-    # verdicts read the pass
+    # M is within 0.3 of the pass's value, not of Kleene's iterate; the
+    # verdict reads the pass
     assert is_stable(program, M, 0.3) is True
-    assert stable_check(program, M, 0.3) == (True, trace)
     assert _stable_value(program, M, 1e-9, 10) == (stable_operator(program, M, 1e-9)[0], True)
 
 
 def test_an_unvalidated_body_out_of_range_at_bottom_only():
     # Kleene's step 1 evaluates sub(q, 0.5) at q = 0, which is out of
     # range; the pass evaluates it once, after q = 1.  So the verdict is
-    # given, while stable_check, which shows Kleene's trace, raises; under
+    # given, while Kleene's trace, which `stable verify` shows, raises; under
     # a cap at top the verdict is Kleene's run, which raises the same way
     program = parse_program("p <-g sub(q, 0.5) with 1;\nq <-g 1 with 1;", validate=False)
     M = {"p": 0.5, "q": 1.0}
     assert is_stable(program, M, 1e-9, 10) is True
     message = re.escape("body value -0.5 outside [0, 1]: sub(q, 0.5)")
     with pytest.raises(RangeViolation, match=message):
-        stable_check(program, M, 1e-9, 10)
+        stable_operator(program, M, 1e-9, 10)
     with pytest.raises(RangeViolation, match=message):
         is_stable(program, M, 1e-9, 2)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from emalp import (
     StableSearchConfig,
     bottom_interpretation,
     eval_body,
+    eval_implication,
     find_stable_models,
     immediate_consequence,
     interp_distance,
@@ -24,9 +26,11 @@ from emalp import (
     polarity_of,
     reduct,
     satisfies,
+    serialize_program,
     stable_operator,
 )
 from emalp import semantics
+from emalp.cli import main
 from emalp.program import MalpError, compile_body
 from genprog import random_emalp
 import reference
@@ -329,14 +333,18 @@ def test_constraint_bound_on_models(motor, model_m, model_n):
 
 
 @pytest.mark.parametrize("tol", [1e-9, 0.3])
-def test_is_model_is_every_rule_of_the_reference(tol):
-    # constraints included: on some points only a constraint fails
+def test_is_model_is_every_rule_of_the_reference(tol, tmp_path, capsys):
+    # constraints included: on some points only a constraint fails.  At the
+    # wide tol, `emalp eval` reports each rule's body value, implication and
+    # check as the reference makes them
     only_a_constraint = verdicts = 0
+    path, interp = tmp_path / "p.malp", tmp_path / "i.json"
     for seed in range(80):
         rng = random.Random(seed)
         program = random_emalp(rng, max_constraints=2, values=(0.0, 0.25, 0.5, 0.75, 1.0))
         if not program.constraints():
             continue
+        path.write_text(serialize_program(program))
         points = list(reference.grid_points(program, 0.5))
         points += [{a: rng.random() for a in program.atoms()} for _ in range(10)]
         for I in points:
@@ -345,6 +353,17 @@ def test_is_model_is_every_rule_of_the_reference(tol):
             verdicts += want
             only_a_constraint += not want and all(
                 reference.satisfies(I, r, tol) for r in program.definite_rules())
+            if tol < 0.3:
+                continue
+            rows = []
+            for idx, r in enumerate(program.rules):
+                body = reference.body_value(r.body, I, tol)
+                head = r.head.value if r.is_constraint else I[r.head.name]
+                rows.append({"rule": idx, "body": body, "satisfied": reference.satisfies(I, r, tol),
+                             "implication": eval_implication(r.impl, head, body)})
+            interp.write_text(json.dumps(I))
+            assert main(["eval", str(path), "-i", str(interp), "--tol", str(tol)]) == 0
+            assert json.loads(capsys.readouterr().out) == {"model": want, "rules": rows}, (seed, I)
     assert verdicts > 250 and only_a_constraint > 250
 
 

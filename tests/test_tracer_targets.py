@@ -98,10 +98,10 @@ def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
     # steps left, settles in one step and gets a verdict too; each random
     # start steps once to a = b = 1, from which top went on with more
     # steps left, and stops.  A verdict takes its value from the level
-    # pass too, and builds one reduct for its constraints; the search
-    # steps build none.  Only a verdict that shows its trace, as
-    # `stable verify` does, runs the stable operator's Kleene iteration;
-    # it takes its verdict from `is_stable`, so the tracer counts it.
+    # pass too, and the program has no constraints, so neither a verdict
+    # nor a search step builds a reduct.  Only a verdict that shows its
+    # trace, as `stable verify` does, runs the stable operator's Kleene
+    # iteration; it takes its verdict from `is_stable`, so the tracer counts it.
     path = tmp_path / "chain.malp"
     path.write_text("a <-g 1 with 1;\nb <-g a with 1;\n")
     rc, tracer = traced_main(["stable", "search", str(path), "--seeds", "4"])
@@ -110,14 +110,14 @@ def test_tracer_counts_the_verdicts_of_a_settling_search(tmp_path, capsys):
     layers = ("semantics.stable_operator", "semantics.reduct", "semantics.is_stable",
               "semantics.least_model")
     calls = {layer: tracer.layer(layer)[0] for layer in layers}
-    assert calls == {"semantics.stable_operator": 0, "semantics.reduct": 2,
+    assert calls == {"semantics.stable_operator": 0, "semantics.reduct": 0,
                      "semantics.is_stable": 2, "semantics.least_model": 0}
     model = tmp_path / "model.json"
     model.write_text('{"a": 1, "b": 1}')
     rc, tracer = traced_main(["stable", "verify", str(path), "-i", str(model)])
     assert rc == 0
     calls = {layer: tracer.layer(layer)[0] for layer in layers}
-    assert calls == {"semantics.stable_operator": 1, "semantics.reduct": 1,
+    assert calls == {"semantics.stable_operator": 1, "semantics.reduct": 0,
                      "semantics.is_stable": 1, "semantics.least_model": 1}
     assert tracer.counts["lm_iterations"] == 3
 

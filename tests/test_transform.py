@@ -9,6 +9,8 @@ from emalp import (
     Atom,
     BudgetExceeded,
     Const,
+    EquivalenceReport,
+    FixpointTrace,
     Program,
     ProgramClass,
     Rule,
@@ -51,6 +53,15 @@ def test_fc_golden(motor):
     assert rec.target.rules[0] == motor.rules[0]
     assert rec.target.rules[3:] == motor.rules[3:]
     assert validate_program(rec.target).ok
+
+
+@pytest.mark.parametrize("conj, op", [("godel", "and_g"), ("product", "and_p"),
+                                      ("lukasiewicz", "and_l")])
+def test_the_bottom_rule_joins_with_the_chosen_conjunctor(motor, conj, op):
+    for eliminate in (eliminate_constraints_fc, eliminate_constraints_janssen):
+        rec = eliminate(motor, "lukasiewicz", conj, "neg1")
+        bottom = [r.body.op for r in rec.target.rules if r.head == Atom(rec.bottom_atom)]
+        assert bottom == [op]
 
 
 def test_fc_constraint_free_is_identity(motor):
@@ -187,8 +198,7 @@ ANTITONE_ON_A_CYCLE = [
 def test_to_manlp_refuses_an_order_reversing_read_on_a_cycle(text, index):
     # the rule it names is the one the analysis runs Kleene from bottom for
     program = parse_program(text)
-    analysis = _analysis(program, 1e-9)
-    assert analysis.antitone == program.rules[index] and analysis.by_level == ()
+    assert program.levels()[1] == program.rules[index] and _analysis(program, 1e-9).by_level == ()
     message = f"rule {index} ({program.rules[index]}) reads an atom order-reversingly"
     with pytest.raises(TransformError, match=re.escape(message)):
         to_manlp(program)
@@ -196,10 +206,10 @@ def test_to_manlp_refuses_an_order_reversing_read_on_a_cycle(text, index):
 
 def test_to_manlp_accepts_motor_and_its_targets(motor, motor_unconstrained):
     # motor's divisor reads s and t live, but no head of motor is on a cycle
-    assert _analysis(motor, 1e-9).antitone is None
+    assert motor.levels()[1] is None
     for program in (motor_unconstrained, eliminate_constraints_fc(motor).target,
                     eliminate_constraints_janssen(motor).target):
-        assert _analysis(program, 1e-9).antitone is None
+        assert program.levels()[1] is None
         assert to_manlp(program).target.classify() is ProgramClass.MANLP
 
 
@@ -311,7 +321,7 @@ def test_verify_equivalence_constrained_pair():
         "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n0.5 <-g p with 1;"
     )
     rec = eliminate_constraints_fc(source)
-    report = verify_equivalence(source, rec, 0.5)
+    report = verify_equivalence(rec, 0.5)
     assert report.bijection
     assert [dict(m) for m in report.source_models] == [
         {"p": 0.0, "q": 1.0}, {"p": 0.5, "q": 0.5}]
@@ -324,7 +334,7 @@ def test_verify_equivalence_manlp_chain():
     )
     rec1 = eliminate_constraints_fc(source)
     rec2 = to_manlp(rec1.target)
-    report = verify_equivalence(rec1.target, rec2, 0.5)
+    report = verify_equivalence(rec2, 0.5)
     assert report.bijection
     assert report.witnesses_exact is True
 
@@ -334,7 +344,7 @@ def test_verify_equivalence_janssen_pair():
         "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n0.5 <-g p with 1;"
     )
     rec = eliminate_constraints_janssen(source)
-    report = verify_equivalence(source, rec, 0.5)
+    report = verify_equivalence(rec, 0.5)
     assert report.bijection
     assert report.bottom_exact is True
     for model in report.target_models:
@@ -346,18 +356,13 @@ def test_verify_equivalence_janssen_random():
     for _ in range(10):
         source = random_emalp(rng, max_atoms=3, max_rules=3, max_constraints=2)
         rec = eliminate_constraints_janssen(source)
-        assert verify_equivalence(source, rec, 0.5).bijection
-
-
-def _fc_then_manlp(source):
-    rec = eliminate_constraints_fc(source)
-    return rec.target, to_manlp(rec.target)
+        assert verify_equivalence(rec, 0.5).bijection
 
 
 REWRITES = {
-    "fc": lambda source: (source, eliminate_constraints_fc(source)),
-    "janssen": lambda source: (source, eliminate_constraints_janssen(source)),
-    "fc-manlp": _fc_then_manlp,
+    "fc": eliminate_constraints_fc,
+    "janssen": eliminate_constraints_janssen,
+    "fc-manlp": lambda source: to_manlp(eliminate_constraints_fc(source).target),
 }
 
 
@@ -365,15 +370,14 @@ REWRITES = {
 @given(st.integers(0, 10 ** 9), st.sampled_from(sorted(REWRITES)))
 def test_rewrites_keep_stable_models_at_grid_half(seed, rewrite):
     source = random_emalp(random.Random(seed), max_atoms=3, max_rules=3, max_constraints=2)
-    program, rec = REWRITES[rewrite](source)
-    report = verify_equivalence(program, rec, 0.5)
+    report = verify_equivalence(REWRITES[rewrite](source), 0.5)
     assert report.bijection is True, report.counterexamples
 
 
 def test_verify_equivalence_trivial_for_constraint_free():
     source = parse_program("p <-g min(q, 0.5) with 1;")
     rec = eliminate_constraints_fc(source)
-    report = verify_equivalence(source, rec, 0.5)
+    report = verify_equivalence(rec, 0.5)
     assert report.bijection
     assert report.source_models == report.target_models
 
@@ -386,7 +390,7 @@ def test_verify_equivalence_detects_tampering():
     tampered = list(rec.target.rules)
     tampered[0] = Rule(tampered[0].head, tampered[0].impl, tampered[0].body, 0.2)
     broken = record_from_json(rec.to_json(), source, Program(tuple(tampered)))
-    report = verify_equivalence(source, broken, 0.5)
+    report = verify_equivalence(broken, 0.5)
     assert not report.bijection
     assert report.counterexamples
 
@@ -399,7 +403,7 @@ def test_verify_equivalence_rejects_unlinked_record():
     rec = eliminate_constraints_fc(source)
     broken = record_from_json(rec.to_json(), source, other)
     with pytest.raises(MalpError, match="does not link"):
-        verify_equivalence(source, broken, 0.5)
+        verify_equivalence(broken, 0.5)
 
 
 def test_continuity_false_for_any_constrained_fc_target():
@@ -423,10 +427,10 @@ def test_equivalence_with_product_conjunction_constraint():
         "0.8 <-p and_p(o, t) with 1;\n"
     )
     rec = eliminate_constraints_fc(source)
-    report = verify_equivalence(source, rec, 0.25)
+    report = verify_equivalence(rec, 0.25)
     assert report.bijection
     rec2 = to_manlp(rec.target)
-    report2 = verify_equivalence(rec.target, rec2, 0.25)
+    report2 = verify_equivalence(rec2, 0.25)
     assert report2.bijection
 
 
@@ -434,7 +438,7 @@ def test_verify_equivalence_budget():
     source = parse_program("p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;")
     rec = eliminate_constraints_fc(source)
     with pytest.raises(BudgetExceeded):
-        verify_equivalence(source, rec, 0.5, max_points=3)
+        verify_equivalence(rec, 0.5, max_points=3)
 
 
 def test_record_json_round_trip(motor):
@@ -469,8 +473,18 @@ def test_malformed_record_raises(motor, data, message):
 def test_verify_equivalence_leaves_undecided_points_undecided(max_iter, bijection, undecided):
     source = parse_program("p <-p add(mul(p, 0.5), 0.5) with 1;\n1 <-g p with 1;")
     rec = eliminate_constraints_fc(source)
-    report = verify_equivalence(source, rec, 0.5, max_iter=max_iter)
+    report = verify_equivalence(rec, 0.5, max_iter=max_iter)
     assert report.bijection is bijection
     assert len(report.source_undecided) == len(report.target_undecided) == undecided
     assert len(report.source_models) == len(report.target_models) == 1 - undecided
     assert report.to_json()["bijection"] == ("indeterminate" if bijection is None else True)
+
+
+def test_reports_list_each_interpretation_by_atom_name():
+    # whatever order an interpretation was built in
+    I = {"q": 1.0, "p": 0.0}
+    trace = FixpointTrace((I, I), True).to_json()
+    report = EquivalenceReport(True, (I,), (I,), (), None, None, 1, (I,), (I,)).to_json()
+    lists = [trace["iterates"]] + [report[k] for k in (
+        "source_models", "target_models", "source_undecided", "target_undecided")]
+    assert [list(m) for ms in lists for m in ms] == [["p", "q"]] * 6
