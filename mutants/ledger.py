@@ -89,4 +89,31 @@ MUTANTS = [
            '        elif _kind(tokens[-2]) == "bad":', "        elif False:",
            ("test_nodes.py::test_the_scan_ends_with_one_eof",
             "test_nodes.py::test_the_scan_reads_the_tokens_tokenize_finds")),
+    # a grid of exactly the budget is refused
+    Mutant("src/emalp/semantics.py",
+           "if points > budget:", "if points >= budget:",
+           ("test_cli.py::test_search_budget_exceeded_exits_two",)),
+    # a step that leaves up to a tenth over is taken to divide 1
+    Mutant("src/emalp/lattice.py",
+           "abs(n * step - 1.0) > 1e-9", "abs(n * step - 1.0) > 0.1",
+           ("test_lattice.py::test_grid_count_checks_the_step_as_lattice_grid_does",)),
+    # the walk unassigns an atom that a fit gave no value
+    Mutant("src/emalp/semantics.py",
+           "M.pop(a, None)", "M.pop(a)",
+           ("test_grid_search.py::test_an_empty_value_list_yields_nothing",)),
+    # every head propagates, also one whose bodies read it
+    Mutant("src/emalp/semantics.py",
+           "None if a in reads[a] else (a, fit)", "(a, fit)",
+           ("test_grid_search.py::test_only_heads_that_do_not_read_themselves_propagate",
+            "test_grid_search.py::test_random_programs_match_brute_force")),
+    # a verdict is True where the inner fixpoint did not converge
+    Mutant("src/emalp/semantics.py",
+           "return True if converged else None", "return True",
+           ("test_semantics.py::test_is_stable_indeterminate_on_cap",
+            "test_compiled_operator.py::test_verdict_matches_tree_oracle")),
+    # the table reader takes a value outside the argument's choices
+    Mutant("src/emalp/cli.py",
+           "        if a.choices is not None and value not in a.choices:\n            return None\n",
+           "",
+           ("test_cli_parser.py::test_the_table_reader_declines_what_argparse_must_read",)),
 ]

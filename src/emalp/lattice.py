@@ -132,9 +132,9 @@ def lattice_grid(step: float) -> list[float]:
     return [i / n for i in range(n + 1)]
 
 
-def grid_count(step: float, upto: float = 1.0) -> int:
-    """How many values of lattice_grid(step) are <= upto, counted without
-    building the grid (a budget check must not allocate what it refuses)."""
+def grid_count(step: float) -> int:
+    """How many values lattice_grid(step) lists, counted without building
+    the grid (a budget check must not allocate what it refuses)."""
     if not 0.0 < step <= 0.5:
         raise LatticeError(f"grid step must lie in (0, 0.5], got {step}")
     if math.isinf(1.0 / step):
@@ -142,13 +142,4 @@ def grid_count(step: float, upto: float = 1.0) -> int:
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise LatticeError(f"grid step {step} does not divide 1")
-    if upto >= 1.0:
-        return n + 1
-    if not upto >= 0.0:   # below 0, or nan
-        return 0
-    k = int(upto * n)     # the last i with i / n <= upto, up to rounding
-    while k < n and (k + 1) / n <= upto:
-        k += 1
-    while k >= 0 and k / n > upto:
-        k -= 1
-    return k + 1
+    return n + 1

@@ -98,11 +98,6 @@ def satisfies(I: Mapping[str, float], rule: Rule, tol: float = DEFAULT_TOL) -> b
     return rule_check(I, rule, tol)[2]
 
 
-def is_model(I: Mapping[str, float], program: Program, tol: float = DEFAULT_TOL) -> bool:
-    require_total(I, program)
-    return all(satisfies(I, r, tol) for r in program.rules)
-
-
 # ---------------------------------------------------------------------------
 # reduct
 
@@ -306,10 +301,7 @@ def check_grid_budget(programs, step: float, budget: int) -> int:
     Raises BudgetExceeded when it is above the budget.
     """
     n_values = grid_count(step)
-    return _within_budget(sum(n_values ** len(p.atoms()) for p in programs), budget)
-
-
-def _within_budget(points: int, budget: int) -> int:
+    points = sum(n_values ** len(p.atoms()) for p in programs)
     if points > budget:
         raise BudgetExceeded(f"{points} grid points exceed the budget of {budget}")
     return points
@@ -413,15 +405,14 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
     """
     atoms = program.atoms()
     grid_count(step)   # checks the step; a program without atoms needs no grid
-    return sorted(_grid_walk(dict.fromkeys(atoms, lattice_grid(step) if atoms else []),
+    return sorted(_grid_walk(atoms, lattice_grid(step) if atoms else [],
                              _grid_checks(program, atoms, pre_tol, tol)),
                   key=lambda m: tuple(m[a] for a in atoms))
 
 
-def _grid_walk(values: dict[str, list[float]], checks) -> Iterator[Interpretation]:
-    """Yield the points of the grid values[a] per atom a that pass every
-    (atoms read, test, propagator) check, so a caller may stop at the
-    first it needs.
+def _grid_walk(atoms, values: list[float], checks) -> Iterator[Interpretation]:
+    """Yield the points that give each atom one of `values` and pass every
+    (atoms read, test, propagator) check.
 
     Depth first, one atom per level: each test runs once, at the
     shallowest level where every atom it reads is assigned, and a
@@ -429,7 +420,6 @@ def _grid_walk(values: dict[str, list[float]], checks) -> Iterator[Interpretatio
     after every atom its bodies read tries only the values its fit
     keeps, and its test does not run (forward checking).
     """
-    atoms = tuple(values)
     order = _assignment_order(atoms, checks)
     level = {a: i + 1 for i, a in enumerate(order)}
     tests_at: list[list] = [[] for _ in range(len(order) + 1)]
@@ -454,10 +444,10 @@ def _extend(M: Interpretation, depth: int, order, values, tests_at, fits,
         yield {a: M[a] for a in atoms}
         return
     a, fit = order[depth], fits[depth]
-    for v in values[a] if fit is None else fit(M, values[a]):
+    for v in values if fit is None else fit(M, values):
         M[a] = v
         yield from _extend(M, depth + 1, order, values, tests_at, fits, atoms)
-    M.pop(a, None)   # an empty value list assigned nothing
+    M.pop(a, None)   # a fit that keeps no value assigned nothing
 
 
 def find_stable_models(program: Program, cfg: StableSearchConfig,
@@ -510,23 +500,3 @@ def find_stable_models(program: Program, cfg: StableSearchConfig,
     else:
         raise MalpError(f"unknown search mode: {cfg.mode!r}")
     return _sort_models(_dedup(found, cfg.tol), atoms)
-
-
-def is_minimal_model(program: Program, M: Mapping[str, float], grid_step: float,
-                     tol: float = DEFAULT_TOL) -> bool:
-    """No grid interpretation strictly below M is a model of the program.
-
-    Strictly below means below-or-equal everywhere and strictly below at
-    at least one atom; the grid walk checks each rule on the sub-grid, and
-    raises BudgetExceeded when it has more than DEFAULT_BUDGET points.
-    """
-    require_total(M, program)
-    atoms = program.atoms()
-    n = grid_count(grid_step) - 1
-    counts = {a: grid_count(grid_step, M[a] + tol) for a in atoms}
-    _within_budget(math.prod(counts.values()), DEFAULT_BUDGET)
-    choices = {a: [i / n for i in range(c)] for a, c in counts.items()}   # lattice_grid's values
-    checks = [({o.atom for o in occs} | (set() if r.is_constraint else {r.head.name}),
-               lambda N, r=r: satisfies(N, r, tol), None)
-              for r, occs in zip(program.rules, program.rule_occurrences())]
-    return not any(any(N[a] < M[a] - tol for a in atoms) for N in _grid_walk(choices, checks))

@@ -26,8 +26,6 @@ from emalp import (
     eval_negation,
     find_stable_models,
     interp_distance,
-    is_minimal_model,
-    is_model,
     is_stable,
     lattice_grid,
     least_model,
@@ -40,6 +38,7 @@ from emalp import (
 from conftest import M_INTERP, MOTOR_TEXT, N_INTERP
 from emalp import parse_program
 from genprog import random_emalp
+import reference
 import test_operator_contract as contract
 
 
@@ -51,7 +50,7 @@ def test_criterion_1_model_check_with_intermediates():
     start = time.perf_counter()
     program = parse_program(MOTOR_TEXT)
     M = dict(M_INTERP)
-    assert is_model(M, program, 1e-9)
+    assert all(reference.satisfies(M, r, 1e-9) for r in program.rules)
     body1 = eval_body(program.rules[0].body, M)
     assert abs(body1 - 8 / 37) <= 1e-9
     body2 = eval_body(program.rules[1].body, M)
@@ -195,7 +194,7 @@ def test_criterion_7_stable_implies_minimal():
         program = random_emalp(rng, max_atoms=3, max_rules=4, max_constraints=1,
                                values=(0.0, 0.25, 0.5, 0.75, 1.0))
         for M in find_stable_models(program, cfg):
-            assert is_minimal_model(program, M, 0.25, 1e-9), f"case {case}: {M}"
+            assert reference.grid_minimal(program, M, 0.25, 1e-9), f"case {case}: {M}"
             checked += 1
     assert checked > 0
     print(f"\ncriterion 7: PASS: {checked} grid stable models all minimal")

@@ -1,13 +1,15 @@
-"""Each program is analysed once, and every grid is walked one way.
+"""Each program is analysed once, and a refused grid is never built.
 
 `Program.derived` keeps what is derived from a program's rules (atoms,
 each rule body's signed occurrences, the rule partition, semantics'
 compiled analyses) outside the dataclass fields.  The walk-count pins
 wrap `emalp.program._walk`, the signed walk that validation and
 `occurrences` make, and require one walk per rule body per program
-analysed, validation's own included.  `is_minimal_model` walks its
-sub-grid with the grid search's walker; its oracle is
-`reference.grid_minimal`, the `itertools.product` loop it used before.
+analysed, validation's own included.  The budget check counts the
+nominal grid from its step, so a step too fine for the budget allocates
+nothing.  Minimality on a grid, decided with the grid search's walker
+(`conftest.walked_minimal`), matches `reference.grid_minimal`, the
+`itertools.product` loop.
 """
 
 import gc
@@ -23,10 +25,8 @@ import pytest
 
 import emalp.program as program_module
 from emalp import (
-    BudgetExceeded,
     StableSearchConfig,
     find_stable_models,
-    is_minimal_model,
     is_stable,
     parse_program,
     reduct,
@@ -35,6 +35,7 @@ from emalp import (
 from emalp.cli import main
 from emalp.semantics import _analysis
 
+from conftest import walked_minimal
 from genprog import random_emalp
 import reference
 
@@ -136,7 +137,7 @@ def test_is_minimal_model_matches_the_product_loop(step):
         points = list(reference.grid_points(program, step))
         for M in rng.sample(points, min(len(points), 12)):
             want = reference.grid_minimal(program, M, step, 1e-9)
-            assert is_minimal_model(program, M, step) is want, (seed, M)
+            assert walked_minimal(program, M, step) is want, (seed, M)
             verdicts[want] += 1
     assert verdicts[True] > 20 and verdicts[False] > 20
 
@@ -144,7 +145,7 @@ def test_is_minimal_model_matches_the_product_loop(step):
 @pytest.mark.parametrize("step", [0.1, 0.05])
 def test_is_minimal_model_matches_the_product_loop_on_motor(motor, model_m, model_n, step):
     for M in (model_m, model_n):
-        assert is_minimal_model(motor, M, step) is reference.grid_minimal(motor, M, step, 1e-9)
+        assert walked_minimal(motor, M, step) is reference.grid_minimal(motor, M, step, 1e-9)
 
 
 def peak_mb(fn, *args):
@@ -157,8 +158,7 @@ def peak_mb(fn, *args):
     return peak / 1e6
 
 
-def test_budget_checks_refuse_a_fine_grid_without_building_it(capsys, tmp_path, motor,
-                                                              motor_text, model_n):
+def test_budget_checks_refuse_a_fine_grid_without_building_it(capsys, tmp_path, motor_text):
     # at step 1e-9 the grid holds 10 ** 9 + 1 values
     source = tmp_path / "motor.malp"
     source.write_text(motor_text)
@@ -171,11 +171,6 @@ def test_budget_checks_refuse_a_fine_grid_without_building_it(capsys, tmp_path, 
         assert peak_mb(lambda: codes.append(main(argv))) < 4
     assert codes == [2, 2]
     assert capsys.readouterr().err.count("grid points exceed the budget of 2000000") == 2
-
-    def minimal():
-        with pytest.raises(BudgetExceeded, match="exceed the budget of 2000000$"):
-            is_minimal_model(motor, model_n, 1e-9)
-    assert peak_mb(minimal) < 4
 
 
 def test_a_program_without_atoms_needs_no_grid(capsys, tmp_path):
@@ -190,25 +185,26 @@ def test_a_program_without_atoms_needs_no_grid(capsys, tmp_path):
 
 def test_is_minimal_model_stops_at_the_first_model_below(monkeypatch):
     # the all-zero point is a model below the top; the 11 ** 5 points of
-    # the sub-grid hold thousands more, and none of them needs a check
+    # the grid hold thousands more, and the lazy walk checks none of them
     import emalp.semantics as semantics_module
     checks = []
     original = semantics_module.satisfies
     monkeypatch.setattr(semantics_module, "satisfies",
                         lambda *args: checks.append(1) or original(*args))
     program = parse_program("a <-g min(b, c) with 1;\nb <-g d with 1;\nc <-g e with 1;")
-    assert is_minimal_model(program, dict.fromkeys(program.atoms(), 1.0), 0.1) is False
+    assert walked_minimal(program, dict.fromkeys(program.atoms(), 1.0), 0.1) is False
     assert 0 < len(checks) < 100
 
 
 @pytest.mark.parametrize("value", [-0.5, math.nan])
 def test_is_minimal_model_with_no_grid_point_below(value):
-    # the sub-grid below M is empty, so nothing below M is a model
+    # no grid point passes the bound check, so nothing below M is a model
     program = parse_program("p <-g 0.5 with 1;")
-    assert is_minimal_model(program, {"p": value}, 0.5) is True
+    assert walked_minimal(program, {"p": value}, 0.5) is True
+    assert reference.grid_minimal(program, {"p": value}, 0.5, 1e-9) is True
 
 
-def test_searches_and_checks_leave_no_reference_cycles(motor_text, model_m, model_n):
+def test_searches_and_checks_leave_no_reference_cycles(motor_text, model_n):
     # each call's closures, checks and walks are freed by reference
     # counting when it returns, so the cyclic collector finds nothing
     programs = [parse_program(motor_text), parse_program(GRID8)]
@@ -218,10 +214,8 @@ def test_searches_and_checks_leave_no_reference_cycles(motor_text, model_m, mode
         calls += [lambda p=p: _analysis(p, 1e-9),
                   lambda p=p: find_stable_models(p, StableSearchConfig(grid_step=0.25)),
                   lambda p=p: find_stable_models(p, StableSearchConfig(mode="iterate", seeds=8)),
-                  lambda p=p, M=M: (stable_operator(p, M), is_stable(p, M)),
-                  lambda p=p, M=M: is_minimal_model(p, M, 0.25)]
-    calls += [lambda: (stable_operator(programs[0], model_n), is_stable(programs[0], model_n)),
-              lambda: is_minimal_model(programs[0], model_m, 0.1)]
+                  lambda p=p, M=M: (stable_operator(p, M), is_stable(p, M))]
+    calls += [lambda: (stable_operator(programs[0], model_n), is_stable(programs[0], model_n))]
     gc.collect()
     gc.disable()
     try:

@@ -387,11 +387,14 @@ def test_help_exits_zero(capsys):
 
 
 def test_search_budget_exceeded_exits_two(capsys, tmp_path):
+    # 3 ** 2 = 9 grid points: a budget of 8 refuses them, 9 admits them
     path = tmp_path / "mutual.malp"
     path.write_text(MUTUAL)
-    code, _, err = run(capsys, "stable", "search", path, "--grid", "0.5", "--budget", "4")
+    code, _, err = run(capsys, "stable", "search", path, "--grid", "0.5", "--budget", "8")
     assert code == 2
-    assert "budget" in err
+    assert "9 grid points exceed the budget of 8" in err
+    code, out, _ = run(capsys, "stable", "search", path, "--grid", "0.5", "--budget", "9")
+    assert code == 0 and json.loads(out)["count"] == 3
 
 
 def test_bad_grid_step_exits_one(capsys, tmp_path):

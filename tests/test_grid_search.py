@@ -48,7 +48,7 @@ def unpropagated_candidates(program, step, pre_tol, tol):
     atoms = program.atoms()
     checks = [(reads, test, None)
               for reads, test, _ in _grid_checks(program, atoms, pre_tol, tol)]
-    found = _grid_walk(dict.fromkeys(atoms, lattice_grid(step)), checks)
+    found = _grid_walk(atoms, lattice_grid(step), checks)
     return sorted(found, key=lambda m: tuple(m[a] for a in atoms))
 
 
@@ -191,9 +191,11 @@ def test_a_propagated_head_is_computed_once_per_node(monkeypatch):
 
 
 def test_an_empty_value_list_yields_nothing():
+    # no grid value at the first atom, and a fit that keeps none at the second
     checks = [({"p"}, lambda M: True, None)]
-    assert list(_grid_walk({"p": []}, checks)) == []
-    assert list(_grid_walk({"p": [0.0], "q": []}, checks + [({"q"}, lambda M: True, None)])) == []
+    assert list(_grid_walk(("p",), [], checks)) == []
+    keeps_none = ({"p", "q"}, lambda M: True, ("q", lambda M, values: []))
+    assert list(_grid_walk(("p", "q"), [0.0], checks + [keeps_none])) == []
 
 
 # Assigned b, c, a; the grid order is a, b, c, and a = c on the models.

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,9 +12,7 @@ from emalp import (
     eval_implication,
     eval_negation,
     eval_threshold,
-    is_minimal_model,
     lattice_grid,
-    parse_program,
 )
 from emalp.lattice import LatticeError, grid_count
 from emalp.program import compile_body
@@ -130,21 +127,15 @@ def test_unknown_kinds_rejected():
 def test_grid_count_counts_what_lattice_grid_lists(step):
     grid = lattice_grid(step)
     assert grid_count(step) == len(grid)
-    rng = random.Random(3)
-    uptos = [rng.uniform(-0.2, 1.2) for _ in range(200)] + [
-        v + d for v in grid for d in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9)] + [
-        -math.inf, math.inf, math.nan, -0.0, 1.0, 1.0 + 1e-9]
-    for upto in uptos:
-        assert grid_count(step, upto) == len([v for v in grid if v <= upto]), upto
 
 
 def test_grid_count_checks_the_step_as_lattice_grid_does():
-    for step in (0.3, 0.7, 0.0, -0.5, math.nan):
+    # 0.26 and 0.1000001 leave 4% and 1e-6 over at n = round(1 / step)
+    for step in (0.3, 0.7, 0.26, 0.1000001, 0.0, -0.5, math.nan):
         with pytest.raises(LatticeError):
             grid_count(step)
     assert grid_count(1e-9) == 10 ** 9 + 1
     assert grid_count(6e-309) == round(1 / 6e-309) + 1   # 1/step is still finite
-    assert grid_count(1e-9, 0.5) == 5 * 10 ** 8 + 1
 
 
 @pytest.mark.parametrize("step", [5e-324, 1e-320, 5e-309])
@@ -154,6 +145,3 @@ def test_a_step_whose_reciprocal_overflows_is_a_lattice_error(step):
         with pytest.raises(LatticeError) as info:
             fn(step)
         assert str(info.value) == message
-    program = parse_program("p <-g 0.5 with 1;")
-    with pytest.raises(LatticeError, match="overflows"):
-        is_minimal_model(program, {"p": 0.5}, step)

@@ -1,0 +1,20 @@
+"""README's library example runs as written, so it follows the API."""
+
+from pathlib import Path
+
+from conftest import MOTOR_TEXT
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_example() -> str:
+    """The first python block under `## Library`, at its own line numbers."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n", text.index("\n## Library\n")) + len("```python\n")
+    return "\n" * text.count("\n", 0, start) + text[start:text.index("```", start)]
+
+
+def test_the_library_example_runs(tmp_path, monkeypatch):
+    (tmp_path / "motor.malp").write_text(MOTOR_TEXT)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(library_example(), str(README), "exec"), {})

@@ -18,8 +18,6 @@ from emalp import (
     find_stable_models,
     immediate_consequence,
     interp_distance,
-    is_minimal_model,
-    is_model,
     is_stable,
     least_model,
     parse_program,
@@ -32,6 +30,7 @@ from emalp import (
 from emalp import semantics
 from emalp.cli import main
 from emalp.program import MalpError, compile_body
+from conftest import walked_minimal
 from genprog import random_emalp
 import reference
 
@@ -55,14 +54,15 @@ def test_satisfies_examples(motor, model_m):
 
 
 def test_is_model_examples(motor, model_m, model_n):
-    assert is_model(model_m, motor)
-    assert is_model(model_n, motor)
-    assert not is_model(bottom_interpretation(motor.atoms()), motor)
+    # the paper's M and N are models of the motor program, bottom is not
+    for I, want in ((model_m, True), (model_n, True),
+                    (bottom_interpretation(motor.atoms()), False)):
+        assert all(reference.satisfies(I, r, 1e-9) for r in motor.rules) is want
 
 
 def test_is_model_requires_totality(motor):
     with pytest.raises(MalpError, match="not total"):
-        is_model({"p": 0.1}, motor)
+        semantics.require_total({"p": 0.1}, motor)
 
 
 # --- reduct -------------------------------------------------------------------
@@ -224,7 +224,7 @@ def test_least_model_below_every_grid_model():
         value, trace = least_model(program)
         assert trace.converged
         for M in reference.grid_points(program, 0.25):
-            if is_model(M, program):
+            if all(reference.satisfies(M, r, 1e-9) for r in program.rules):
                 assert interp_leq(value, M, 1e-9)
 
 
@@ -326,7 +326,7 @@ def test_constraint_bound_on_models(motor, model_m, model_n):
     samples += [{a: rng.random() for a in motor.atoms()} for _ in range(200)]
     found = 0
     for M in samples:
-        if is_model(M, motor):
+        if all(reference.satisfies(M, r, 1e-9) for r in motor.rules):
             found += 1
             assert eval_body(constraint.body, M) <= constraint.head.value + 1e-9
     assert found >= 2
@@ -334,9 +334,9 @@ def test_constraint_bound_on_models(motor, model_m, model_n):
 
 @pytest.mark.parametrize("tol", [1e-9, 0.3])
 def test_is_model_is_every_rule_of_the_reference(tol, tmp_path, capsys):
-    # constraints included: on some points only a constraint fails.  At the
-    # wide tol, `emalp eval` reports each rule's body value, implication and
-    # check as the reference makes them
+    # each rule's check, constraints included: on some points only a
+    # constraint fails.  At the wide tol, `emalp eval` reports each rule's
+    # body value, implication and check as the reference makes them
     only_a_constraint = verdicts = 0
     path, interp = tmp_path / "p.malp", tmp_path / "i.json"
     for seed in range(80):
@@ -348,8 +348,9 @@ def test_is_model_is_every_rule_of_the_reference(tol, tmp_path, capsys):
         points = list(reference.grid_points(program, 0.5))
         points += [{a: rng.random() for a in program.atoms()} for _ in range(10)]
         for I in points:
-            want = all(reference.satisfies(I, r, tol) for r in program.rules)
-            assert is_model(I, program, tol) is want, (seed, I)
+            checks = [reference.satisfies(I, r, tol) for r in program.rules]
+            assert [satisfies(I, r, tol) for r in program.rules] == checks, (seed, I)
+            want = all(checks)
             verdicts += want
             only_a_constraint += not want and all(
                 reference.satisfies(I, r, tol) for r in program.definite_rules())
@@ -359,7 +360,7 @@ def test_is_model_is_every_rule_of_the_reference(tol, tmp_path, capsys):
             for idx, r in enumerate(program.rules):
                 body = reference.body_value(r.body, I, tol)
                 head = r.head.value if r.is_constraint else I[r.head.name]
-                rows.append({"rule": idx, "body": body, "satisfied": reference.satisfies(I, r, tol),
+                rows.append({"rule": idx, "body": body, "satisfied": checks[idx],
                              "implication": eval_implication(r.impl, head, body)})
             interp.write_text(json.dumps(I))
             assert main(["eval", str(path), "-i", str(interp), "--tol", str(tol)]) == 0
@@ -384,32 +385,34 @@ def test_operations_do_not_mutate_inputs(motor, model_n):
     reduct(motor, model_n)
     is_stable(motor, model_n)
     stable_operator(motor, model_n)
-    is_model(model_n, motor)
+    [satisfies(model_n, r) for r in motor.rules]
     assert motor == snapshot_p
     assert model_n == snapshot_m
 
 
 def test_is_minimal_model_examples(motor, model_m, model_n):
-    assert is_minimal_model(motor, model_m, 0.05) is False
-    assert is_minimal_model(motor, model_n, 0.05) is True
+    # the paper's stable model N is minimal on the 0.05 grid; its model M is not
+    for M, want in ((model_m, False), (model_n, True)):
+        assert walked_minimal(motor, M, 0.05) is want
+        assert reference.grid_minimal(motor, M, 0.05, 1e-9) is want
 
 
 def test_is_minimal_model_budgets_its_sub_grid(motor, model_n):
-    # 21 values per atom at 0.05: below the top of five atoms lie
-    # 21 ** 5 = 4,084,101 points, more than DEFAULT_BUDGET
+    # 21 values per atom at 0.05: five atoms make 21 ** 5 = 4,084,101
+    # points, more than DEFAULT_BUDGET
     program = parse_program("a <-g min(b, c) with 1;\nb <-g d with 1;\nc <-g e with 1;")
     top = {a: 1.0 for a in program.atoms()}
     with pytest.raises(BudgetExceeded, match=r"^4084101 grid points exceed the budget of 2000000$"):
-        is_minimal_model(program, top, 0.05)
-    assert is_minimal_model(program, top, 0.1) is False   # 11 ** 5 points fit
-    assert is_minimal_model(motor, model_n, 0.05) is True
+        walked_minimal(program, top, 0.05)
+    assert walked_minimal(program, top, 0.1) is False   # 11 ** 5 points fit
+    assert walked_minimal(motor, model_n, 0.05) is True
 
 
 def test_is_minimal_model_bottom():
     program = parse_program("p <-g q with 1;")
     M = {"p": 0.0, "q": 0.0}
-    assert is_model(M, program)
-    assert is_minimal_model(program, M, 0.5)
+    assert all(satisfies(M, r) for r in program.rules)
+    assert walked_minimal(program, M, 0.5)
 
 
 def test_stable_implies_minimal_sampled():
@@ -418,7 +421,7 @@ def test_stable_implies_minimal_sampled():
         program = random_emalp(rng, max_atoms=2, max_rules=3, max_constraints=1)
         cfg = StableSearchConfig(mode="grid", grid_step=0.25)
         for M in find_stable_models(program, cfg):
-            assert is_minimal_model(program, M, 0.25)
+            assert reference.grid_minimal(program, M, 0.25, 1e-9)
 
 
 # --- serialization of traces ----------------------------------------------------
