@@ -116,4 +116,30 @@ MUTANTS = [
            "        if a.choices is not None and value not in a.choices:\n            return None\n",
            "",
            ("test_cli_parser.py::test_the_table_reader_declines_what_argparse_must_read",)),
+    # equiv drops each of four failures it can report
+    Mutant("src/emalp/transform.py",
+           '            problems.append(f"projection of target model {N} is not a source stable model")\n',
+           "            pass\n",
+           ("test_transform.py::test_verify_equivalence_reports_a_projection_that_is_no_source_model",)),
+    Mutant("src/emalp/transform.py",
+           '            problems.append(f"target model {N} differs from the lift of its projection")\n',
+           "            pass\n",
+           ("test_transform.py::test_verify_equivalence_reports_a_target_model_off_its_lift",)),
+    Mutant("src/emalp/transform.py",
+           '            problems.append("a target stable model does not pin the bottom witness to 0")\n',
+           "            pass\n",
+           ("test_transform.py::test_verify_equivalence_reports_a_bottom_witness_above_zero",)),
+    Mutant("src/emalp/transform.py",
+           '            problems.append("a target stable model breaks a negation witness equation")\n',
+           "            pass\n",
+           ("test_transform.py::test_verify_equivalence_reports_a_broken_negation_witness",)),
+    # a constraint-free record forgets the negation it was asked for
+    Mutant("src/emalp/transform.py",
+           'return TranslationRecord("fc", program, program, (), neg_choice)',
+           'return TranslationRecord("fc", program, program)',
+           ("test_cli.py::test_transform_records_the_negation_asked_for",)),
+    Mutant("src/emalp/transform.py",
+           'return TranslationRecord("janssen", program, program, (), neg_choice)',
+           'return TranslationRecord("janssen", program, program)',
+           ("test_cli.py::test_transform_records_the_negation_asked_for",)),
 ]

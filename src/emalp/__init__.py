@@ -5,125 +5,17 @@ fixpoint iteration, and semantics-preserving transformations between
 program classes, with grid-exhaustive equivalence checking.
 """
 
-from .lattice import (
-    ADJOINT_KINDS,
-    DEFAULT_TOL,
-    NEGATION_KINDS,
-    eval_conjunctor,
-    eval_implication,
-    eval_negation,
-    eval_threshold,
-    lattice_grid,
-)
-from .program import (
-    Apply,
-    Atom,
-    BodyExpr,
-    Const,
-    MalpError,
-    Polarity,
-    Program,
-    ProgramClass,
-    RangeViolation,
-    Rule,
-    ValidationFailure,
-    ValidationReport,
-    body_interval,
-    eval_body,
-    eval_expr,
-    polarity_of,
-    validate_program,
-)
-from .parser import ParseError, parse_body, parse_program, serialize_program
-from .semantics import (
-    DEFAULT_MAX_ITER,
-    FixpointTrace,
-    StableSearchConfig,
-    bottom_interpretation,
-    find_stable_models,
-    immediate_consequence,
-    interp_distance,
-    is_stable,
-    least_model,
-    reduct,
-    satisfies,
-    stable_operator,
-    top_interpretation,
-)
-from .transform import (
-    BudgetExceeded,
-    ContinuityReport,
-    EquivalenceReport,
-    FreshAtom,
-    TransformError,
-    TranslationRecord,
-    check_continuity,
-    eliminate_constraints_fc,
-    eliminate_constraints_janssen,
-    lift_interpretation,
-    project_interpretation,
-    record_from_json,
-    to_manlp,
-    verify_equivalence,
-)
+from .lattice import *
+from .program import *
+from .parser import *
+from .semantics import *
+from .transform import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADJOINT_KINDS",
-    "Apply",
-    "Atom",
-    "BodyExpr",
-    "BudgetExceeded",
-    "Const",
-    "ContinuityReport",
-    "DEFAULT_MAX_ITER",
-    "DEFAULT_TOL",
-    "EquivalenceReport",
-    "FixpointTrace",
-    "FreshAtom",
-    "MalpError",
-    "NEGATION_KINDS",
-    "ParseError",
-    "Polarity",
-    "Program",
-    "ProgramClass",
-    "RangeViolation",
-    "Rule",
-    "StableSearchConfig",
-    "TransformError",
-    "TranslationRecord",
-    "ValidationFailure",
-    "ValidationReport",
-    "body_interval",
-    "bottom_interpretation",
-    "check_continuity",
-    "eliminate_constraints_fc",
-    "eliminate_constraints_janssen",
-    "eval_body",
-    "eval_conjunctor",
-    "eval_expr",
-    "eval_implication",
-    "eval_negation",
-    "eval_threshold",
-    "find_stable_models",
-    "immediate_consequence",
-    "interp_distance",
-    "is_stable",
-    "lattice_grid",
-    "least_model",
-    "lift_interpretation",
-    "parse_body",
-    "parse_program",
-    "polarity_of",
-    "project_interpretation",
-    "record_from_json",
-    "reduct",
-    "satisfies",
-    "serialize_program",
-    "stable_operator",
-    "to_manlp",
-    "top_interpretation",
-    "validate_program",
-    "verify_equivalence",
-]
+__all__: list[str] = []
+__all__ += lattice.__all__
+__all__ += program.__all__
+__all__ += parser.__all__
+__all__ += semantics.__all__
+__all__ += transform.__all__

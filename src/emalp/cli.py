@@ -35,6 +35,7 @@ from .semantics import (
     stable_operator,
 )
 from .transform import (
+    METHODS,
     check_continuity,
     eliminate_constraints_fc,
     eliminate_constraints_janssen,
@@ -186,7 +187,7 @@ def cmd_stable_search(args) -> int:
         check_grid_budget((program,), args.grid, args.budget)
     cfg = StableSearchConfig(
         mode="grid" if args.grid is not None else "iterate",
-        grid_step=args.grid if args.grid is not None else 0.5,
+        grid_step=args.grid if args.grid is not None else StableSearchConfig.grid_step,
         seeds=args.seeds,
         tol=args.tol,
         max_iter=args.max_iter,
@@ -305,7 +306,8 @@ _STABLE = {
     "verify": (None, _FILE_INTERP, cmd_stable_verify),
     "search": (None, _FILE + (
         _Arg(("--grid",), float, help="grid step for exhaustive search"),
-        _Arg(("--seeds",), int, default=16), _Arg(("--rng-seed",), int, default=0), _BUDGET,
+        _Arg(("--seeds",), int, default=StableSearchConfig.seeds),
+        _Arg(("--rng-seed",), int, default=StableSearchConfig.rng_seed), _BUDGET,
     ), cmd_stable_search),
 }
 
@@ -317,7 +319,7 @@ _COMMANDS = {
     "lfp": ("least model of a positive program, with trace", _FILE, cmd_lfp),
     "stable": ("verify or search for stable models", _STABLE, None),
     "transform": ("rewrite a program, writing target and record", _FILE + (
-        _Arg(("--method",), choices=("fc", "janssen", "manlp"), required=True),
+        _Arg(("--method",), choices=METHODS, required=True),
         _Arg(("--impl",), choices=ADJOINT_KINDS, default="lukasiewicz"),
         _Arg(("--conj",), choices=ADJOINT_KINDS, default="godel"),
         _Arg(("--neg",), choices=NEGATION_KINDS, default="neg1"),

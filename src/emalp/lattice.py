@@ -34,9 +34,18 @@ import math
 
 from .errors import MalpError
 
-DEFAULT_TOL = 1e-9
+__all__ = [
+    "ADJOINT_KINDS",
+    "DEFAULT_TOL",
+    "NEGATION_KINDS",
+    "eval_conjunctor",
+    "eval_implication",
+    "eval_negation",
+    "eval_threshold",
+    "lattice_grid",
+]
 
-ADJOINT_KINDS = ("godel", "product", "lukasiewicz")
+DEFAULT_TOL = 1e-9
 
 
 class LatticeError(MalpError):
@@ -77,6 +86,7 @@ def impl_lukasiewicz(z: float, y: float) -> float:
 
 _CONJUNCTORS = {"godel": t_godel, "product": t_product, "lukasiewicz": t_lukasiewicz}
 _IMPLICATIONS = {"godel": impl_godel, "product": impl_product, "lukasiewicz": impl_lukasiewicz}
+ADJOINT_KINDS = tuple(_CONJUNCTORS)
 
 
 def eval_conjunctor(kind: str, x: float, y: float) -> float:

@@ -34,6 +34,13 @@ from .program import (
     validate_program,
 )
 
+__all__ = [
+    "ParseError",
+    "parse_body",
+    "parse_program",
+    "serialize_program",
+]
+
 
 # Deepest nesting of operator applications in one body.  Parsing,
 # validation, evaluation, serialization, `==`, hash and repr all recurse

@@ -43,6 +43,26 @@ from .lattice import (
     t_product,
 )
 
+__all__ = [
+    "Apply",
+    "Atom",
+    "BodyExpr",
+    "Const",
+    "MalpError",
+    "Polarity",
+    "Program",
+    "ProgramClass",
+    "RangeViolation",
+    "Rule",
+    "ValidationFailure",
+    "ValidationReport",
+    "body_interval",
+    "eval_body",
+    "eval_expr",
+    "polarity_of",
+    "validate_program",
+]
+
 
 class RangeViolation(MalpError):
     """A body evaluated to a value outside [0, 1] by more than the tolerance."""

@@ -50,6 +50,23 @@ from .program import (
     freeze,
 )
 
+__all__ = [
+    "BudgetExceeded",
+    "DEFAULT_MAX_ITER",
+    "FixpointTrace",
+    "StableSearchConfig",
+    "bottom_interpretation",
+    "find_stable_models",
+    "immediate_consequence",
+    "interp_distance",
+    "is_stable",
+    "least_model",
+    "reduct",
+    "satisfies",
+    "stable_operator",
+    "top_interpretation",
+]
+
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_BUDGET = 2_000_000   # grid points one search or check may enumerate
 PREFILTER_TOL = 1e-6   # slack of the grid fixpoint prune |T(M)[a] - M[a]|
@@ -277,7 +294,7 @@ def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL
               max_iter: int = DEFAULT_MAX_ITER) -> Optional[bool]:
     """True/False verdict, or None when the inner fixpoint fails to converge."""
     # M is stable when it is the operator's fixpoint and satisfies the reduct's
-    # constraints, built only if there are some (ROADMAP item 1 step 2 drops it)
+    # constraints, built only if there are some (ROADMAP item 23 drops it)
     value, converged = _stable_value(program, M, tol, max_iter)
     if converged and interp_distance(value, M) > tol:
         return False

@@ -53,13 +53,31 @@ from .program import (
 from .semantics import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_ITER,
-    BudgetExceeded,
     StableSearchConfig,
     check_grid_budget,
     find_stable_models,
     interp_distance,
     sorted_interp,
 )
+
+__all__ = [
+    "ContinuityReport",
+    "EquivalenceReport",
+    "FreshAtom",
+    "TransformError",
+    "TranslationRecord",
+    "check_continuity",
+    "eliminate_constraints_fc",
+    "eliminate_constraints_janssen",
+    "lift_interpretation",
+    "project_interpretation",
+    "record_from_json",
+    "to_manlp",
+    "verify_equivalence",
+]
+
+
+METHODS = ("fc", "janssen", "manlp")   # the rewrites, as records and the CLI name them
 
 
 class TransformError(MalpError):
@@ -84,7 +102,7 @@ class FreshAtom:
 
 @dataclass(frozen=True)
 class TranslationRecord:
-    method: str                      # "fc" | "janssen" | "manlp"
+    method: str                      # one of METHODS
     source: Program
     target: Program
     fresh_atoms: tuple[FreshAtom, ...] = ()
@@ -137,7 +155,7 @@ def record_from_json(data, source: Program, target: Program) -> TranslationRecor
     if not isinstance(data, Mapping):
         raise MalpError("record must be a JSON object")
     method, negation = data.get("method"), data.get("negation", "neg1")
-    if method not in ("fc", "janssen", "manlp"):
+    if method not in METHODS:
         raise MalpError(f"record: unknown method {method!r}")
     if negation not in NEGATION_KINDS:
         raise MalpError(f"record: unknown negation {negation!r}")
@@ -175,7 +193,7 @@ def eliminate_constraints_fc(program: Program, impl_choice: str = "lukasiewicz",
     as many rules as the source and is constraint-free.
     """
     if not program.constraints():
-        return TranslationRecord("fc", program, program)
+        return TranslationRecord("fc", program, program, (), neg_choice)
     p_bot = _fresh_name("p_bot", set(program.atoms()))
     target = Program(tuple(
         _bottom_rule(p_bot, "f", r.head.value, r.body, impl_choice, conj_choice, neg_choice)
@@ -196,7 +214,7 @@ def eliminate_constraints_janssen(program: Program, impl_choice: str = "lukasiew
     """
     constraints = program.constraints()
     if not constraints:
-        return TranslationRecord("janssen", program, program)
+        return TranslationRecord("janssen", program, program, (), neg_choice)
     taken = set(program.atoms())
     p_bot = _fresh_name("p_bot", taken)
     witnesses: dict[float, str] = {}

@@ -277,6 +277,16 @@ def test_transform_writes_target_and_record(capsys, motor_file, tmp_path):
     assert not target.constraints()
 
 
+@pytest.mark.parametrize("constraint", ["", "0.5 <-g p with 1;\n"], ids=["free", "constrained"])
+@pytest.mark.parametrize("method", ["fc", "janssen"])
+def test_transform_records_the_negation_asked_for(capsys, tmp_path, method, constraint):
+    src = tmp_path / "nc.malp"
+    src.write_text("p <-g neg2(q) with 1;\nq <-g 0.5 with 1;\n" + constraint)
+    assert run(capsys, "transform", src, "--method", method, "--neg", "neg2")[0] == 0
+    record = json.loads((tmp_path / f"nc.{method}.record.json").read_text())
+    assert (record["method"], record["negation"]) == (method, "neg2")
+
+
 def test_transform_manlp_needs_constraint_free(capsys, motor_file, tmp_path):
     code, _, err = run(capsys, "transform", motor_file, "--method", "manlp",
                        "-o", tmp_path / "x.malp", "--record", tmp_path / "x.json")

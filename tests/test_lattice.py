@@ -121,6 +121,8 @@ def test_unknown_kinds_rejected():
         eval_conjunctor("hamacher", 0.5, 0.5)
     with pytest.raises(LatticeError):
         eval_negation("neg3", 0.5)
+    with pytest.raises(LatticeError, match="^unknown adjoint pair: 'hamacher'$"):
+        eval_implication("hamacher", 0.5, 0.5)
 
 
 @pytest.mark.parametrize("step", [0.5, 0.25, 0.2, 0.1, 1 / 3, 1 / 7, 0.05, 0.01, 0.001])

@@ -97,6 +97,26 @@ def test_parse_errors():
         parse_program("p <-g q with 1!")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p q with 1;", "1:3: expected '<-', found 'q'"),
+    ("p <-g 1/x with 1;", "1:9: expected 'number', found 'x'"),
+    ("p <-g f(0.5 q) with 1;", "1:13: expected ')', found 'q'"),
+    ("p <-g 0.5/2 with 1;", "1:7: fraction numerator must be an integer"),
+    ("p <-g q with 1;\n  0.5/1 <-g q with 1;", "2:3: fraction numerator must be an integer"),
+    ("p <-g 1/2.0 with 1;", "1:9: fraction denominator must be an integer"),
+    ("p <-g ; with 1;", "1:7: expected an expression, found ';'"),
+    ("p <-g min(q,\n  with) with 1;", "2:3: 'with' is reserved"),
+    ("with <-g q with 1;", "1:1: expected a rule head, found 'with'"),
+    ("p <-g q with 1;\n; ", "2:1: expected a rule head, found ';'"),
+], ids=["expect-arrow", "expect-number", "expect-paren", "numerator", "numerator-line-2",
+        "denominator", "expression", "with-reserved", "head-with", "head-punctuation"])
+def test_syntax_errors_name_their_position(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+    assert message.startswith(f"{err.value.line}:{err.value.col}: ")
+
+
 def test_validation_failures_raise_on_parse():
     with pytest.raises(ValidationFailure):
         parse_program("p <-g max(q, neg1(q)) with 1;")

@@ -8,6 +8,7 @@ from emalp import (
     Apply,
     Atom,
     Const,
+    MalpError,
     Polarity,
     Program,
     ProgramClass,
@@ -20,6 +21,7 @@ from emalp import (
     polarity_of,
     validate_program,
 )
+from emalp.program import op_spec
 from genprog import random_body
 
 
@@ -59,7 +61,6 @@ def test_eval_body_is_homomorphic():
     for _ in range(200):
         body = random_body(rng, list(env), (0.0, 0.25, 0.5, 1.0))
         if isinstance(body, Apply):
-            from emalp.program import op_spec
             spec = op_spec(body.op)
             children = [eval_expr(a, env) for a in body.args]
             if spec.const_first:
@@ -267,6 +268,15 @@ def test_validation_reports_malformed_hand_built_bodies(body, message):
     # check reports it instead of an IndexError or MalpError escaping
     report = validate_program(Program((Rule(Atom("s"), "godel", body, 1.0),)))
     assert [(i.rule, i.message) for i in report.issues] == [(0, message)]
+
+
+def test_evaluation_refuses_an_unknown_builtin_and_a_missing_atom():
+    with pytest.raises(MalpError, match=r"^unknown builtin: 'foo'$"):
+        op_spec("foo")
+    with pytest.raises(MalpError, match=r"^unknown builtin: 'foo'$"):
+        eval_expr(Apply("foo", (Atom("p"),)), {"p": 0.5})
+    with pytest.raises(MalpError, match=r"^interpretation is not total: missing atom 'q'$"):
+        eval_expr(Apply("neg1", (Atom("q"),)), {"p": 0.5})
 
 
 @pytest.mark.parametrize("body, issues", [

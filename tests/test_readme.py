@@ -1,5 +1,6 @@
 """README's library example runs as written, so it follows the API."""
 
+import ast
 from pathlib import Path
 
 from conftest import MOTOR_TEXT
@@ -18,3 +19,11 @@ def test_the_library_example_runs(tmp_path, monkeypatch):
     (tmp_path / "motor.malp").write_text(MOTOR_TEXT)
     monkeypatch.chdir(tmp_path)
     exec(compile(library_example(), str(README), "exec"), {})
+
+
+def test_the_library_example_uses_every_name_it_imports():
+    tree = ast.parse(library_example())
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -69,7 +69,7 @@ def traced_main(args):
 def test_tracer_counts_every_stable_operator_call_of_a_search(tmp_path, capsys):
     # The tracer counts a function by rebinding module globals.  A search
     # step on an acyclic reduct is one private pass in level order, which
-    # the tracer cannot see: until ROADMAP item 1's stats exist, only the
+    # the tracer cannot see: until ROADMAP item 22's stats exist, only the
     # conjunctor calls count it.  On the even cycle bottom steps to top
     # and back, and stops there; top, visited again with more steps left,
     # steps once to bottom, which bottom already went on from; each

@@ -395,6 +395,63 @@ def test_verify_equivalence_detects_tampering():
     assert report.counterexamples
 
 
+def _with_target_rule(rec, index: int, text: str):
+    """The record read back with its target's rule `index` replaced by `text`."""
+    rules = list(rec.target.rules)
+    rules[index] = parse_program(text).rules[0]
+    return record_from_json(rec.to_json(), rec.source, Program(tuple(rules)))
+
+
+def _verdict(report) -> tuple:
+    return (report.bijection, report.bottom_exact, report.witnesses_exact,
+            list(report.counterexamples))
+
+
+def test_verify_equivalence_reports_a_projection_that_is_no_source_model():
+    # without its bottom rule the target lets p = 1 through the constraint p <= 0.5
+    source = parse_program("p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n0.5 <-g p with 1;")
+    rec = _with_target_rule(eliminate_constraints_fc(source), 2, "p_bot <-g 0 with 1;")
+    assert _verdict(verify_equivalence(rec, 0.5)) == (False, True, None, [
+        "projection of target model {'p': 1.0, 'p_bot': 0.0, 'q': 0.0} is not a source "
+        "stable model",
+        "model counts differ: 2 vs 3",
+    ])
+
+
+def test_verify_equivalence_reports_a_target_model_off_its_lift():
+    # the constant witness settles at 0.25, the record lifts it to 0.5
+    source = parse_program("p <-g 0.25 with 1;\n0.5 <-g p with 1;")
+    rec = _with_target_rule(eliminate_constraints_janssen(source), 2, "p_c_1 <-l 0.25 with 1;")
+    assert _verdict(verify_equivalence(rec, 0.25)) == (False, True, None, [
+        "lift of source model {'p': 0.25} is not a target stable model",
+        "target model {'p': 0.25, 'p_bot': 0.0, 'p_c_1': 0.25} differs from the lift of its "
+        "projection",
+    ])
+
+
+def test_verify_equivalence_reports_a_bottom_witness_above_zero():
+    source = parse_program("p <-g 0.25 with 1;\n0.5 <-g p with 1;")
+    rec = _with_target_rule(eliminate_constraints_fc(source), 1, "p_bot <-g 0.5 with 1;")
+    assert _verdict(verify_equivalence(rec, 0.25)) == (False, False, None, [
+        "lift of source model {'p': 0.25} is not a target stable model",
+        "target model {'p': 0.25, 'p_bot': 0.5} differs from the lift of its projection",
+        "a target stable model does not pin the bottom witness to 0",
+    ])
+
+
+def test_verify_equivalence_reports_a_broken_negation_witness():
+    # not_q is pinned to 0.25 where neg1(q) is 0.75
+    source = parse_program("p <-g neg1(q) with 1;\nq <-g 0.25 with 1;")
+    rec = _with_target_rule(to_manlp(source), 2, "not_q <-g 0.25 with 1;")
+    N = "{'not_q': 0.25, 'p': 0.25, 'q': 0.25}"
+    assert _verdict(verify_equivalence(rec, 0.25)) == (False, None, False, [
+        "lift of source model {'p': 0.75, 'q': 0.25} is not a target stable model",
+        f"projection of target model {N} is not a source stable model",
+        f"target model {N} differs from the lift of its projection",
+        "a target stable model breaks a negation witness equation",
+    ])
+
+
 def test_verify_equivalence_rejects_unlinked_record():
     from emalp import MalpError
 
