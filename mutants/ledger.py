@@ -142,4 +142,27 @@ MUTANTS = [
            'return TranslationRecord("janssen", program, program, (), neg_choice)',
            'return TranslationRecord("janssen", program, program)',
            ("test_cli.py::test_transform_records_the_negation_asked_for",)),
+    # the serializer writes a body nested deeper than a file may hold
+    Mutant("src/emalp/parser.py",
+           "        if depth > MAX_DEPTH:\n", "        if False:\n",
+           ("test_cli.py::test_transform_writes_no_target_nested_past_the_limit",
+            "test_cli.py::test_body_at_depth_limit_runs")),
+    # a verdict keeps every iterate it makes
+    Mutant("src/emalp/semantics.py",
+           "deque([_raise_heads(by_level, J, frozen, J)], maxlen=1)",
+           "[_raise_heads(by_level, J, frozen, J)]",
+           ("test_fixpoint_stop.py::test_a_verdict_that_reaches_the_cap_keeps_one_iterate",)),
+    # `check` names an atom of both signs by its last sign, or gives each sign the other's word
+    Mutant("src/emalp/cli.py",
+           'if words.get(o.atom, word) == word else "mixed"', "",
+           ("test_cli.py::test_check_invalid_exits_one",)),
+    Mutant("src/emalp/cli.py",
+           'word = "positive" if o.sign > 0 else "negative"',
+           'word = "negative" if o.sign > 0 else "positive"',
+           ("test_cli.py::test_check_reports_class_and_continuity",)),
+    # manlp rewires the atoms of order-preserving occurrences
+    Mutant("src/emalp/transform.py",
+           "for o in occs if o.sign < 0}", "for o in occs if o.sign > 0}",
+           ("test_transform.py::test_to_manlp_golden",
+            "test_body_walks.py::test_manlp_rewiring_matches_oracle")),
 ]

@@ -107,17 +107,23 @@ def cmd_check(args) -> int:
     report = validate_program(program, allow_repeats=args.allow_repeats, tol=args.tol)
     if not report.ok:
         for issue in report.issues:
-            print(str(issue), file=sys.stderr)
+            print(issue, file=sys.stderr)
     continuity = check_continuity(program)
-    polarity = [{a: pol.value for a, pol in sorted(pols.items())} for pols in program.polarities()]
+    polarity = []   # per rule, each atom's word: the sign of all its occurrences, or mixed
+    for occs in program.rule_occurrences():
+        words: dict[str, str] = {}
+        for o in occs:
+            word = "positive" if o.sign > 0 else "negative"
+            words[o.atom] = word if words.get(o.atom, word) == word else "mixed"
+        polarity.append(dict(sorted(words.items())))
     _emit({
         "valid": report.ok,
-        "class": report.program_class.value,
+        "class": program.classify().value,
         "atoms": list(program.atoms()),
         "rules": len(program.rules),
         "polarity": polarity,
         "continuity": continuity.to_json(),
-        "errors": [str(i) for i in report.issues],
+        "errors": list(report.issues),
     }, args.output)
     return 0 if report.ok else 1
 

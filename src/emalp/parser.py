@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .lattice import DEFAULT_TOL
 from .program import (
@@ -30,7 +30,6 @@ from .program import (
     Rule,
     TAG_IMPLICATIONS,
     ValidationFailure,
-    body_ops,
     validate_program,
 )
 
@@ -249,22 +248,29 @@ def parse_program(text: str, allow_repeats: bool = False, tol: float = DEFAULT_T
 def serialize_program(program: Program) -> str:
     """Canonical DSL text; parse_program(serialize_program(P)) == P.
 
-    A non-finite weight, constraint head or constant has no text, so it
-    raises MalpError.
+    A non-finite weight, constraint head or constant has no text, and a
+    body nested deeper than MAX_DEPTH applications does not parse back,
+    so either raises MalpError.
     """
     for idx, rule in enumerate(program.rules):
-        for v in _values(rule):
+        values = [rule.weight, rule.head.value] if rule.is_constraint else [rule.weight]
+        depth = _depth(rule.body, values)
+        for v in values:
             if not math.isfinite(v):
                 raise MalpError(f"rule {idx}: cannot write the non-finite value {v}")
+        if depth > MAX_DEPTH:
+            raise MalpError(f"rule {idx}: cannot write a body nested {depth} applications "
+                            f"deep, past the {MAX_DEPTH} a file may hold")
     return f"{program}\n" if program.rules else ""
 
 
-def _values(rule: Rule) -> Iterator[float]:
-    """The numbers a rule's text writes: weight, constraint head, constants."""
-    yield rule.weight
-    if rule.is_constraint:
-        yield rule.head.value
-    if isinstance(rule.body, Const):
-        yield rule.body.value
-    for node in body_ops(rule.body):
-        yield from (a.value for a in node.args if isinstance(a, Const))
+def _depth(body: BodyExpr, values: list[float]) -> int:
+    """How deep the body nests applications, read level by level; its
+    constants are appended to `values`."""
+    depth, level = 0, [body]
+    while level:
+        values += [node.value for node in level if node.__class__ is Const]
+        ops = [node for node in level if node.__class__ is Apply]
+        depth += bool(ops)
+        level = [arg for node in ops for arg in node.args]
+    return depth

@@ -49,7 +49,6 @@ __all__ = [
     "BodyExpr",
     "Const",
     "MalpError",
-    "Polarity",
     "Program",
     "ProgramClass",
     "RangeViolation",
@@ -59,7 +58,7 @@ __all__ = [
     "body_interval",
     "eval_body",
     "eval_expr",
-    "polarity_of",
+    "occurrences",
     "validate_program",
 ]
 
@@ -294,12 +293,6 @@ def _range_violation(v: float, body: BodyExpr) -> RangeViolation:
 # polarity
 
 
-class Polarity(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    MIXED = "mixed"
-
-
 class Occurrence(_Node):
     __slots__ = _fields = ("atom", "sign", "direct_negation")
 
@@ -314,25 +307,9 @@ _set_atom, _set_sign, _set_direct = (
 
 
 def occurrences(body: BodyExpr) -> list[Occurrence]:
+    """The body's atom occurrences, left to right, each with its sign."""
     out: list[Occurrence] = []
     _walk(body, 1, False, out, [], DEFAULT_TOL)
-    return out
-
-
-def polarity_of(body: BodyExpr) -> dict[str, Polarity]:
-    """Polarity of every atom occurring in the body.
-
-    Atoms the body does not mention are not listed; an atom that occurs
-    both covariantly and contravariantly maps to MIXED.
-    """
-    return _polarity(occurrences(body))
-
-
-def _polarity(occs: Sequence[Occurrence]) -> dict[str, Polarity]:
-    out: dict[str, Polarity] = {}
-    for occ in occs:
-        pol = Polarity.POSITIVE if occ.sign > 0 else Polarity.NEGATIVE
-        out[occ.atom] = pol if out.get(occ.atom, pol) is pol else Polarity.MIXED
     return out
 
 
@@ -546,10 +523,6 @@ class Program:
         return self.derived("occurrences",
                             lambda: tuple(tuple(occurrences(r.body)) for r in self.rules))
 
-    def polarities(self) -> tuple[dict[str, Polarity], ...]:
-        """polarity_of each rule body, in rule order."""
-        return tuple(_polarity(occs) for occs in self.rule_occurrences())
-
     def constraints(self) -> tuple[Rule, ...]:
         return self.derived("constraints", lambda: tuple(r for r in self.rules if r.is_constraint))
 
@@ -610,19 +583,8 @@ def _levels(reads: dict[str, set]) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class ValidationIssue:
-    rule: Optional[int]
-    message: str
-
-    def __str__(self) -> str:
-        where = "program" if self.rule is None else f"rule {self.rule}"
-        return f"{where}: {self.message}"
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-    program_class: ProgramClass
+    issues: tuple[str, ...]   # "rule <i>: <message>", in rule order
 
     @property
     def ok(self) -> bool:
@@ -632,7 +594,7 @@ class ValidationReport:
 class ValidationFailure(MalpError):
     def __init__(self, report: ValidationReport):
         self.report = report
-        super().__init__("; ".join(str(i) for i in report.issues))
+        super().__init__("; ".join(report.issues))
 
 
 def _walk(node: BodyExpr, sign: int, direct_neg: bool, occs: list[Occurrence],
@@ -705,14 +667,14 @@ _PRESERVING = itertools.repeat(1)   # the signs of a variadic operator's argumen
 
 def validate_program(program: Program, allow_repeats: bool = False,
                      tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Collect every invariant violation and classify the program.
+    """Collect every invariant violation.
 
     Violations are data, not errors; callers that need a hard failure
     (the parser, the CLI) raise ValidationFailure on a non-empty report.
     Each body is walked once, and its occurrences are left in
     `program.rule_occurrences()`.
     """
-    issues: list[ValidationIssue] = []
+    issues: list[str] = []
     walked = []
     seen: set[str] = set()   # the atom names checked so far, and the invalid ones
     invalid: set[str] = set()
@@ -751,7 +713,6 @@ def validate_program(program: Program, allow_repeats: bool = False,
                 for (atom, sign), n in sorted(counts.items()):
                     if n > 1:
                         local.append(f"atom {atom!r} occurs {n} times with the same polarity")
-        if local:
-            issues += [ValidationIssue(idx, m) for m in local]
+        issues += [f"rule {idx}: {m}" for m in local]
     program.derived("occurrences", lambda: tuple(walked))
-    return ValidationReport(tuple(issues), program.classify())
+    return ValidationReport(tuple(issues))

@@ -33,10 +33,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from operator import sub
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, MutableSequence, Optional
 
 from .lattice import DEFAULT_TOL, eval_conjunctor, eval_implication, grid_count, lattice_grid
 from .program import (
@@ -234,7 +234,7 @@ def least_model(program: Program, tol: float = DEFAULT_TOL,
     return iterates[-1], FixpointTrace(tuple(iterates), converged)
 
 
-def _kleene(T, iterates: list[Interpretation], tol: float, max_iter: int) -> bool:
+def _kleene(T, iterates: MutableSequence[Interpretation], tol: float, max_iter: int) -> bool:
     """Append up to max_iter iterates of T to `iterates`, from its last; whether
     it stopped first.  It stops at an iterate I with T(I) == I, or with
     |T(I) - I| < tol and T(X) <= X for X = T(I) raised by tol where it differs
@@ -283,7 +283,7 @@ def _stable_value(program: Program, M: Mapping[str, float], tol: float,
     by_level, cyclic, top = ((analysis.by_level, analysis.cyclic, analysis.top)
                              if max_iter > analysis.top else ((), analysis.rules, 0))
     frozen = tuple(site(M, None) for site in analysis.sites)
-    iterates = [_raise_heads(by_level, J, frozen, J)]
+    iterates = deque([_raise_heads(by_level, J, frozen, J)], maxlen=1)   # the last only
     bottom = dict.fromkeys([r[0] for r in cyclic], 0.0)
     converged = not bottom or _kleene(lambda I: _raise_heads(
         cyclic, I, frozen, {**I, **bottom}), iterates, tol, max_iter - top)

@@ -41,7 +41,6 @@ from .program import (
     Atom,
     Const,
     MalpError,
-    Polarity,
     Program,
     ProgramClass,
     Rule,
@@ -250,11 +249,7 @@ def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
         raise TransformError(f"rule {program.rules.index(antitone)} ({antitone}) reads an atom "
                              "order-reversingly outside a negation, on a program with a cycle: "
                              "manlp would change its stable models")
-    negative: set[str] = set()
-    for pols in program.polarities():
-        for atom, pol in pols.items():
-            if pol is Polarity.NEGATIVE:
-                negative.add(atom)
+    negative = {o.atom for occs in program.rule_occurrences() for o in occs if o.sign < 0}
     if not negative:
         return TranslationRecord("manlp", program, program, (), neg_choice)
     taken = set(program.atoms())

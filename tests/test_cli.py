@@ -1,9 +1,17 @@
+import importlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from emalp import eliminate_constraints_fc, verify_equivalence
+import emalp
+from emalp import eliminate_constraints_fc, parse_program, to_manlp, verify_equivalence
 from emalp.cli import main
+from emalp.parser import MAX_DEPTH
 
 MUTUAL = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n"
 CONSTRAINED = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n0.5 <-g p with 1;\n"
@@ -40,6 +48,7 @@ def test_check_invalid_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "check", bad)
     assert code == 1
     assert "polarit" in err
+    assert json.loads(out)["polarity"] == [{"q": "mixed"}]
 
 
 def test_check_rejects_a_product_with_a_signed_factor(capsys, tmp_path):
@@ -130,7 +139,7 @@ def test_eval_missing_atom_exits_one(capsys, motor_file, tmp_path):
 
 
 def test_reduct_output_reparses(capsys, motor_file, tmp_path, model_n):
-    from emalp import parse_program, polarity_of
+    from emalp import occurrences, parse_program
 
     interp = tmp_path / "n.json"
     interp.write_text(json.dumps(model_n))
@@ -139,8 +148,8 @@ def test_reduct_output_reparses(capsys, motor_file, tmp_path, model_n):
     frozen = parse_program(out)
     assert len(frozen.rules) == 5
     # negation-mediated occurrences are gone; only the division body keeps s, t
-    assert polarity_of(frozen.rules[1].body) == {}
-    assert polarity_of(frozen.rules[2].body) == {}
+    assert occurrences(frozen.rules[1].body) == []
+    assert occurrences(frozen.rules[2].body) == []
 
 
 def test_reduct_written_to_a_file_reports_like_every_command(capsys, motor_file, tmp_path,
@@ -632,11 +641,11 @@ def test_body_at_depth_limit_runs(capsys, tmp_path):
     interp.write_text(json.dumps({"p": 0.5, "q": 0.5}))
     code, out, _ = run(capsys, "stable", "verify", path, "-i", interp)
     assert code == 0 and json.loads(out)["stable"] is True
-    # the fc target nests the constraint body deeper: it re-parses or is refused
-    code, out, _ = run(capsys, "transform", path, "--method", "fc")
-    assert code == 0
-    code, out, err = run(capsys, "check", json.loads(out)["target_file"])
-    assert code == 0 or (code == 1 and "nested deeper than" in err)
+    # the fc target nests the constraint body two deeper, past the limit
+    code, out, err = run(capsys, "transform", path, "--method", "fc")
+    assert (code, out) == (1, "")
+    assert f"nested {MAX_DEPTH + 2} applications deep" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep0.malp", "i.json"]
 
 
 # 0.505 + [0, 0.5] may exceed 1 by 0.005: valid at --tol 0.01 only
@@ -760,3 +769,50 @@ def test_numeric_flags_at_their_limits_run(capsys, tmp_path):
     assert code == 0
     code, _, err = run(capsys, "stable", "search", path, "--grid", "0.5", "--budget", "0")
     assert code == 2 and "budget of 0" in err
+
+
+def _deep_source(tmp_path, method, target_depth):
+    """A source whose `method` target nests `target_depth` applications in
+    rule 0: fc wraps a constraint body in two, manlp puts neg1 over a
+    negative q."""
+    mins = "min(" * (target_depth - 2) + "q" + ", 1)" * (target_depth - 2)
+    path = tmp_path / "deep.malp"
+    path.write_text(f"0.5 <-g {mins} with 1;\nq <-g 0.5 with 1;\n" if method == "fc"
+                    else f"p <-g neg1({mins}) with 1;\nq <-g 0.5 with 1;\n")
+    return path
+
+
+@pytest.mark.parametrize("method", ["fc", "manlp"])
+def test_transform_writes_no_target_nested_past_the_limit(capsys, tmp_path, method):
+    path = _deep_source(tmp_path, method, MAX_DEPTH + 1)
+    code, out, err = run(capsys, "transform", path, "--method", method)
+    assert (code, out) == (1, "")
+    assert err == (f"rule 0: cannot write a body nested {MAX_DEPTH + 1} applications deep, "
+                   f"past the {MAX_DEPTH} a file may hold\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["deep.malp"]
+
+
+@pytest.mark.parametrize("method", ["fc", "manlp"])
+def test_transform_target_at_the_limit_reads_back(capsys, tmp_path, method):
+    path = _deep_source(tmp_path, method, MAX_DEPTH)
+    code, out, _ = run(capsys, "transform", path, "--method", method)
+    assert code == 0
+    rewrite = eliminate_constraints_fc if method == "fc" else to_manlp
+    target = rewrite(parse_program(path.read_text())).target
+    assert parse_program(Path(json.loads(out)["target_file"]).read_text()) == target
+
+
+def test_the_module_entry_point_runs(capsys, motor_file):
+    src = str(Path(emalp.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "emalp.cli", "check", str(motor_file)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run(capsys, "check", motor_file)[1]
+
+
+def test_the_script_target_is_cli_main():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = pyproject.read_text().split("[project.scripts]\n")[1].split("\n\n")[0]
+    module, name = re.fullmatch(r'emalp = "([\w.]+):(\w+)"', scripts.strip()).groups()
+    assert getattr(importlib.import_module(module), name) is main

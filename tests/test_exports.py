@@ -9,15 +9,15 @@ MODULES = (lattice, program, parser, semantics, transform)   # in the package's 
 NAMES = [
     "ADJOINT_KINDS", "Apply", "Atom", "BodyExpr", "BudgetExceeded", "Const",
     "ContinuityReport", "DEFAULT_MAX_ITER", "DEFAULT_TOL", "EquivalenceReport",
-    "FixpointTrace", "FreshAtom", "MalpError", "NEGATION_KINDS", "ParseError", "Polarity",
+    "FixpointTrace", "FreshAtom", "MalpError", "NEGATION_KINDS", "ParseError",
     "Program", "ProgramClass", "RangeViolation", "Rule", "StableSearchConfig",
     "TransformError", "TranslationRecord", "ValidationFailure", "ValidationReport",
     "body_interval", "bottom_interpretation", "check_continuity",
     "eliminate_constraints_fc", "eliminate_constraints_janssen", "eval_body",
     "eval_conjunctor", "eval_expr", "eval_implication", "eval_negation", "eval_threshold",
     "find_stable_models", "immediate_consequence", "interp_distance", "is_stable",
-    "lattice_grid", "least_model", "lift_interpretation", "parse_body", "parse_program",
-    "polarity_of", "project_interpretation", "record_from_json", "reduct", "satisfies",
+    "lattice_grid", "least_model", "lift_interpretation", "occurrences", "parse_body",
+    "parse_program", "project_interpretation", "record_from_json", "reduct", "satisfies",
     "serialize_program", "stable_operator", "to_manlp", "top_interpretation",
     "validate_program", "verify_equivalence",
 ]

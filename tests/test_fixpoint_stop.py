@@ -10,6 +10,7 @@ old stop's wrong verdicts; the property draws more of their kind.
 """
 
 import json
+import tracemalloc
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,23 @@ def test_a_settled_atom_is_not_raised_in_the_bound():
     assert trace.converged and trace.iterations == 29
     assert trace.iterates[-2] != trace.iterates[-1]
     assert 0.25 - DEFAULT_TOL <= value["x"] < 0.25 and value["y"] == 0.25
+
+
+def test_a_verdict_that_reaches_the_cap_keeps_one_iterate():
+    # TINY's rule, read by eight more heads: all nine are iterated to the cap,
+    # and the verdict holds the last iterate only, not each of the 10,000
+    program = parse_program(TINY + "".join(f"q{i} <-g max(p, {i}/10) with 1;\n"
+                                           for i in range(1, 9)))
+    M = dict.fromkeys(program.atoms(), 0.5)
+    assert is_stable(program, M) is None   # the program's analysis is made here
+    tracemalloc.start()
+    try:
+        verdict = is_stable(program, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is None
+    assert peak < 0.5e6
 
 
 def run(capsys, *argv):

@@ -9,7 +9,6 @@ from emalp import (
     Atom,
     Const,
     MalpError,
-    Polarity,
     Program,
     ProgramClass,
     RangeViolation,
@@ -17,35 +16,37 @@ from emalp import (
     body_interval,
     eval_body,
     eval_expr,
+    occurrences,
     parse_body,
-    polarity_of,
     validate_program,
 )
 from emalp.program import op_spec
 from genprog import random_body
 
 
+def signs(body) -> dict[str, set[int]]:
+    """Each atom of the body, with the signs its occurrences take."""
+    out: dict[str, set[int]] = {}
+    for o in occurrences(body):
+        out.setdefault(o.atom, set()).add(o.sign)
+    return out
+
+
 def test_polarity_of_division_body(motor):
-    assert polarity_of(motor.rules[0].body) == {
-        "q": Polarity.POSITIVE,
-        "s": Polarity.NEGATIVE,
-        "t": Polarity.NEGATIVE,
-    }
+    assert signs(motor.rules[0].body) == {"q": {1}, "s": {-1}, "t": {-1}}
 
 
 def test_polarity_double_negation():
-    assert polarity_of(parse_body("neg1(neg1(p))")) == {"p": Polarity.POSITIVE}
+    assert signs(parse_body("neg1(neg1(p))")) == {"p": {1}}
 
 
 def test_polarity_mixed():
-    assert polarity_of(parse_body("max(p, neg1(p))")) == {"p": Polarity.MIXED}
+    assert signs(parse_body("max(p, neg1(p))")) == {"p": {1, -1}}
 
 
 def test_polarity_sub_div_flip_second_argument():
-    assert polarity_of(parse_body("sub(p, q)")) == {"p": Polarity.POSITIVE,
-                                                    "q": Polarity.NEGATIVE}
-    assert polarity_of(parse_body("div1(p, q)")) == {"p": Polarity.POSITIVE,
-                                                     "q": Polarity.NEGATIVE}
+    assert signs(parse_body("sub(p, q)")) == {"p": {1}, "q": {-1}}
+    assert signs(parse_body("div1(p, q)")) == {"p": {1}, "q": {-1}}
 
 
 def test_eval_body_examples(motor, model_m):
@@ -136,7 +137,7 @@ def test_interval_analysis_examples(motor):
 
 def test_classification(motor):
     assert motor.classify() is ProgramClass.EMALP
-    assert validate_program(motor).program_class is ProgramClass.EMALP
+    assert validate_program(motor).ok
     no_constraint = Program(motor.definite_rules())
     assert no_constraint.classify() is ProgramClass.CONSTRAINT_FREE
     manlp = Program((
@@ -165,9 +166,7 @@ def test_positive_implies_no_negative_entries():
     seen_positive = 0
     for _ in range(80):
         program = random_emalp(rng, max_atoms=3, max_rules=3, max_constraints=1)
-        negatives = any(
-            Polarity.NEGATIVE in polarity_of(r.body).values() for r in program.rules
-        )
+        negatives = any(o.sign < 0 for r in program.rules for o in occurrences(r.body))
         is_positive = program.classify() is ProgramClass.POSITIVE
         assert is_positive == (not negatives and not program.constraints())
         seen_positive += is_positive
@@ -179,15 +178,14 @@ def test_polarity_soundness_by_sampling(seed):
     rng = random.Random(seed)
     atoms = ["x1", "x2", "x3"]
     body = random_body(rng, atoms, (0.0, 0.5, 1.0))
-    pols = polarity_of(body)
     base = {a: rng.random() for a in atoms}
-    for atom, pol in pols.items():
+    for atom, pol in signs(body).items():
         bumped = dict(base)
         bumped[atom] = min(1.0, base[atom] + rng.random() * (1.0 - base[atom]))
         lo, hi = eval_body(body, base), eval_body(body, bumped)
-        if pol is Polarity.POSITIVE:
+        if pol == {1}:
             assert lo <= hi + 1e-9
-        elif pol is Polarity.NEGATIVE:
+        elif pol == {-1}:
             assert hi <= lo + 1e-9
 
 
@@ -252,10 +250,10 @@ def test_validation_issue_list_and_order():
         (2, "atom 'r' occurs with both polarities"),
     ]
     report = validate_program(program)
-    assert [(i.rule, i.message) for i in report.issues] == want + repeats
-    assert report.program_class is ProgramClass.EMALP
+    assert report.issues == tuple(f"rule {i}: {m}" for i, m in want + repeats)
+    assert program.classify() is ProgramClass.EMALP
     lenient = validate_program(program, allow_repeats=True)
-    assert [(i.rule, i.message) for i in lenient.issues] == want
+    assert lenient.issues == tuple(f"rule {i}: {m}" for i, m in want)
 
 
 @pytest.mark.parametrize("body, message", [
@@ -267,7 +265,7 @@ def test_validation_reports_malformed_hand_built_bodies(body, message):
     # the polarity walk skips a node it cannot sign, so the structural
     # check reports it instead of an IndexError or MalpError escaping
     report = validate_program(Program((Rule(Atom("s"), "godel", body, 1.0),)))
-    assert [(i.rule, i.message) for i in report.issues] == [(0, message)]
+    assert report.issues == (f"rule 0: {message}",)
 
 
 def test_evaluation_refuses_an_unknown_builtin_and_a_missing_atom():
@@ -299,4 +297,4 @@ def test_validation_rejects_products_and_quotients_with_a_signed_operand(body, i
     # with r = 1 the first body falls from 0.5 to 0 as q rises: q is not
     # order-preserving there, whatever mul's declared polarity says
     program = Program((Rule(Atom("p"), "godel", parse_body(body), 1.0),))
-    assert [i.message for i in validate_program(program).issues] == issues
+    assert validate_program(program).issues == tuple(f"rule 0: {m}" for m in issues)

@@ -1,9 +1,12 @@
-"""README's library example runs as written, so it follows the API."""
+"""README's library example runs as written, and its CLI lines parse, so
+both follow the API."""
 
 import ast
+import shlex
 from pathlib import Path
 
 from conftest import MOTOR_TEXT
+from emalp.cli import _read_argv, build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +30,14 @@ def test_the_library_example_uses_every_name_it_imports():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_each_readme_cli_line_parses():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```sh\n", text.index("\n## CLI\n")) + len("```sh\n")
+    lines = [shlex.split(line, comments=True) for line in text[start:text.index("```", start)]
+             .splitlines() if line.startswith("emalp ")]
+    assert lines
+    for _, *argv in lines:
+        expected = build_parser().parse_args(argv)   # a usage error exits
+        assert vars(_read_argv(argv)) == vars(expected), argv

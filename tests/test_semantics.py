@@ -8,7 +8,6 @@ from emalp import (
     BudgetExceeded,
     Atom,
     Const,
-    Polarity,
     Program,
     ProgramClass,
     StableSearchConfig,
@@ -20,8 +19,8 @@ from emalp import (
     interp_distance,
     is_stable,
     least_model,
+    occurrences,
     parse_program,
-    polarity_of,
     reduct,
     satisfies,
     serialize_program,
@@ -99,8 +98,7 @@ def test_reduct_output_positive_for_negation_mediated_programs():
         M = {a: rng.random() for a in program.atoms()}
         frozen = reduct(program, M)
         for r in frozen.rules:
-            assert Polarity.NEGATIVE not in polarity_of(r.body).values()
-            assert Polarity.MIXED not in polarity_of(r.body).values()
+            assert all(o.sign > 0 for o in occurrences(r.body))
 
 
 def _substitute(node, env):
@@ -123,8 +121,7 @@ def test_reduct_matches_atom_substitution_when_negation_mediated():
         M = {a: rng.random() for a in atoms}
         frozen = reduct(program, M)
         for orig, froze in zip(program.rules, frozen.rules):
-            negative = {a: M[a] for a, p in polarity_of(orig.body).items()
-                        if p is Polarity.NEGATIVE}
+            negative = {o.atom: M[o.atom] for o in occurrences(orig.body) if o.sign < 0}
             substituted = _substitute(orig.body, negative)
             for _ in range(5):
                 I = {a: rng.random() for a in atoms}
