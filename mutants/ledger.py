@@ -35,7 +35,7 @@ MUTANTS = [
             "test_tracer_targets.py::test_tracer_counts_the_verdicts_of_a_settling_search")),
     # a program is reported continuous where it has a discontinuous site
     Mutant("src/emalp/transform.py",
-           "return not self.discontinuous_sites", "return bool(self.discontinuous_sites)",
+           '"continuous": not sites', '"continuous": bool(sites)',
            ("test_transform.py::test_continuity_reports",
             "test_cli.py::test_check_reports_class_and_continuity")),
     # a verdict checks constraints only on programs that have none
@@ -160,6 +160,18 @@ MUTANTS = [
            'word = "positive" if o.sign > 0 else "negative"',
            'word = "negative" if o.sign > 0 else "positive"',
            ("test_cli.py::test_check_reports_class_and_continuity",)),
+    # `check` calls an invalid program valid, or exits 0 on one
+    Mutant("src/emalp/cli.py",
+           '"valid": not issues,', '"valid": True,',
+           ("test_cli.py::test_check_invalid_exits_one",)),
+    Mutant("src/emalp/cli.py",
+           "return 1 if issues else 0", "return 0",
+           ("test_cli.py::test_check_invalid_exits_one",)),
+    # a threshold cuts at c, not at c + tol
+    Mutant("src/emalp/program.py",
+           "functools.partial(eval_threshold, tol=tol)", "functools.partial(eval_threshold)",
+           ("test_compiled_operator.py::test_every_operator_compiles_like_eval",
+            "test_compiled_operator.py::test_transform_targets_match_oracle")),
     # manlp rewires the atoms of order-preserving occurrences
     Mutant("src/emalp/transform.py",
            "for o in occs if o.sign < 0}", "for o in occs if o.sign > 0}",

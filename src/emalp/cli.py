@@ -104,11 +104,9 @@ def _load_interpretation(path: str, program: Program) -> dict[str, float]:
 
 def cmd_check(args) -> int:
     program = _read(args.file, lambda t: parse_program(t, validate=False))
-    report = validate_program(program, allow_repeats=args.allow_repeats, tol=args.tol)
-    if not report.ok:
-        for issue in report.issues:
-            print(issue, file=sys.stderr)
-    continuity = check_continuity(program)
+    issues = validate_program(program, allow_repeats=args.allow_repeats, tol=args.tol)
+    for issue in issues:
+        print(issue, file=sys.stderr)
     polarity = []   # per rule, each atom's word: the sign of all its occurrences, or mixed
     for occs in program.rule_occurrences():
         words: dict[str, str] = {}
@@ -117,15 +115,15 @@ def cmd_check(args) -> int:
             words[o.atom] = word if words.get(o.atom, word) == word else "mixed"
         polarity.append(dict(sorted(words.items())))
     _emit({
-        "valid": report.ok,
+        "valid": not issues,
         "class": program.classify().value,
         "atoms": list(program.atoms()),
         "rules": len(program.rules),
         "polarity": polarity,
-        "continuity": continuity.to_json(),
-        "errors": list(report.issues),
+        "continuity": check_continuity(program),
+        "errors": list(issues),
     }, args.output)
-    return 0 if report.ok else 1
+    return 1 if issues else 0
 
 
 def cmd_eval(args) -> int:

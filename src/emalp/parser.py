@@ -239,9 +239,9 @@ def parse_program(text: str, allow_repeats: bool = False, tol: float = DEFAULT_T
     """
     program = _Parser(text).program()
     if validate:
-        report = validate_program(program, allow_repeats=allow_repeats, tol=tol)
-        if not report.ok:
-            raise ValidationFailure(report)
+        issues = validate_program(program, allow_repeats=allow_repeats, tol=tol)
+        if issues:
+            raise ValidationFailure(issues)
     return program
 
 

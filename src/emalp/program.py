@@ -24,6 +24,7 @@ truth-value lattice proper.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -54,7 +55,6 @@ __all__ = [
     "RangeViolation",
     "Rule",
     "ValidationFailure",
-    "ValidationReport",
     "body_interval",
     "eval_body",
     "eval_expr",
@@ -249,6 +249,11 @@ def op_spec(name: str) -> OpSpec:
     return spec
 
 
+def _function(spec: OpSpec, tol: float) -> Callable[..., float]:
+    """The operator's function: its own, or for a threshold the cut at c + tol."""
+    return spec.fn or functools.partial(eval_threshold, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -262,11 +267,8 @@ def eval_expr(node: BodyExpr, env: Mapping[str, float], tol: float = DEFAULT_TOL
             return env[node.name]
         except KeyError:
             raise _missing_atom(node.name) from None
-    spec = op_spec(node.op)
-    vals = [eval_expr(a, env, tol) for a in node.args]
-    if spec.const_first:
-        return eval_threshold(vals[0], vals[1], tol)
-    return spec.fn(*vals)
+    fn = _function(op_spec(node.op), tol)
+    return fn(*[eval_expr(a, env, tol) for a in node.args])
 
 
 def eval_body(body: BodyExpr, env: Mapping[str, float], tol: float = DEFAULT_TOL) -> float:
@@ -442,10 +444,7 @@ def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compile
     spec = op_spec(node.op)
     args = [_compile(a, sign * spec.polarity(i), tol, sites)
             for i, a in enumerate(node.args)]
-    if spec.const_first:
-        c, x = args
-        return lambda env, frozen: eval_threshold(c(env, frozen), x(env, frozen), tol)
-    fn = spec.fn
+    fn = _function(spec, tol)
     if len(args) == 1:
         (a,) = args
         return lambda env, frozen: fn(a(env, frozen))
@@ -492,9 +491,6 @@ class Program:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
-
-    def __len__(self) -> int:
-        return len(self.rules)
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)
@@ -582,19 +578,10 @@ def _levels(reads: dict[str, set]) -> dict[str, float]:
     return {h: math.inf if waits[h] else n for h, n in level.items()}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[str, ...]   # "rule <i>: <message>", in rule order
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
 class ValidationFailure(MalpError):
-    def __init__(self, report: ValidationReport):
-        self.report = report
-        super().__init__("; ".join(report.issues))
+    def __init__(self, issues: tuple[str, ...]):
+        self.issues = issues   # what validate_program returned
+        super().__init__("; ".join(issues))
 
 
 def _walk(node: BodyExpr, sign: int, direct_neg: bool, occs: list[Occurrence],
@@ -654,7 +641,7 @@ def _walk(node: BodyExpr, sign: int, direct_neg: bool, occs: list[Occurrence],
         return spec.interval(ivs)
     if spec.polarities is None:   # min, max
         return spec.fn(*[lo for lo, _ in ivs]), spec.fn(*[hi for _, hi in ivs])
-    fn = spec.fn or (lambda c, x: eval_threshold(c, x, tol))   # thresholds cut at c + tol
+    fn = _function(spec, tol)
     if n == 1:   # iv[::-1] turns an antitone argument's interval over
         lo, hi = ivs[0][::spec.polarities[0]]
         return fn(lo), fn(hi)
@@ -666,11 +653,12 @@ _PRESERVING = itertools.repeat(1)   # the signs of a variadic operator's argumen
 
 
 def validate_program(program: Program, allow_repeats: bool = False,
-                     tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Collect every invariant violation.
+                     tol: float = DEFAULT_TOL) -> tuple[str, ...]:
+    """Every invariant violation, as "rule <i>: <message>" in rule order;
+    empty when the program is valid.
 
-    Violations are data, not errors; callers that need a hard failure
-    (the parser, the CLI) raise ValidationFailure on a non-empty report.
+    Violations are data, not errors; `parse_program` raises
+    ValidationFailure on a non-empty tuple, and `check` prints it.
     Each body is walked once, and its occurrences are left in
     `program.rule_occurrences()`.
     """
@@ -715,4 +703,4 @@ def validate_program(program: Program, allow_repeats: bool = False,
                         local.append(f"atom {atom!r} occurs {n} times with the same polarity")
         issues += [f"rule {idx}: {m}" for m in local]
     program.derived("occurrences", lambda: tuple(walked))
-    return ValidationReport(tuple(issues))
+    return tuple(issues)

@@ -60,7 +60,6 @@ from .semantics import (
 )
 
 __all__ = [
-    "ContinuityReport",
     "EquivalenceReport",
     "FreshAtom",
     "TransformError",
@@ -286,28 +285,10 @@ def project_interpretation(M: Mapping[str, float], rec: TranslationRecord) -> di
     return {a: M[a] for a in rec.source.atoms()}
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
-    discontinuous_sites: tuple[tuple[int, str, float], ...]  # (rule index, op, threshold)
-    notes: str
-
-    @property
-    def continuous(self) -> bool:
-        return not self.discontinuous_sites
-
-    def to_json(self) -> dict:
-        return {
-            "continuous": self.continuous,
-            "discontinuous_sites": [
-                {"rule": r, "op": op, "threshold": c} for r, op, c in self.discontinuous_sites
-            ],
-            "notes": self.notes,
-        }
-
-
-def check_continuity(program: Program) -> ContinuityReport:
-    """Report whether every operator used by the program is continuous, and
-    whether a theorem backs the existence of a stable model.
+def check_continuity(program: Program) -> dict:
+    """Whether every operator used by the program is continuous, and whether
+    a theorem backs the existence of a stable model, as `check` prints it:
+    {"continuous", "discontinuous_sites": [{"rule", "op", "threshold"}], "notes"}.
 
     Body operators carry a flag; `div1`'s is False (div1(0, y) is 0 for y > 0,
     1 at y = 0), but a `div1` is a site only where both argument intervals
@@ -321,10 +302,10 @@ def check_continuity(program: Program) -> ContinuityReport:
         for node in body_ops(r.body):
             if node.op == "div1":
                 if all(body_interval(a)[0] <= 0.0 for a in node.args):
-                    sites.append((idx, node.op, 0.0))
+                    sites.append({"rule": idx, "op": node.op, "threshold": 0.0})
             elif not op_spec(node.op).continuous:
                 c = node.args[0].value if isinstance(node.args[0], Const) else float("nan")
-                sites.append((idx, node.op, c))
+                sites.append({"rule": idx, "op": node.op, "threshold": c})
     kind = program.classify()
     if kind is ProgramClass.EMALP:
         fails = "constraint rules " + ", ".join(
@@ -332,11 +313,13 @@ def check_continuity(program: Program) -> ContinuityReport:
     elif kind is ProgramClass.CONSTRAINT_FREE:
         fails = f"an order reversal outside a negation in rule {program.reversing_rules()[0]}"
     elif sites:
-        fails = "discontinuous " + ", ".join(f"{op} in rule {i}" for i, op, _ in sites)
+        fails = "discontinuous " + ", ".join(f"{s['op']} in rule {s['rule']}" for s in sites)
     else:
-        return ContinuityReport((), "no constraints, every order reversal under a negation, "
-                                "all operators continuous: a stable model is guaranteed to exist")
-    return ContinuityReport(tuple(sites), f"{fails}: no existence guarantee")
+        return {"continuous": True, "discontinuous_sites": [],
+                "notes": "no constraints, every order reversal under a negation, "
+                         "all operators continuous: a stable model is guaranteed to exist"}
+    return {"continuous": not sites, "discontinuous_sites": sites,
+            "notes": f"{fails}: no existence guarantee"}
 
 
 @dataclass(frozen=True)

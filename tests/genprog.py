@@ -53,8 +53,8 @@ def random_emalp(rng: random.Random, max_atoms=3, max_rules=4, max_constraints=1
         rules.append(Rule(Const(rng.choice(values)), rng.choice(IMPLICATIONS),
                           random_body(rng, atoms, values), 1.0))
     program = Program(tuple(rules))
-    report = validate_program(program)
-    assert report.ok, [str(i) for i in report.issues]
+    issues = validate_program(program)
+    assert not issues, issues
     return program
 
 

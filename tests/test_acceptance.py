@@ -220,8 +220,8 @@ def test_criterion_8_algebra_suite():
 def test_criterion_9_continuity_and_search():
     program = parse_program(MOTOR_TEXT)
     unconstrained = Program(program.definite_rules())
-    assert check_continuity(unconstrained).continuous is True
-    assert check_continuity(eliminate_constraints_fc(program).target).continuous is False
+    assert check_continuity(unconstrained)["continuous"] is True
+    assert check_continuity(eliminate_constraints_fc(program).target)["continuous"] is False
     cfg = StableSearchConfig(mode="iterate", seeds=16, rng_seed=0)
     models = find_stable_models(unconstrained, cfg)
     assert any(interp_distance(m, dict(N_INTERP)) <= 1e-6 for m in models)

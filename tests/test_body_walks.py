@@ -59,7 +59,7 @@ def test_reduct_matches_oracle_under_reversed_positions(wrap):
     rng = random.Random(11)
     for program in PROGRAMS:
         program = flipped(program, wrap)
-        assert validate_program(program).ok
+        assert not validate_program(program)
         assert_reduct_matches(program, {a: rng.random() for a in program.atoms()})
 
 
@@ -89,7 +89,7 @@ def test_body_interval_matches_oracle(motor):
     for program in PROGRAMS + [motor]:
         for source in (program, eliminate_constraints_fc(program).target,
                        eliminate_constraints_janssen(program).target):
-            assert validate_program(source).ok
+            assert not validate_program(source)
             for r in source.rules:
                 for node in (r.body, *body_ops(r.body)):
                     assert body_interval(node) == reference.interval(node)
@@ -104,4 +104,4 @@ def test_body_interval_matches_oracle(motor):
 def test_body_interval_clamps_lattice_arguments(body, old, new):
     assert reference.interval(body) == old
     assert body_interval(body) == new
-    assert not validate_program(Program((Rule(Atom("r"), "godel", body, 1.0),))).ok
+    assert validate_program(Program((Rule(Atom("r"), "godel", body, 1.0),)))

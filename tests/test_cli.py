@@ -46,9 +46,11 @@ def test_check_invalid_exits_one(capsys, tmp_path):
     bad = tmp_path / "bad.malp"
     bad.write_text("p <-g max(q, neg1(q)) with 1;\n")
     code, out, err = run(capsys, "check", bad)
-    assert code == 1
-    assert "polarit" in err
-    assert json.loads(out)["polarity"] == [{"q": "mixed"}]
+    issue = "rule 0: atom 'q' occurs with both polarities"
+    assert (code, err) == (1, issue + "\n")
+    data = json.loads(out)
+    assert (data["valid"], data["errors"]) == (False, [issue])
+    assert data["polarity"] == [{"q": "mixed"}]
 
 
 def test_check_rejects_a_product_with_a_signed_factor(capsys, tmp_path):

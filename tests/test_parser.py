@@ -118,8 +118,11 @@ def test_syntax_errors_name_their_position(text, message):
 
 
 def test_validation_failures_raise_on_parse():
-    with pytest.raises(ValidationFailure):
-        parse_program("p <-g max(q, neg1(q)) with 1;")
+    with pytest.raises(ValidationFailure) as err:
+        parse_program("p <-g max(q, neg1(q)) with 1;\n0.7 <-l p with 0.5;")
+    assert err.value.issues == ("rule 0: atom 'q' occurs with both polarities",
+                                "rule 1: constraint weight must be 1, got 0.5")
+    assert str(err.value) == "; ".join(err.value.issues)
     with pytest.raises(ValidationFailure):
         parse_program("0.7 <-l p with 0.5;")
     with pytest.raises(ValidationFailure):
@@ -205,9 +208,9 @@ def test_programmatic_atom_names_validated():
     from emalp import Rule, validate_program
 
     bad = Program((Rule(Atom("with"), "godel", Const(0.5), 1.0),))
-    assert any("invalid atom name" in str(i) for i in validate_program(bad).issues)
+    assert any("invalid atom name" in i for i in validate_program(bad))
     worse = Program((Rule(Atom("a b"), "godel", Const(0.5), 1.0),))
-    assert not validate_program(worse).ok
+    assert validate_program(worse)
 
 
 def test_parse_body_helper():
