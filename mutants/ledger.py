@@ -177,4 +177,12 @@ MUTANTS = [
            "for o in occs if o.sign < 0}", "for o in occs if o.sign > 0}",
            ("test_transform.py::test_to_manlp_golden",
             "test_body_walks.py::test_manlp_rewiring_matches_oracle")),
+    # equiv reports an undecided bijection as null, and notes nothing
+    Mutant("src/emalp/transform.py",
+           'bijection = "indeterminate"', "bijection = None",
+           ("test_cli.py::test_equiv_reports_undecided_points_as_indeterminate",)),
+    # a record read back drops its constant witness's value
+    Mutant("src/emalp/transform.py",
+           'atom["value"] = truth_value(', "truth_value(",
+           ("test_transform.py::test_record_json_round_trip",)),
 ]

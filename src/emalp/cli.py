@@ -236,7 +236,7 @@ def cmd_transform(args) -> int:
         "source_rules": len(rec.source.rules),
         "target_rules": len(rec.target.rules),
         "target_class": rec.target.classify().value,
-        "fresh_atoms": [a.to_json() for a in rec.fresh_atoms],
+        "fresh_atoms": list(rec.fresh_atoms),
         "target_file": str(out_path),
         "record_file": str(rec_path),
     }, args.output)
@@ -249,14 +249,15 @@ def cmd_equiv(args) -> int:
     rec = _read(args.record, lambda text: record_from_json(json.loads(text), source, target))
     report = verify_equivalence(rec, args.grid, args.tol,
                                 max_points=args.budget, max_iter=args.max_iter)
-    if report.bijection is None:
-        print(f"note: {len(report.source_undecided)} source and {len(report.target_undecided)} "
-              f"target grid point(s) undecided: the inner fixpoint did not converge within "
-              f"--max-iter {args.max_iter}; bijection is indeterminate", file=sys.stderr)
-    elif not report.source_models and not report.target_models:
+    if report["bijection"] == "indeterminate":
+        print(f"note: {len(report['source_undecided'])} source and "
+              f"{len(report['target_undecided'])} target grid point(s) undecided: the inner "
+              f"fixpoint did not converge within --max-iter {args.max_iter}; bijection is "
+              "indeterminate", file=sys.stderr)
+    elif not report["source_count"] and not report["target_count"]:
         print("note: neither program has a stable model on this grid, so the bijection "
               "is vacuous", file=sys.stderr)
-    _emit(report.to_json(), args.output)
+    _emit(report, args.output)
     return 0
 
 

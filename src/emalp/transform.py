@@ -32,7 +32,7 @@ form a bijection between the stable-model sets of source and target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .lattice import DEFAULT_TOL, NEGATION_KINDS, eval_negation, truth_value
 from .program import (
@@ -56,12 +56,9 @@ from .semantics import (
     check_grid_budget,
     find_stable_models,
     interp_distance,
-    sorted_interp,
 )
 
 __all__ = [
-    "EquivalenceReport",
-    "FreshAtom",
     "TransformError",
     "TranslationRecord",
     "check_continuity",
@@ -83,43 +80,14 @@ class TransformError(MalpError):
 
 
 @dataclass(frozen=True)
-class FreshAtom:
-    name: str
-    role: str                        # "bottom_witness" | "constant_witness" | "negation_witness"
-    source_atom: Optional[str] = None  # for negation witnesses
-    value: Optional[float] = None      # for constant witnesses
-
-    def to_json(self) -> dict:
-        out: dict = {"name": self.name, "role": self.role}
-        if self.source_atom is not None:
-            out["source_atom"] = self.source_atom
-        if self.value is not None:
-            out["value"] = self.value
-        return out
-
-
-@dataclass(frozen=True)
 class TranslationRecord:
     method: str                      # one of METHODS
     source: Program
     target: Program
-    fresh_atoms: tuple[FreshAtom, ...] = ()
+    # as its JSON lists them: {"name", "role"}, plus "value" for a
+    # constant witness or "source_atom" for a negation witness
+    fresh_atoms: tuple[dict, ...] = ()
     negation: str = "neg1"
-
-    @property
-    def bottom_atom(self) -> Optional[str]:
-        for a in self.fresh_atoms:
-            if a.role == "bottom_witness":
-                return a.name
-        return None
-
-    @property
-    def negation_witnesses(self) -> dict[str, str]:
-        return {a.source_atom: a.name for a in self.fresh_atoms if a.role == "negation_witness"}
-
-    @property
-    def constant_witnesses(self) -> tuple[FreshAtom, ...]:
-        return tuple(a for a in self.fresh_atoms if a.role == "constant_witness")
 
     def to_json(self) -> dict:
         return {
@@ -127,25 +95,24 @@ class TranslationRecord:
             "negation": self.negation,
             "source_atoms": list(self.source.atoms()),
             "target_atoms": list(self.target.atoms()),
-            "fresh_atoms": [a.to_json() for a in self.fresh_atoms],
+            "fresh_atoms": list(self.fresh_atoms),
         }
 
 
-def _fresh_atom_from_json(d, source: Program) -> FreshAtom:
+def _fresh_atom_from_json(d, source: Program) -> dict:
     if not isinstance(d, Mapping) or not isinstance(d.get("name"), str):
         raise MalpError(f"record: fresh atom {d!r} needs a string name")
     name, role = d["name"], d.get("role")
-    if role == "bottom_witness":
-        return FreshAtom(name, role)
+    atom = {"name": name, "role": role}
     if role == "constant_witness":
-        value = truth_value(d.get("value"), f"record: value of {name}")
-        return FreshAtom(name, role, value=value)
-    if role == "negation_witness":
-        q = d.get("source_atom")
+        atom["value"] = truth_value(d.get("value"), f"record: value of {name}")
+    elif role == "negation_witness":
+        q = atom["source_atom"] = d.get("source_atom")
         if not isinstance(q, str) or q not in source.atoms():
             raise MalpError(f"record: {name} negates {q!r}, which is not a source atom")
-        return FreshAtom(name, role, source_atom=q)
-    raise MalpError(f"record: fresh atom {name} has unknown role {role!r}")
+    elif role != "bottom_witness":
+        raise MalpError(f"record: fresh atom {name} has unknown role {role!r}")
+    return atom
 
 
 def record_from_json(data, source: Program, target: Program) -> TranslationRecord:
@@ -199,7 +166,7 @@ def eliminate_constraints_fc(program: Program, impl_choice: str = "lukasiewicz",
         for r in program.rules
     ))
     return TranslationRecord("fc", program, target,
-                             (FreshAtom(p_bot, "bottom_witness"),), neg_choice)
+                             ({"name": p_bot, "role": "bottom_witness"},), neg_choice)
 
 
 def eliminate_constraints_janssen(program: Program, impl_choice: str = "lukasiewicz",
@@ -226,9 +193,8 @@ def eliminate_constraints_janssen(program: Program, impl_choice: str = "lukasiew
         rules.append(_bottom_rule(p_bot, "g", c, Atom(name), impl_choice, conj_choice,
                                   neg_choice))
     target = Program(tuple(rules))
-    fresh = (FreshAtom(p_bot, "bottom_witness"),) + tuple(
-        FreshAtom(name, "constant_witness", value=c) for c, name in witnesses.items()
-    )
+    fresh = ({"name": p_bot, "role": "bottom_witness"},) + tuple(
+        {"name": name, "role": "constant_witness", "value": c} for c, name in witnesses.items())
     return TranslationRecord("janssen", program, target, fresh, neg_choice)
 
 
@@ -262,7 +228,7 @@ def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
     for q in sorted(negative):
         rules.append(Rule(Atom(witnesses[q]), "godel", Apply(neg_choice, (Atom(q),)), 1.0))
     target = Program(tuple(rules))
-    fresh = tuple(FreshAtom(witnesses[q], "negation_witness", source_atom=q)
+    fresh = tuple({"name": witnesses[q], "role": "negation_witness", "source_atom": q}
                   for q in sorted(negative))
     return TranslationRecord("manlp", program, target, fresh, neg_choice)
 
@@ -271,12 +237,12 @@ def lift_interpretation(M: Mapping[str, float], rec: TranslationRecord) -> dict[
     """Extend a source interpretation to the target's fresh atoms."""
     out = {a: M[a] for a in rec.source.atoms()}
     for a in rec.fresh_atoms:
-        if a.role == "bottom_witness":
-            out[a.name] = 0.0
-        elif a.role == "constant_witness":
-            out[a.name] = a.value
+        if a["role"] == "bottom_witness":
+            out[a["name"]] = 0.0
+        elif a["role"] == "constant_witness":
+            out[a["name"]] = a["value"]
         else:
-            out[a.name] = eval_negation(rec.negation, M[a.source_atom])
+            out[a["name"]] = eval_negation(rec.negation, M[a["source_atom"]])
     return out
 
 
@@ -322,52 +288,27 @@ def check_continuity(program: Program) -> dict:
             "notes": f"{fails}: no existence guarantee"}
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    bijection: Optional[bool]        # None: some grid point's stability is undecided
-    source_models: tuple[dict, ...]
-    target_models: tuple[dict, ...]
-    counterexamples: tuple[str, ...]
-    bottom_exact: Optional[bool]     # every target stable model pins p_bot to 0
-    witnesses_exact: Optional[bool]  # every target stable model matches not_q = neg(q)
-    points_checked: int
-    source_undecided: tuple[dict, ...] = ()   # grid points whose verdict is indeterminate
-    target_undecided: tuple[dict, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "bijection": "indeterminate" if self.bijection is None else self.bijection,
-            "source_count": len(self.source_models),
-            "target_count": len(self.target_models),
-            "source_models": [sorted_interp(m) for m in self.source_models],
-            "target_models": [sorted_interp(m) for m in self.target_models],
-            "source_undecided": [sorted_interp(m) for m in self.source_undecided],
-            "target_undecided": [sorted_interp(m) for m in self.target_undecided],
-            "counterexamples": list(self.counterexamples),
-            "bottom_exact": self.bottom_exact,
-            "witnesses_exact": self.witnesses_exact,
-            "points_checked": self.points_checked,
-        }
-
-
 def _contains(models, M, tol) -> bool:
     return any(interp_distance(M, other) <= tol for other in models)
 
 
 def verify_equivalence(rec: TranslationRecord, grid_step: float,
                        tol: float = DEFAULT_TOL, max_points: int = DEFAULT_BUDGET,
-                       max_iter: int = DEFAULT_MAX_ITER) -> EquivalenceReport:
-    """Exhaustive grid check that lift/project pair up the stable models.
+                       max_iter: int = DEFAULT_MAX_ITER) -> dict:
+    """Exhaustive grid check that lift/project pair up the stable models,
+    as `equiv` prints it: {"bijection", "source_count", "target_count",
+    "source_models", "target_models", "source_undecided", "target_undecided",
+    "counterexamples", "bottom_exact", "witnesses_exact", "points_checked"}.
 
     Enumerates every grid interpretation of source and target, collects
     the stable ones, and reports any model left unmatched, any target
     model whose bottom witness is not exactly 0, and any negation
     witness that differs from the negation of its atom.  A grid point
     whose stability is undecided on either side (the inner fixpoint hit
-    max_iter) is listed, and leaves the bijection undecided (None).
+    max_iter) is listed, and leaves the bijection "indeterminate".
     """
     atoms = set(rec.source.atoms())
-    fresh = [a.name for a in rec.fresh_atoms]
+    fresh = [a["name"] for a in rec.fresh_atoms]
     if (len(set(fresh)) < len(fresh) or atoms.intersection(fresh)
             or set(rec.target.atoms()) != atoms.union(fresh)):
         raise MalpError("record does not link the given source and target programs")
@@ -390,17 +331,18 @@ def verify_equivalence(rec: TranslationRecord, grid_step: float,
         if interp_distance(lift_interpretation(back, rec), N) > tol:
             problems.append(f"target model {N} differs from the lift of its projection")
 
-    bottom_exact: Optional[bool] = None
-    if rec.bottom_atom is not None:
-        bottom_exact = all(N[rec.bottom_atom] == 0.0 for N in target_models)
+    bottom = [a["name"] for a in rec.fresh_atoms if a["role"] == "bottom_witness"]
+    bottom_exact = None
+    if bottom:
+        bottom_exact = all(N[b] == 0.0 for N in target_models for b in bottom)
         if not bottom_exact:
             problems.append("a target stable model does not pin the bottom witness to 0")
-    witnesses_exact: Optional[bool] = None
-    if rec.negation_witnesses:
-        witnesses_exact = all(
-            abs(N[w] - eval_negation(rec.negation, N[q])) <= tol
-            for N in target_models for q, w in rec.negation_witnesses.items()
-        )
+    negated = [(a["source_atom"], a["name"]) for a in rec.fresh_atoms
+               if a["role"] == "negation_witness"]
+    witnesses_exact = None
+    if negated:
+        witnesses_exact = all(abs(N[w] - eval_negation(rec.negation, N[q])) <= tol
+                              for N in target_models for q, w in negated)
         if not witnesses_exact:
             problems.append("a target stable model breaks a negation witness equation")
 
@@ -408,9 +350,20 @@ def verify_equivalence(rec: TranslationRecord, grid_step: float,
     if len(source_models) != len(target_models):
         problems.append(f"model counts differ: {len(source_models)} vs {len(target_models)}")
     if source_undecided or target_undecided:
-        bijection = None
+        bijection = "indeterminate"
         problems.append(f"stability undecided at {len(source_undecided)} source and "
                         f"{len(target_undecided)} target grid point(s)")
-    return EquivalenceReport(bijection, tuple(source_models), tuple(target_models),
-                             tuple(problems), bottom_exact, witnesses_exact, points,
-                             tuple(source_undecided), tuple(target_undecided))
+    # each model lists its atoms as find_stable_models gives them: in atoms() order, sorted
+    return {
+        "bijection": bijection,
+        "source_count": len(source_models),
+        "target_count": len(target_models),
+        "source_models": source_models,
+        "target_models": target_models,
+        "source_undecided": source_undecided,
+        "target_undecided": target_undecided,
+        "counterexamples": problems,
+        "bottom_exact": bottom_exact,
+        "witnesses_exact": witnesses_exact,
+        "points_checked": points,
+    }

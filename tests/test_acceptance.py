@@ -120,8 +120,8 @@ def test_criterion_4_transformation_goldens():
     assert bodies["q"] == parse_body("max(neg1(neg1(not_s)), neg2(neg1(not_t)))")
     assert bodies["p_bot"] == parse_body(
         "and_g(f(0, neg1(neg1(not_p_bot))), f(0.7, neg1(neg1(not_q))))")
-    for q, w in rec2.negation_witnesses.items():
-        assert bodies[w] == Apply("neg1", (Atom(q),))
+    for a in rec2.fresh_atoms:
+        assert bodies[a["name"]] == Apply("neg1", (Atom(a["source_atom"]),))
 
     lifted1 = lift_interpretation(dict(N_INTERP), rec1)
     assert lifted1["p_bot"] == 0.0
@@ -169,12 +169,13 @@ def test_criterion_6_theorem_suite_on_grids():
             if not _contains(s2, lift_interpretation(up1, rec2), 1e-9):
                 violations.append(f"case {case}: lift misses normalized target")
         for N in s1:
-            if rec1.bottom_atom is not None and N[rec1.bottom_atom] != 0.0:
-                violations.append(f"case {case}: bottom witness {N[rec1.bottom_atom]} != 0")
+            for a in rec1.fresh_atoms:   # the bottom witness, where the source has constraints
+                if N[a["name"]] != 0.0:
+                    violations.append(f"case {case}: bottom witness {N[a['name']]} != 0")
             if not _contains(s0, project_interpretation(N, rec1), 1e-9):
                 violations.append(f"case {case}: projection not stable on source")
         for N in s2:
-            for q, w in rec2.negation_witnesses.items():
+            for q, w in ((a["source_atom"], a["name"]) for a in rec2.fresh_atoms):
                 if N[w] != eval_negation("neg1", N[q]):
                     violations.append(f"case {case}: witness {w} != neg1({q}) exactly")
             if not _contains(s1, project_interpretation(N, rec2), 1e-9):

@@ -79,7 +79,8 @@ def test_manlp_rewiring_matches_oracle(motor):
                        eliminate_constraints_fc(program).target,
                        eliminate_constraints_janssen(program).target):
             rec = to_manlp(source)
-            want = reference.rewire(source, rec.negation_witnesses, "neg1").rules
+            witnesses = {a["source_atom"]: a["name"] for a in rec.fresh_atoms}
+            want = reference.rewire(source, witnesses, "neg1").rules
             assert rec.target.rules[:len(source.rules)] == want
             rewired += bool(rec.fresh_atoms)
     assert rewired > N_PROGRAMS

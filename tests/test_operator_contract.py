@@ -6,7 +6,9 @@ conjunctor is monotone in both arguments and stays in [0, 1], each
 implication is monotone in its consequent and antitone in its
 antecedent, and x <= (z <- y) holds exactly when x & y <= z.  An
 operator flagged continuous may not jump between a 0.25-grid point and
-a point 1e-12 away.
+a point 1e-12 away.  On the same 0.05 grid, raising one argument of any
+builtin moves its value the way the argument's declared polarity says;
+`neg2` is involutive to 1e-9 at 0 and on [1e-7, 1].
 
 For each `BUILTINS` entry Hypothesis draws one box per argument: signed
 boxes where the operator may take any number, boxes inside [0, 1] for
@@ -18,6 +20,7 @@ inner point, and 0 and 1 when the box holds them (where `div1` and
 validation gives the operator over those boxes.
 """
 
+import dataclasses
 import functools
 import itertools
 
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emalp import Apply, Atom, Const, body_interval, eval_conjunctor, eval_expr, eval_implication
-from emalp.lattice import ADJOINT_KINDS, DEFAULT_TOL, lattice_grid
+from emalp.lattice import ADJOINT_KINDS, DEFAULT_TOL, lattice_grid, neg2
 from emalp.program import BUILTINS
 
 TOL = DEFAULT_TOL
@@ -67,6 +70,37 @@ def test_an_operator_flagged_continuous_does_not_jump(name):
             near = list(point)
             near[i] = min(1.0, max(0.0, near[i] + d))
             assert abs(spec.fn(*near) - v) <= 1e-5, (point, near)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_raising_an_argument_moves_the_value_as_its_polarity_declares(name):
+    spec = BUILTINS[name]
+    n = spec.max_arity or 3   # min and max are variadic: checked at arity 3
+
+    def value(args):
+        return eval_expr(Apply(name, tuple(map(Const, args))), {}, TOL)
+
+    # f and g are antitone in their constant c, which never holds an atom
+    for i in range(spec.const_first, n):
+        for (a, b), rest in itertools.product(zip(GRID, GRID[1:]),
+                                              itertools.product(GRID, repeat=n - 1)):
+            low, high = [*rest[:i], a, *rest[i:]], [*rest[:i], b, *rest[i:]]
+            change = value(high) - value(low)
+            assert spec.polarity(i) * change >= -LAW_TOL, ("declared direction", i, low, high)
+
+
+def test_the_polarity_test_fails_on_a_wrong_declaration(monkeypatch):
+    # sub is antitone in its subtrahend; declared monotone, the test must fail
+    monkeypatch.setitem(BUILTINS, "sub", dataclasses.replace(BUILTINS["sub"], polarities=(1, 1)))
+    with pytest.raises(AssertionError, match="declared direction"):
+        test_raising_an_argument_moves_the_value_as_its_polarity_declares("sub")
+
+
+def test_neg2_is_involutive_away_from_the_smallest_values():
+    # below 1e-7, rounding misses x by more than 1e-9 at scattered points,
+    # up to x = 8.06e-8; 0 itself comes back exactly
+    points = [0.0] + [10 ** (-7 + 7 * k / 20_000) for k in range(20_001)]
+    assert [x for x in points if abs(neg2(neg2(x)) - x) > 1e-9] == []
 SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 0.3, 2.0, -2.0, 1e-20, 5e-324, -5e-324,
            1.0 - 2 ** -53, 1.0 + 2 ** -52)
 SIGNED_ENDS = st.sampled_from(SPECIAL) | st.floats(-2.0, 2.0)

@@ -9,7 +9,6 @@ from emalp import (
     Atom,
     BudgetExceeded,
     Const,
-    EquivalenceReport,
     FixpointTrace,
     Program,
     ProgramClass,
@@ -39,7 +38,7 @@ def test_fc_golden(motor):
     rec = eliminate_constraints_fc(motor, "lukasiewicz", "godel", "neg1")
     assert len(rec.target.rules) == len(motor.rules) == 5
     assert rec.target.classify() is ProgramClass.CONSTRAINT_FREE
-    assert [a.name for a in rec.fresh_atoms] == ["p_bot"]
+    assert rec.fresh_atoms == ({"name": "p_bot", "role": "bottom_witness"},)
     rewritten = rec.target.rules[2]
     assert rewritten == Rule(
         Atom("p_bot"), "lukasiewicz",
@@ -60,7 +59,7 @@ def test_fc_golden(motor):
 def test_the_bottom_rule_joins_with_the_chosen_conjunctor(motor, conj, op):
     for eliminate in (eliminate_constraints_fc, eliminate_constraints_janssen):
         rec = eliminate(motor, "lukasiewicz", conj, "neg1")
-        bottom = [r.body.op for r in rec.target.rules if r.head == Atom(rec.bottom_atom)]
+        bottom = [r.body.op for r in rec.target.rules if r.head == Atom("p_bot")]
         assert bottom == [op]
 
 
@@ -84,8 +83,8 @@ def test_fc_rule_count_law():
 def test_fresh_atom_collision_resolved():
     program = parse_program("p_bot <-g q with 1;\n0.5 <-g p_bot with 1;")
     rec = eliminate_constraints_fc(program)
-    assert rec.bottom_atom == "p_bot_1"
-    assert rec.bottom_atom in rec.target.atoms()
+    assert rec.fresh_atoms == ({"name": "p_bot_1", "role": "bottom_witness"},)
+    assert "p_bot_1" in rec.target.atoms()
 
 
 # --- witness-style constraint elimination ----------------------------------------
@@ -95,21 +94,19 @@ def test_janssen_golden(motor):
     rec = eliminate_constraints_janssen(motor, "lukasiewicz", "godel", "neg1")
     assert len(rec.target.rules) == 5 + 2 * 1
     assert not rec.target.constraints()
-    roles = sorted(a.role for a in rec.fresh_atoms)
-    assert roles == ["bottom_witness", "constant_witness"]
-    witness = rec.constant_witnesses[0]
-    assert witness.value == 0.7
+    assert rec.fresh_atoms == ({"name": "p_bot", "role": "bottom_witness"},
+                               {"name": "p_c_1", "role": "constant_witness", "value": 0.7})
     converted = rec.target.rules[2]
-    assert converted.head == Atom(witness.name)
+    assert converted.head == Atom("p_c_1")
     assert converted.impl == "lukasiewicz"  # constraint's own implication kept
     assert converted.body == motor.rules[2].body
     extra = rec.target.rules[5:]
-    assert extra[0] == Rule(Atom(witness.name), "lukasiewicz", Const(0.7), 1.0)
+    assert extra[0] == Rule(Atom("p_c_1"), "lukasiewicz", Const(0.7), 1.0)
     assert extra[1] == Rule(
         Atom("p_bot"), "lukasiewicz",
         Apply("and_g", (
             Apply("g", (Const(0.0), Apply("neg1", (Atom("p_bot"),)))),
-            Apply("g", (Const(0.7), Atom(witness.name))),
+            Apply("g", (Const(0.7), Atom("p_c_1"))),
         )),
         1.0,
     )
@@ -122,7 +119,7 @@ def test_janssen_shared_constants_add_two_rules_only():
     )
     rec = eliminate_constraints_janssen(program)
     assert len(rec.target.rules) == 3 + 2  # one distinct constant
-    assert len(rec.constant_witnesses) == 1
+    assert [a["role"] for a in rec.fresh_atoms] == ["bottom_witness", "constant_witness"]
 
 
 def test_janssen_count_law():
@@ -151,7 +148,8 @@ def test_to_manlp_golden(motor):
     target = rec2.target
     assert len(target.rules) == 9
     assert target.classify() is ProgramClass.MANLP
-    assert sorted(rec2.negation_witnesses) == ["p_bot", "q", "s", "t"]
+    assert [(a["role"], a["source_atom"]) for a in rec2.fresh_atoms] == [
+        ("negation_witness", q) for q in ("p_bot", "q", "s", "t")]
     bodies = {str(r.head): r.body for r in target.rules}
     assert bodies["p"] == parse_body(
         "min(div1(q, add(add(neg1(not_s), neg1(not_t)), 0.1)), 1)")
@@ -160,9 +158,9 @@ def test_to_manlp_golden(motor):
         "and_g(f(0, neg1(neg1(not_p_bot))), f(0.7, neg1(neg1(not_q))))")
     assert bodies["s"] == Const(1.0)
     assert bodies["t"] == parse_body("max(s, 0.7)")
-    for q, w in rec2.negation_witnesses.items():
-        assert bodies[w] == Apply("neg1", (Atom(q),))
-        rule = next(r for r in target.rules if r.head == Atom(w))
+    for a in rec2.fresh_atoms:
+        assert bodies[a["name"]] == Apply("neg1", (Atom(a["source_atom"]),))
+        rule = next(r for r in target.rules if r.head == Atom(a["name"]))
         assert rule.impl == "godel" and rule.weight == 1.0
     assert not validate_program(target)
 
@@ -239,15 +237,15 @@ def test_lift_bottom_sends_witnesses_to_top(motor):
     rec1 = eliminate_constraints_fc(motor)
     rec2 = to_manlp(rec1.target)
     lifted = lift_interpretation({a: 0.0 for a in rec1.target.atoms()}, rec2)
-    for w in rec2.negation_witnesses.values():
-        assert lifted[w] == 1.0
+    for a in rec2.fresh_atoms:
+        assert lifted[a["name"]] == 1.0
 
 
 def test_lift_janssen_sets_constant_witness(motor):
     rec = eliminate_constraints_janssen(motor)
     lifted = lift_interpretation({a: 0.3 for a in motor.atoms()}, rec)
     assert lifted["p_bot"] == 0.0
-    assert lifted[rec.constant_witnesses[0].name] == 0.7
+    assert lifted["p_c_1"] == 0.7
 
 
 def test_lifted_interpretations_stay_stable(motor, model_n):
@@ -326,10 +324,9 @@ def test_verify_equivalence_constrained_pair():
     )
     rec = eliminate_constraints_fc(source)
     report = verify_equivalence(rec, 0.5)
-    assert report.bijection
-    assert [dict(m) for m in report.source_models] == [
-        {"p": 0.0, "q": 1.0}, {"p": 0.5, "q": 0.5}]
-    assert report.bottom_exact is True
+    assert report["bijection"] is True
+    assert report["source_models"] == [{"p": 0.0, "q": 1.0}, {"p": 0.5, "q": 0.5}]
+    assert report["bottom_exact"] is True
 
 
 def test_verify_equivalence_manlp_chain():
@@ -339,8 +336,8 @@ def test_verify_equivalence_manlp_chain():
     rec1 = eliminate_constraints_fc(source)
     rec2 = to_manlp(rec1.target)
     report = verify_equivalence(rec2, 0.5)
-    assert report.bijection
-    assert report.witnesses_exact is True
+    assert report["bijection"] is True
+    assert report["witnesses_exact"] is True
 
 
 def test_verify_equivalence_janssen_pair():
@@ -349,10 +346,10 @@ def test_verify_equivalence_janssen_pair():
     )
     rec = eliminate_constraints_janssen(source)
     report = verify_equivalence(rec, 0.5)
-    assert report.bijection
-    assert report.bottom_exact is True
-    for model in report.target_models:
-        assert model[rec.constant_witnesses[0].name] == 0.5
+    assert report["bijection"] is True
+    assert report["bottom_exact"] is True
+    for model in report["target_models"]:
+        assert model["p_c_1"] == 0.5
 
 
 def test_verify_equivalence_janssen_random():
@@ -360,7 +357,7 @@ def test_verify_equivalence_janssen_random():
     for _ in range(10):
         source = random_emalp(rng, max_atoms=3, max_rules=3, max_constraints=2)
         rec = eliminate_constraints_janssen(source)
-        assert verify_equivalence(rec, 0.5).bijection
+        assert verify_equivalence(rec, 0.5)["bijection"] is True
 
 
 REWRITES = {
@@ -375,15 +372,15 @@ REWRITES = {
 def test_rewrites_keep_stable_models_at_grid_half(seed, rewrite):
     source = random_emalp(random.Random(seed), max_atoms=3, max_rules=3, max_constraints=2)
     report = verify_equivalence(REWRITES[rewrite](source), 0.5)
-    assert report.bijection is True, report.counterexamples
+    assert report["bijection"] is True, report["counterexamples"]
 
 
 def test_verify_equivalence_trivial_for_constraint_free():
     source = parse_program("p <-g min(q, 0.5) with 1;")
     rec = eliminate_constraints_fc(source)
     report = verify_equivalence(rec, 0.5)
-    assert report.bijection
-    assert report.source_models == report.target_models
+    assert report["bijection"] is True
+    assert report["source_models"] == report["target_models"]
 
 
 def test_verify_equivalence_detects_tampering():
@@ -395,8 +392,8 @@ def test_verify_equivalence_detects_tampering():
     tampered[0] = Rule(tampered[0].head, tampered[0].impl, tampered[0].body, 0.2)
     broken = record_from_json(rec.to_json(), source, Program(tuple(tampered)))
     report = verify_equivalence(broken, 0.5)
-    assert not report.bijection
-    assert report.counterexamples
+    assert report["bijection"] is False
+    assert report["counterexamples"]
 
 
 def _with_target_rule(rec, index: int, text: str):
@@ -407,8 +404,8 @@ def _with_target_rule(rec, index: int, text: str):
 
 
 def _verdict(report) -> tuple:
-    return (report.bijection, report.bottom_exact, report.witnesses_exact,
-            list(report.counterexamples))
+    return (report["bijection"], report["bottom_exact"], report["witnesses_exact"],
+            report["counterexamples"])
 
 
 def test_verify_equivalence_reports_a_projection_that_is_no_source_model():
@@ -488,11 +485,9 @@ def test_equivalence_with_product_conjunction_constraint():
         "0.8 <-p and_p(o, t) with 1;\n"
     )
     rec = eliminate_constraints_fc(source)
-    report = verify_equivalence(rec, 0.25)
-    assert report.bijection
+    assert verify_equivalence(rec, 0.25)["bijection"] is True
     rec2 = to_manlp(rec.target)
-    report2 = verify_equivalence(rec2, 0.25)
-    assert report2.bijection
+    assert verify_equivalence(rec2, 0.25)["bijection"] is True
 
 
 def test_verify_equivalence_budget():
@@ -535,17 +530,18 @@ def test_verify_equivalence_leaves_undecided_points_undecided(max_iter, bijectio
     source = parse_program("p <-p add(mul(p, 0.5), 0.5) with 1;\n1 <-g p with 1;")
     rec = eliminate_constraints_fc(source)
     report = verify_equivalence(rec, 0.5, max_iter=max_iter)
-    assert report.bijection is bijection
-    assert len(report.source_undecided) == len(report.target_undecided) == undecided
-    assert len(report.source_models) == len(report.target_models) == 1 - undecided
-    assert report.to_json()["bijection"] == ("indeterminate" if bijection is None else True)
+    assert report["bijection"] == ("indeterminate" if bijection is None else bijection)
+    assert len(report["source_undecided"]) == len(report["target_undecided"]) == undecided
+    assert report["source_count"] == report["target_count"] == 1 - undecided
 
 
 def test_reports_list_each_interpretation_by_atom_name():
     # whatever order an interpretation was built in
     I = {"q": 1.0, "p": 0.0}
     trace = FixpointTrace((I, I), True).to_json()
-    report = EquivalenceReport(True, (I,), (I,), (), None, None, 1, (I,), (I,)).to_json()
-    lists = [trace["iterates"]] + [report[k] for k in (
-        "source_models", "target_models", "source_undecided", "target_undecided")]
-    assert [list(m) for ms in lists for m in ms] == [["p", "q"]] * 6
+    assert [list(m) for m in trace["iterates"]] == [["p", "q"]] * 2
+    # whatever order the rules name the atoms in
+    source = parse_program("q <-g neg1(p) with 1;\np <-g neg1(q) with 1;\n0.5 <-g p with 1;")
+    report = verify_equivalence(eliminate_constraints_fc(source), 0.5)
+    assert [list(m) for m in report["source_models"]] == [["p", "q"]] * 2
+    assert [list(m) for m in report["target_models"]] == [["p", "p_bot", "q"]] * 2
