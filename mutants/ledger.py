@@ -185,4 +185,18 @@ MUTANTS = [
     Mutant("src/emalp/transform.py",
            'atom["value"] = truth_value(', "truth_value(",
            ("test_transform.py::test_record_json_round_trip",)),
+    # the components come out top first: a head before what its bodies read
+    Mutant("src/emalp/semantics.py",
+           "    return out\n\n\nRules = ", "    return out[::-1]\n\n\nRules = ",
+           ("test_grid_search.py::test_the_walk_takes_the_atoms_component_by_component",
+            "test_compiled_operator.py::test_the_analysis_splits_the_rules_as_the_reference_levels_them")),
+    # the compile pass records the reads inside a freeze site as the reduct's
+    Mutant("src/emalp/program.py",
+           "site = _compile(node, sign, tol, None, {})", "site = _compile(node, sign, tol, None, reads)",
+           ("test_compiled_operator.py::test_levels_count_only_what_the_reduct_reads",
+            "test_transform.py::test_to_manlp_accepts_motor_and_its_targets")),
+    # a verdict's reduct of the constraints drops the last one
+    Mutant("src/emalp/semantics.py",
+           "part = Program(program.constraints())", "part = Program(program.constraints()[:-1])",
+           ("test_compiled_operator.py::test_verdict_matches_tree_oracle",)),
 ]

@@ -370,19 +370,6 @@ def _signs(node: BodyExpr) -> frozenset[int]:
     return node._signs
 
 
-def _reads(node: BodyExpr, sign: int, out: dict[str, int]) -> dict[str, int]:
-    """Add to `out` the atoms the body's reduct reads, those outside its
-    freeze sites, each mapped to -1 if some such read is order-reversing,
-    else to 1."""
-    if node.__class__ is Atom:
-        out[node.name] = min(sign, out.get(node.name, sign))
-    elif node.__class__ is Apply and not is_freeze_site(node, sign):
-        spec = op_spec(node.op)
-        for i, arg in enumerate(node.args):
-            _reads(arg, sign * spec.polarity(i), out)
-    return out
-
-
 def body_interval(body: BodyExpr) -> Interval:
     """Natural interval extension over atoms in [0, 1], clamped as validation clamps it."""
     return _walk(body, 1, False, [], [], DEFAULT_TOL)
@@ -395,7 +382,8 @@ Compiled = Callable[[Mapping[str, float], Optional[Sequence[float]]], float]
 
 
 def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
-                 sites: Optional[list[Compiled]] = None) -> Compiled:
+                 sites: Optional[list[Compiled]] = None,
+                 reads: Optional[dict[str, int]] = None) -> Compiled:
     """Compile a body into f(env, frozen) -> float, evaluated as eval_body does.
 
     f(env, None) is the body as written.  With a `sites` list, the closure
@@ -406,10 +394,11 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
     the same arguments in the same order, so the floats are the same, as
     are the range check, the clamp and the RangeViolation message, whose
     reduct body `freeze` builds only on error, from the values in frozen
-    of this body's own sites.
+    of this body's own sites.  A `reads` dict gets each atom the reduct's
+    body reads, -1 if some such read is order-reversing, else 1.
     """
     first = None if sites is None else len(sites)   # this body's sites come next
-    expr = _compile(body, 1, tol, sites)
+    expr = _compile(body, 1, tol, sites, {} if reads is None else reads)
 
     def evaluate(env, frozen):
         v = expr(env, frozen)
@@ -423,12 +412,14 @@ def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
     return evaluate
 
 
-def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compiled]]) -> Compiled:
+def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compiled]],
+             reads: dict[str, int]) -> Compiled:
     if isinstance(node, Const):
         value = node.value
         return lambda env, frozen: value
     if isinstance(node, Atom):
         name = node.name
+        reads[name] = min(sign, reads.get(name, sign))
 
         def atom(env, frozen):
             try:
@@ -438,11 +429,11 @@ def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compile
         return atom
     if sites is not None and is_freeze_site(node, sign):
         k = len(sites)
-        site = _compile(node, sign, tol, None)
+        site = _compile(node, sign, tol, None, {})
         sites.append(site)
         return lambda env, frozen: site(env, None) if frozen is None else frozen[k]
     spec = op_spec(node.op)
-    args = [_compile(a, sign * spec.polarity(i), tol, sites)
+    args = [_compile(a, sign * spec.polarity(i), tol, sites, reads)
             for i, a in enumerate(node.args)]
     fn = _function(spec, tol)
     if len(args) == 1:
@@ -531,51 +522,12 @@ class Program:
         return tuple(i for i, occs in enumerate(self.rule_occurrences())
                      if any(o.sign < 0 and not o.direct_negation for o in occs))
 
-    def levels(self) -> tuple[dict[str, float], Optional[Rule]]:
-        """Each head's level in the reduct, and what keeps its T from being monotone.
-
-        The levels are `_levels` of what each head's bodies read outside
-        their freeze sites.  If some head is on or downstream of a cycle
-        (level inf), the second item is the first definite rule that reads
-        an atom order-reversingly there (a subtrahend, a divisor), else None.
-        """
-        def make():
-            reads = [(r, _reads(r.body, 1, {})) for r in self.definite_rules()]
-            heads: dict[str, set] = {}
-            for r, read in reads:
-                heads.setdefault(r.head.name, set()).update(read)
-            level = _levels(heads)
-            antitone = [r for r, read in reads if -1 in read.values()]
-            return level, antitone[0] if antitone and math.inf in level.values() else None
-        return self.derived("levels", make)
-
     def classify(self) -> ProgramClass:
         if self.constraints():
             return ProgramClass.EMALP
         if not any(o.sign < 0 for occs in self.rule_occurrences() for o in occs):
             return ProgramClass.POSITIVE
         return ProgramClass.CONSTRAINT_FREE if self.reversing_rules() else ProgramClass.MANLP
-
-
-def _levels(reads: dict[str, set]) -> dict[str, float]:
-    """Each head's level: 1 + the highest level its bodies read (0 for an atom
-    that heads no rule), inf on or downstream of a cycle.  From bottom, a
-    head of level n is final from Kleene step n on.  In Kahn's order: a
-    head is levelled once every head it reads is, so each read counts once."""
-    waits = {h: atoms & reads.keys() for h, atoms in reads.items()}   # heads not levelled
-    readers: dict[str, list] = {h: [] for h in reads}
-    for h, atoms in waits.items():
-        for a in atoms:
-            readers[a].append(h)
-    level = dict.fromkeys(reads, 1)
-    ready = [h for h, atoms in waits.items() if not atoms]
-    for h in ready:   # grows as heads get levelled
-        for r in readers[h]:
-            level[r] = max(level[r], level[h] + 1)
-            waits[r].discard(h)
-            if not waits[r]:
-                ready.append(r)
-    return {h: math.inf if waits[h] else n for h, n in level.items()}
 
 
 class ValidationFailure(MalpError):

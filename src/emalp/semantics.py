@@ -25,7 +25,7 @@ on or downstream of a cycle alone (of every rule from bottom, when T
 is not monotone or the cap leaves the pass no room).  `reduct` builds
 its trees with `rewrite` alone and reads no analysis.  Constraints
 never feed the operator (they have no head atom to update); a verdict
-reads any from the reduct, unless the operator's value converged away from M.
+reads them from their own reduct, unless the operator's value converged away from M.
 """
 
 from __future__ import annotations
@@ -139,6 +139,38 @@ def reduct(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL) -
 # the compiled analysis
 
 
+def components(graph: Mapping[str, set[str]]) -> list[list[str]]:
+    """The strongly connected components of the graph, each after every
+    component its nodes read: Tarjan's algorithm (SIAM J. Comput., 1972),
+    its recursion kept on an explicit path.  A node read but not a key
+    reads nothing; nodes and their reads are visited in sorted order."""
+    number: dict[str, int] = {}   # visit order
+    low: dict[str, float] = {}    # inf once the node's component is out
+    stack: list[str] = []
+    out: list[list[str]] = []
+    for root in sorted(graph):
+        path = [] if root in number else [(root, None, 0)]   # (node, reads left, place on stack)
+        while path:
+            v, reads, at = path.pop()
+            if reads is None:
+                number[v] = low[v] = len(number)
+                reads, at = iter(sorted(graph.get(v, ()))), len(stack)
+                stack.append(v)
+            for w in reads:
+                if w not in number:
+                    path += [(v, reads, at), (w, None, 0)]
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                if low[v] == number[v]:   # v is its component's first node on the stack
+                    out.append(stack[at:])
+                    del stack[at:]
+                    low.update(dict.fromkeys(out[-1], math.inf))
+                if path:
+                    low[path[-1][0]] = min(low[path[-1][0]], low[v])
+    return out
+
+
 Rules = tuple[tuple[str, str, float, Compiled], ...]
 
 
@@ -149,19 +181,23 @@ class _Analysis:
     The definite rules, in program order, as (head, implication, weight,
     compiled body): read with frozen=None a body is the program's as
     written, read with the values of the freeze `sites` at M it is the
-    reduct's.  Constraint bodies are not compiled (no operator reads
-    them), so the sites are the definite bodies' alone.  `by_level` holds
-    the rules whose heads have a finite level (`Program.levels`), stably
-    sorted by it, and `top` is the highest finite level (0 if none);
-    `cyclic` holds the rest, those on or downstream of a cycle, in program
-    order.  If `levels` names an antitone rule, every rule is cyclic and
-    `top` 0: T is not monotone, so only Kleene's run reads it.
+    reduct's.  Constraint bodies are not compiled: a verdict reducts
+    `constraints`, the constraints alone.  A head's level is 1 + the
+    highest level its bodies read outside their sites (0 for an atom that
+    heads no rule), inf on or downstream of a cycle; from bottom, it is
+    final from that Kleene step on.  `by_level` holds the rules of finite
+    level, stably sorted by it, `top` is the highest finite level (0 if
+    none) and `cyclic` the rest, in program order.  If some level is inf,
+    `antitone` is the first rule that reads an atom order-reversingly
+    outside its sites: T is not monotone, so every rule is cyclic, `top` 0.
     """
     rules: Rules
     sites: tuple[Compiled, ...]
     by_level: Rules
     cyclic: Rules
     top: int
+    antitone: Optional[Rule]
+    constraints: Program
 
 
 def _analysis(program: Program, tol: float) -> _Analysis:
@@ -169,15 +205,27 @@ def _analysis(program: Program, tol: float) -> _Analysis:
     if tol in analyses:
         return analyses[tol]   # allocates nothing
     sites: list[Compiled] = []
-    rules = [(r.head.name, r.impl, r.weight, compile_body(r.body, tol, sites))
-             for r in program.definite_rules()]
-    level, antitone = program.levels()
+    reads: list[dict[str, int]] = [{} for _ in program.definite_rules()]
+    rules = [(r.head.name, r.impl, r.weight, compile_body(r.body, tol, sites, read))
+             for r, read in zip(program.definite_rules(), reads)]
+    graph: dict[str, set[str]] = {}
+    for (head, *_), read in zip(rules, reads):
+        graph.setdefault(head, set()).update(read)
+    level: dict[str, float] = {}
+    for c in components(graph):   # a read in c itself is not levelled yet: inf
+        below = [level.get(a, math.inf) for h in c for a in graph.get(h, ())]
+        level.update(dict.fromkeys(c, 1 + max(below, default=0) if c[0] in graph else 0))
     top = max((n for n in level.values() if n < math.inf), default=0)
     by_level = tuple(sorted((r for r in rules if level[r[0]] <= top), key=lambda r: level[r[0]]))
     cyclic = tuple(r for r in rules if level[r[0]] > top)
+    antitone = next((r for r, read in zip(program.definite_rules(), reads)
+                     if -1 in read.values()), None) if math.inf in level.values() else None
     if antitone is not None:
         by_level, cyclic, top = (), tuple(rules), 0
-    analyses[tol] = _Analysis(tuple(rules), tuple(sites), by_level, cyclic, top)
+    part = Program(program.constraints())   # with the program's occurrences of them
+    occurrences = [o for r, o in zip(program.rules, program.rule_occurrences()) if r.is_constraint]
+    part.derived("occurrences", lambda: tuple(occurrences))
+    analyses[tol] = _Analysis(tuple(rules), tuple(sites), by_level, cyclic, top, antitone, part)
     return analyses[tol]
 
 
@@ -293,13 +341,12 @@ def _stable_value(program: Program, M: Mapping[str, float], tol: float,
 def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> Optional[bool]:
     """True/False verdict, or None when the inner fixpoint fails to converge."""
-    # M is stable when it is the operator's fixpoint and satisfies the reduct's
-    # constraints, built only if there are some (ROADMAP item 23 drops it)
+    # M is stable when it is the operator's fixpoint and satisfies the reduct's constraints
     value, converged = _stable_value(program, M, tol, max_iter)
     if converged and interp_distance(value, M) > tol:
         return False
-    if program.constraints() and not all(
-            satisfies(M, r, tol) for r in reduct(program, M, tol).constraints()):
+    if program.constraints() and not all(satisfies(M, r, tol) for r in reduct(
+            _analysis(program, tol).constraints, M, tol).rules):
         return False
     return True if converged else None
 
@@ -347,8 +394,8 @@ def _dedup(models: list[Interpretation], tol: float) -> list[Interpretation]:
 
 
 def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
-    """(atoms read, test, propagator) for every head equation T(M)[a] = M[a]
-    and constraint.
+    """(atoms read, test, propagator) for every head equation T(M)[a] = M[a],
+    in `atoms` order, then for every constraint.
 
     A head reads itself and the bodies of its rules; an atom that heads
     no rule reads only itself, so its test pins it to 0 (the sup over an
@@ -386,28 +433,28 @@ def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
 
 
 def _assignment_order(atoms, checks) -> list[str]:
-    """Greedy order for the depth-first walk, so that checks fire early.
-
-    Next comes a head with a propagator whose bodies read only assigned
-    atoms, ties by name; else the atom that lets the most such heads
-    propagate next; else the atom that leaves the fewest atoms
-    unassigned in some read set, then by name.
-    """
+    """Order for the depth-first walk, so that checks fire early: bottom
+    first, the components of the graph where each atom reads what its own
+    check (the first checks, in `atoms` order) reads.  Within one, next
+    comes a head with a propagator whose bodies read only assigned atoms,
+    ties by name; else the atom that lets the most such heads propagate
+    next; else the atom that leaves the fewest atoms unassigned in some
+    read set, then by name."""
     order: list[str] = []
     left = [set(reads) for reads, _, _ in checks]
     bodies = {prop[0]: set(reads) - {prop[0]} for reads, _, prop in checks if prop}
-    free = set(atoms)
-    while free:
-        ready = [h for h, body in bodies.items() if not body]
-        enables = Counter(next(iter(body)) for body in bodies.values() if len(body) == 1)
-        nxt = min(ready) if ready else min(free, key=lambda x: (
-            -enables[x], min(len(s) - 1 for s in left if x in s), x))
-        order.append(nxt)
-        free.discard(nxt)
-        bodies.pop(nxt, None)
-        for s in itertools.chain(left, bodies.values()):
-            s.discard(nxt)
-        left = [s for s in left if s]
+    for free in map(set, components({a: reads for a, (reads, _, _) in zip(atoms, checks)})):
+        while free:
+            ready = [h for h in free if h in bodies and not bodies[h]]
+            enables = Counter(next(iter(body)) for body in bodies.values() if len(body) == 1)
+            nxt = min(ready) if ready else min(free, key=lambda x: (
+                -enables[x], min(len(s) - 1 for s in left if x in s), x))
+            order.append(nxt)
+            free.discard(nxt)
+            bodies.pop(nxt, None)
+            for s in itertools.chain(left, bodies.values()):
+                s.discard(nxt)
+            left = [s for s in left if s]
     return order
 
 

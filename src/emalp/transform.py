@@ -53,6 +53,7 @@ from .semantics import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_ITER,
     StableSearchConfig,
+    _analysis,
     check_grid_budget,
     find_stable_models,
     interp_distance,
@@ -209,7 +210,7 @@ def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
         raise TransformError("program has constraints; eliminate them first")
     if neg_choice != "neg1":
         raise TransformError("normalization is defined for the involutive negation neg1 only")
-    antitone = program.levels()[1]
+    antitone = _analysis(program, DEFAULT_TOL).antitone
     if antitone is not None:
         raise TransformError(f"rule {program.rules.index(antitone)} ({antitone}) reads an atom "
                              "order-reversingly outside a negation, on a program with a cycle: "

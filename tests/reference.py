@@ -7,6 +7,7 @@ stable operators are cached: orbits and verdict points soon ask again."""
 import array
 import functools
 import itertools
+import math
 
 from emalp.errors import MalpError
 from emalp.lattice import eval_conjunctor, eval_implication, eval_threshold, lattice_grid, neg2
@@ -79,6 +80,50 @@ def reduct(program, M, tol):
             if occurrences and all(s < 0 for _, s in occurrences):
                 return Const(value(node, M, tol))
     return rebuild(program, freeze)
+
+
+def reaches(graph, v):
+    """The nodes v reaches by one read or more; a node that is not a key reads nothing."""
+    seen, todo = set(), [v]
+    while todo:
+        for w in graph.get(todo.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def components(graph):
+    """The graph's nodes, keys and reads, grouped by mutual reachability."""
+    nodes = set(graph).union(*graph.values())
+    reach = {v: reaches(graph, v) for v in nodes}
+    return {frozenset({v} | {w for w in reach[v] if v in reach[w]}) for v in nodes}
+
+
+def levels(program):
+    """Each head's level in the reduct, whose bodies read no atom inside a
+    freeze site: 1 + the highest level its bodies read (0 for an atom that
+    heads no rule), inf if it reaches an atom that reaches itself.  Also
+    the index of the first rule whose reduct body reads an atom
+    order-reversingly, if some level is inf, else None."""
+    frozen = reduct(program, dict.fromkeys(atoms(program), 0.5), 0.0).rules
+    reads = {}
+    for r in frozen:
+        if isinstance(r.head, Atom):
+            reads.setdefault(r.head.name, set()).update(a for a, _ in signs(r.body))
+    looped = {v for v in reads if v in reaches(reads, v)}
+
+    def level(a):
+        if a not in reads:
+            return 0
+        if a in looped or reaches(reads, a) & looped:
+            return math.inf
+        return 1 + max((level(b) for b in reads[a]), default=0)
+
+    found = {h: level(h) for h in reads}
+    antitone = [i for i, r in enumerate(frozen)
+                if isinstance(r.head, Atom) and any(s < 0 for _, s in signs(r.body))]
+    return found, antitone[0] if antitone and math.inf in found.values() else None
 
 
 def rewire(program, witnesses, neg):

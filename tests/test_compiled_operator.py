@@ -15,6 +15,7 @@ alone; that routine is held to Kleene's `stable_operator` from bottom.
 """
 
 import itertools
+import math
 import pickle
 import random
 import re
@@ -49,6 +50,7 @@ from emalp.semantics import (
     StableSearchConfig,
     _analysis,
     _stable_value,
+    components,
     find_stable_models,
     interp_distance,
     is_stable,
@@ -215,6 +217,79 @@ def test_levels_take_linear_time_on_a_long_chain():
     assert time.perf_counter() - start < 1.0
     assert len(analysis.by_level) == 3000 and analysis.top == 3000
     assert [r[0] for r in analysis.cyclic] == ["y", "z"]
+
+
+def random_graph(rng):
+    """Heads x0.. reading up to three atoms each, among them y0.., which head
+    nothing: self-loops, isolated heads and read-only nodes all occur."""
+    heads = [f"x{i}" for i in range(rng.randint(0, 8))]
+    names = heads + [f"y{i}" for i in range(rng.randint(0, 3))]
+    return {h: set(rng.sample(names, rng.randint(0, min(3, len(names))))) for h in heads}
+
+
+def test_components_are_the_mutually_reachable_atoms_bottom_first():
+    kinds = Counter()
+    for seed in range(400):
+        graph = random_graph(random.Random(seed))
+        found = components(graph)
+        assert {frozenset(c) for c in found} == reference.components(graph)
+        assert sum(map(len, found)) == len(set().union(*found))   # each node once
+        # each component after every component it reads, whatever order the graph is built in
+        place = {v: i for i, c in enumerate(found) for v in c}
+        assert all(place[w] <= place[h] for h, reads in graph.items() for w in reads)
+        assert components(dict(reversed(graph.items()))) == found
+        kinds["self-loop"] += any(h in reads for h, reads in graph.items())
+        kinds["isolated"] += any(not reads for reads in graph.values())
+        kinds["read only"] += any(v not in graph for c in found for v in c)
+        kinds["cycle"] += any(len(c) > 1 for c in found)
+    assert min(kinds.values()) > 20 and len(kinds) == 4
+
+
+def test_components_take_linear_time_on_a_deep_chain():
+    # each node reads the next, and the first in sorted order heads the
+    # chain, so the walk goes 50,000 nodes deep, past the recursion limit;
+    # each node is its own component, popped from the top of the stack
+    n = 50_000
+    graph = {f"n{i:05d}": {f"n{i + 1:05d}"} for i in range(n - 1)}
+    start = time.perf_counter()
+    found = components(graph)
+    assert time.perf_counter() - start < 2.0
+    assert found == [[f"n{i:05d}"] for i in reversed(range(n))]
+    cycle = {f"n{i:04d}": {f"n{(i + 1) % 5000:04d}"} for i in range(5000)}
+    assert components(cycle) == [sorted(cycle)]
+
+
+def test_the_analysis_splits_the_rules_as_the_reference_levels_them():
+    # by_level (stably sorted by level), cyclic, top and the antitone rule,
+    # from the reference's levels of the reduct's trees, on the benchmark's
+    # pools and their targets, and on random programs with arithmetic wraps
+    pools = [parse_program(gen.grid_program(n, i)) for n in (5, 6, 7) for i in range(20)]
+    pools += [parse_program(gen.equiv_program(c, i)) for c in (1, 2) for i in range(20)]
+    programs = pools + CYCLES + [MOTOR] + GENPROG[:100]
+    programs += [t for p in pools[::3] + [MOTOR] for t in targets(p) if p.constraints()]
+    programs += [flipped(p, wrap) for p in GENPROG[:100]
+                 for wrap in WRAPS + (lambda b: Apply("sub", (Const(1.0), b)),)]
+    kinds = Counter()
+    for program in programs:
+        level, antitone = reference.levels(program)
+        analysis = _analysis(program, 1e-9)
+        definite = program.definite_rules()
+        assert [r[0] for r in analysis.rules] == [r.head.name for r in definite]
+        place = {id(r[3]): i for i, r in enumerate(analysis.rules)}
+        top = max((n for n in level.values() if n < math.inf), default=0)
+        finite = sorted((i for i, r in enumerate(definite) if level[r.head.name] <= top),
+                        key=lambda i: level[definite[i].head.name])
+        cyclic = [i for i, r in enumerate(definite) if level[r.head.name] > top]
+        if antitone is not None:
+            assert analysis.antitone is program.rules[antitone]
+            finite, cyclic, top = [], list(range(len(definite))), 0
+        else:
+            assert analysis.antitone is None
+        assert [place[id(r[3])] for r in analysis.by_level] == finite
+        assert [place[id(r[3])] for r in analysis.cyclic] == cyclic
+        assert analysis.top == top
+        kinds["antitone" if antitone is not None else reduct_kind(analysis)] += 1
+    assert min(kinds.values()) > 10 and len(kinds) == 4
 
 
 def test_a_search_step_builds_no_tree(monkeypatch):

@@ -35,6 +35,7 @@ from emalp.semantics import (
     _sort_models,
 )
 
+from conftest import gen
 from genprog import random_emalp
 import reference
 
@@ -167,15 +168,36 @@ def test_only_heads_that_do_not_read_themselves_propagate():
 @pytest.mark.parametrize("text, order", [
     # each head comes after the atom its body reads
     ("a <-g b with 1;\nb <-g c with 1;\nc <-g 0.5 with 1;\n", ["c", "b", "a"]),
-    # z lets a and b propagate, though w and y each close a check at once
+    # components bottom first: z reads w, and a and b read z; y reads only itself
     ("a <-g z with 1;\nb <-g z with 1;\nz <-g max(z, w) with 1;\n"
      "w <-g max(w, 0.5) with 1;\ny <-g max(y, 0.25) with 1;\n0.5 <-g y with 1;\n",
-     ["z", "a", "b", "w", "y"]),
+     ["w", "z", "a", "b", "y"]),
 ])
 def test_assignment_order_puts_heads_where_they_propagate(text, order):
     program = parse_program(text)
     checks = _grid_checks(program, program.atoms(), PRE_TOL, TOL)
     assert _assignment_order(program.atoms(), checks) == order
+
+
+WALK_PIN = 20_000
+
+
+def test_the_walk_takes_the_atoms_component_by_component(monkeypatch):
+    # the largest cycle of the benchmark's g9-2 has two atoms; on its 21 ** 9
+    # point grid an order blind to components walked 2,496,143 nodes, the
+    # component order walks 9,855.  The count stops the walk past the pin.
+    nodes = [0]
+    original = semantics_module._extend
+
+    def counted(*args):
+        nodes[0] += 1
+        if nodes[0] > WALK_PIN:
+            raise AssertionError(f"the walk passed {WALK_PIN} nodes")
+        return original(*args)
+    monkeypatch.setattr(semantics_module, "_extend", counted)
+    program = parse_program(gen.grid_program(9, 2))
+    assert _grid_candidates(program, 0.05, PRE_TOL, TOL) == []
+    assert nodes[0] > 1000
 
 
 def test_a_propagated_head_is_computed_once_per_node(monkeypatch):

@@ -196,7 +196,8 @@ ANTITONE_ON_A_CYCLE = [
 def test_to_manlp_refuses_an_order_reversing_read_on_a_cycle(text, index):
     # the rule it names is the one the analysis runs Kleene from bottom for
     program = parse_program(text)
-    assert program.levels()[1] == program.rules[index] and _analysis(program, 1e-9).by_level == ()
+    analysis = _analysis(program, 1e-9)
+    assert analysis.antitone == program.rules[index] and analysis.by_level == ()
     message = f"rule {index} ({program.rules[index]}) reads an atom order-reversingly"
     with pytest.raises(TransformError, match=re.escape(message)):
         to_manlp(program)
@@ -204,10 +205,10 @@ def test_to_manlp_refuses_an_order_reversing_read_on_a_cycle(text, index):
 
 def test_to_manlp_accepts_motor_and_its_targets(motor, motor_unconstrained):
     # motor's divisor reads s and t live, but no head of motor is on a cycle
-    assert motor.levels()[1] is None
+    assert _analysis(motor, 1e-9).antitone is None
     for program in (motor_unconstrained, eliminate_constraints_fc(motor).target,
                     eliminate_constraints_janssen(motor).target):
-        assert program.levels()[1] is None
+        assert _analysis(program, 1e-9).antitone is None
         assert to_manlp(program).target.classify() is ProgramClass.MANLP
 
 
