@@ -199,4 +199,13 @@ MUTANTS = [
     Mutant("src/emalp/semantics.py",
            "part = Program(program.constraints())", "part = Program(program.constraints()[:-1])",
            ("test_compiled_operator.py::test_verdict_matches_tree_oracle",)),
+    # the stable operator's freeze-site values go back to a tuple of unknown length
+    Mutant("src/emalp/semantics.py",
+           "frozen = tuple([site(M, None) for site in analysis.sites])",
+           "frozen = tuple(site(M, None) for site in analysis.sites)",
+           ("test_allocations.py::test_the_stable_operator_strands_no_tuples",)),
+    # a rebuilt node's arguments go back to a tuple of unknown length
+    Mutant("src/emalp/program.py",
+           "return Apply(body.op, tuple([", "return Apply(body.op, tuple(a for a in [",
+           ("test_allocations.py::test_a_reduct_strands_no_tuples",)),
 ]

@@ -92,7 +92,7 @@ class _Node:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+        return type(self), tuple([getattr(self, f) for f in self._fields])
 
     def __setattr__(self, name, *value):   # also __delattr__, which passes no value
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -335,9 +335,9 @@ def rewrite(body: BodyExpr, replace: Callable[[BodyExpr, int], Optional[BodyExpr
     if not isinstance(body, Apply):
         return body
     spec = op_spec(body.op)
-    return Apply(body.op, tuple(
+    return Apply(body.op, tuple([
         rewrite(a, replace, sign * spec.polarity(i)) for i, a in enumerate(body.args)
-    ))
+    ]))
 
 
 def is_freeze_site(node: BodyExpr, sign: int) -> bool:
@@ -508,19 +508,19 @@ class Program:
         """The signed atom occurrences of each rule body, in rule order;
         `validate_program` leaves them here from its walk."""
         return self.derived("occurrences",
-                            lambda: tuple(tuple(occurrences(r.body)) for r in self.rules))
+                            lambda: tuple([tuple(occurrences(r.body)) for r in self.rules]))
 
     def constraints(self) -> tuple[Rule, ...]:
-        return self.derived("constraints", lambda: tuple(r for r in self.rules if r.is_constraint))
+        return self.derived("constraints", lambda: tuple([r for r in self.rules if r.is_constraint]))
 
     def definite_rules(self) -> tuple[Rule, ...]:
-        return self.derived("definite", lambda: tuple(r for r in self.rules if not r.is_constraint))
+        return self.derived("definite", lambda: tuple([r for r in self.rules if not r.is_constraint]))
 
     def reversing_rules(self) -> tuple[int, ...]:
         """The indices of the rules that reverse the order other than by a
         negation applied directly to an atom: what keeps a MANLP out."""
-        return tuple(i for i, occs in enumerate(self.rule_occurrences())
-                     if any(o.sign < 0 and not o.direct_negation for o in occs))
+        return tuple([i for i, occs in enumerate(self.rule_occurrences())
+                      if any(o.sign < 0 and not o.direct_negation for o in occs)])
 
     def classify(self) -> ProgramClass:
         if self.constraints():

@@ -128,11 +128,11 @@ def reduct(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL) -
     it compiles it from its own rules.
     """
     require_total(M, program)
-    return Program(tuple(
+    return Program(tuple([
         Rule(r.head, r.impl, freeze(r.body, lambda site: eval_expr(site, M, tol)), r.weight)
         if any(o.sign < 0 for o in occs) else r
         for r, occs in zip(program.rules, program.rule_occurrences())
-    ))
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def _analysis(program: Program, tol: float) -> _Analysis:
         level.update(dict.fromkeys(c, 1 + max(below, default=0) if c[0] in graph else 0))
     top = max((n for n in level.values() if n < math.inf), default=0)
     by_level = tuple(sorted((r for r in rules if level[r[0]] <= top), key=lambda r: level[r[0]]))
-    cyclic = tuple(r for r in rules if level[r[0]] > top)
+    cyclic = tuple([r for r in rules if level[r[0]] > top])
     antitone = next((r for r, read in zip(program.definite_rules(), reads)
                      if -1 in read.values()), None) if math.inf in level.values() else None
     if antitone is not None:
@@ -311,7 +311,7 @@ def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAU
     reduct's trees are never built.
     """
     require_total(M, program)
-    frozen = tuple(site(M, None) for site in _analysis(program, tol).sites)
+    frozen = tuple([site(M, None) for site in _analysis(program, tol).sites])
     return least_model(program, tol, max_iter, frozen=frozen)
 
 
@@ -330,7 +330,7 @@ def _stable_value(program: Program, M: Mapping[str, float], tol: float,
     analysis = _analysis(program, tol)
     by_level, cyclic, top = ((analysis.by_level, analysis.cyclic, analysis.top)
                              if max_iter > analysis.top else ((), analysis.rules, 0))
-    frozen = tuple(site(M, None) for site in analysis.sites)
+    frozen = tuple([site(M, None) for site in analysis.sites])
     iterates = deque([_raise_heads(by_level, J, frozen, J)], maxlen=1)   # the last only
     bottom = dict.fromkeys([r[0] for r in cyclic], 0.0)
     converged = not bottom or _kleene(lambda I: _raise_heads(
@@ -382,7 +382,7 @@ class StableSearchConfig:
 
 
 def _sort_models(models: list[Interpretation], atoms) -> list[Interpretation]:
-    return sorted(models, key=lambda m: tuple(m[a] for a in atoms))
+    return sorted(models, key=lambda m: tuple([m[a] for a in atoms]))
 
 
 def _dedup(models: list[Interpretation], tol: float) -> list[Interpretation]:
@@ -471,7 +471,7 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
     grid_count(step)   # checks the step; a program without atoms needs no grid
     return sorted(_grid_walk(atoms, lattice_grid(step) if atoms else [],
                              _grid_checks(program, atoms, pre_tol, tol)),
-                  key=lambda m: tuple(m[a] for a in atoms))
+                  key=lambda m: tuple([m[a] for a in atoms]))
 
 
 def _grid_walk(atoms, values: list[float], checks) -> Iterator[Interpretation]:

@@ -128,7 +128,7 @@ def record_from_json(data, source: Program, target: Program) -> TranslationRecor
     entries = data.get("fresh_atoms", [])
     if not isinstance(entries, list):
         raise MalpError("record: fresh_atoms must be a list")
-    fresh = tuple(_fresh_atom_from_json(d, source) for d in entries)
+    fresh = tuple([_fresh_atom_from_json(d, source) for d in entries])
     return TranslationRecord(method, source, target, fresh, negation)
 
 
@@ -161,11 +161,11 @@ def eliminate_constraints_fc(program: Program, impl_choice: str = "lukasiewicz",
     if not program.constraints():
         return TranslationRecord("fc", program, program, (), neg_choice)
     p_bot = _fresh_name("p_bot", set(program.atoms()))
-    target = Program(tuple(
+    target = Program(tuple([
         _bottom_rule(p_bot, "f", r.head.value, r.body, impl_choice, conj_choice, neg_choice)
         if r.is_constraint else r
         for r in program.rules
-    ))
+    ]))
     return TranslationRecord("fc", program, target,
                              ({"name": p_bot, "role": "bottom_witness"},), neg_choice)
 
@@ -194,8 +194,8 @@ def eliminate_constraints_janssen(program: Program, impl_choice: str = "lukasiew
         rules.append(_bottom_rule(p_bot, "g", c, Atom(name), impl_choice, conj_choice,
                                   neg_choice))
     target = Program(tuple(rules))
-    fresh = ({"name": p_bot, "role": "bottom_witness"},) + tuple(
-        {"name": name, "role": "constant_witness", "value": c} for c, name in witnesses.items())
+    fresh = ({"name": p_bot, "role": "bottom_witness"},) + tuple([
+        {"name": name, "role": "constant_witness", "value": c} for c, name in witnesses.items()])
     return TranslationRecord("janssen", program, target, fresh, neg_choice)
 
 
@@ -210,8 +210,8 @@ def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
         raise TransformError("program has constraints; eliminate them first")
     if neg_choice != "neg1":
         raise TransformError("normalization is defined for the involutive negation neg1 only")
-    antitone = _analysis(program, DEFAULT_TOL).antitone
-    if antitone is not None:
+    antitone = program.reversing_rules() and _analysis(program, DEFAULT_TOL).antitone
+    if antitone:   # () where every reversal negates an atom: each is in a freeze site
         raise TransformError(f"rule {program.rules.index(antitone)} ({antitone}) reads an atom "
                              "order-reversingly outside a negation, on a program with a cycle: "
                              "manlp would change its stable models")
@@ -229,8 +229,8 @@ def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
     for q in sorted(negative):
         rules.append(Rule(Atom(witnesses[q]), "godel", Apply(neg_choice, (Atom(q),)), 1.0))
     target = Program(tuple(rules))
-    fresh = tuple({"name": witnesses[q], "role": "negation_witness", "source_atom": q}
-                  for q in sorted(negative))
+    fresh = tuple([{"name": witnesses[q], "role": "negation_witness", "source_atom": q}
+                   for q in sorted(negative)])
     return TranslationRecord("manlp", program, target, fresh, neg_choice)
 
 

@@ -206,6 +206,29 @@ def test_levels_count_only_what_the_reduct_reads():
     assert [r[0] for r in cyclic.cyclic] == ["d", "e"]
 
 
+LIVE_REVERSAL = "r <-g 0.5 with 1;\nq <-g neg1(r) with 1;\np <-g sub(1, q) with 1;"
+
+
+def test_a_live_reversal_off_a_cycle_makes_the_stable_operator_rise_with_m():
+    # `antitone` looks only at programs with a cycle, so it is None here;
+    # yet p reads q through a subtrahend outside any freeze site, and q's
+    # value is r's frozen negation: the stable operator gives p = M[r],
+    # which rises with M.  The read is the -1 the compile pass records
+    program = parse_program(LIVE_REVERSAL)
+    assert _analysis(program, 1e-9).antitone is None
+    reads = {}
+    compile_body(program.rules[2].body, 1e-9, [], reads)
+    assert reads == {"q": -1}
+    values = []
+    for r in (0.2, 0.8):
+        M = {"p": 0.0, "q": 0.0, "r": r}
+        value, trace = stable_operator(program, M, 1e-9)
+        assert trace.converged and value == {"p": 1 - (1 - r), "q": 1 - r, "r": 0.5}
+        assert _stable_value(program, M, 1e-9, MAX_ITER) == (value, True)
+        values.append(value["p"])
+    assert values == [pytest.approx(0.2), pytest.approx(0.8)]
+
+
 def test_levels_take_linear_time_on_a_long_chain():
     # x_i reads x_(i-1); y and z read each other at the chain's end
     chain = ["x0 <-g 0.5 with 1;"] + [f"x{i} <-g x{i - 1} with 1;" for i in range(1, 3000)]

@@ -27,6 +27,7 @@ from emalp import (
     validate_program,
     verify_equivalence,
 )
+import emalp.transform as transform
 from emalp.semantics import _analysis
 from genprog import random_emalp
 
@@ -210,6 +211,33 @@ def test_to_manlp_accepts_motor_and_its_targets(motor, motor_unconstrained):
                     eliminate_constraints_janssen(motor).target):
         assert _analysis(program, 1e-9).antitone is None
         assert to_manlp(program).target.classify() is ProgramClass.MANLP
+
+
+def test_to_manlp_compiles_only_a_program_that_reverses_off_a_negated_atom(monkeypatch, motor):
+    # a negated atom at a positive position is a freeze site, so with no
+    # other reversal no rule can read an atom order-reversingly outside one
+    calls = []
+    monkeypatch.setattr(transform, "_analysis", lambda *args: calls.append(args) or
+                        _analysis(*args))
+    even = parse_program("p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\nr <-g neg1(r) with 1;")
+    assert to_manlp(even).target.classify() is ProgramClass.MANLP and calls == []
+    divisor = eliminate_constraints_fc(motor).target   # div1 reads s and t live
+    assert to_manlp(divisor).target.classify() is ProgramClass.MANLP and len(calls) == 1
+    with pytest.raises(TransformError):
+        to_manlp(parse_program(ANTITONE_ON_A_CYCLE[0][0]))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_program_that_reverses_only_negated_atoms_is_never_refused(seed):
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(100):
+        program = eliminate_constraints_fc(random_emalp(rng, max_atoms=4, max_rules=5)).target
+        if not program.reversing_rules():
+            assert _analysis(program, 1e-9).antitone is None
+            checked += 1
+    assert checked > 10
 
 
 # --- interpretation transport -------------------------------------------------
