@@ -42,9 +42,18 @@ MUTANTS = [
     Mutant("src/emalp/semantics.py",
            "if program.constraints() and not all(", "if not program.constraints() and not all(",
            ("test_compiled_operator.py::test_a_verdict_builds_a_reduct_only_where_the_operator_reaches_m",)),
+    # a record of other source atoms passes the link check
+    Mutant("src/emalp/transform.py",
+           'if (rec["source_atoms"] != list(source.atoms()) or len(set(fresh)) < len(fresh)',
+           "if (len(set(fresh)) < len(fresh)",
+           ("test_transform.py::test_verify_equivalence_refuses_a_record_of_other_source_atoms",)),
+    # grid mode takes a --tol its prune cannot honour
+    Mutant("src/emalp/cli.py",
+           "and args.tol > GRID_TOL_CEILING:", "and args.tol > PREFILTER_TOL:",
+           ("test_cli.py::test_grid_mode_refuses_a_tol_it_cannot_honour",)),
     # a record whose target has other atoms passes the link check
     Mutant("src/emalp/transform.py",
-           "or set(rec.target.atoms()) != atoms.union(fresh)):", "):",
+           "or set(target.atoms()) != atoms.union(fresh)):", "):",
            ("test_transform.py::test_verify_equivalence_rejects_unlinked_record",
             "test_cli.py::test_equiv_rejects_target_missing_a_source_atom")),
     # serialized programs lose their final newline
@@ -135,12 +144,12 @@ MUTANTS = [
            ("test_transform.py::test_verify_equivalence_reports_a_broken_negation_witness",)),
     # a constraint-free record forgets the negation it was asked for
     Mutant("src/emalp/transform.py",
-           'return TranslationRecord("fc", program, program, (), neg_choice)',
-           'return TranslationRecord("fc", program, program)',
+           'return program, _record("fc", neg_choice, program, program)',
+           'return program, _record("fc", "neg1", program, program)',
            ("test_cli.py::test_transform_records_the_negation_asked_for",)),
     Mutant("src/emalp/transform.py",
-           'return TranslationRecord("janssen", program, program, (), neg_choice)',
-           'return TranslationRecord("janssen", program, program)',
+           'return program, _record("janssen", neg_choice, program, program)',
+           'return program, _record("janssen", "neg1", program, program)',
            ("test_cli.py::test_transform_records_the_negation_asked_for",)),
     # the serializer writes a body nested deeper than a file may hold
     Mutant("src/emalp/parser.py",

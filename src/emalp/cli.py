@@ -22,6 +22,7 @@ from .program import MalpError, Program, validate_program
 from .semantics import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_ITER,
+    PREFILTER_TOL,
     BudgetExceeded,
     FixpointTrace,
     StableSearchConfig,
@@ -222,21 +223,20 @@ _TRANSFORMS = {
 def cmd_transform(args) -> int:
     program = _load_program(args.file, args)
     if args.method == "manlp":
-        rec = to_manlp(program, args.neg)
+        target, rec = to_manlp(program, args.neg)
     else:
-        rec = _TRANSFORMS[args.method](program, args.impl, args.conj, args.neg)
+        target, rec = _TRANSFORMS[args.method](program, args.impl, args.conj, args.neg)
     stem = Path(args.file).with_suffix("")
     out_path = Path(args.out) if args.out else Path(f"{stem}.{args.method}.malp")
     rec_path = Path(args.record) if args.record else Path(f"{stem}.{args.method}.record.json")
-    out_path.write_text(serialize_program(rec.target), encoding="utf-8")
-    rec_path.write_text(json.dumps(rec.to_json(), indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    out_path.write_text(serialize_program(target), encoding="utf-8")
+    rec_path.write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _emit({
         "method": args.method,
-        "source_rules": len(rec.source.rules),
-        "target_rules": len(rec.target.rules),
-        "target_class": rec.target.classify().value,
-        "fresh_atoms": list(rec.fresh_atoms),
+        "source_rules": len(program.rules),
+        "target_rules": len(target.rules),
+        "target_class": target.classify().value,
+        "fresh_atoms": rec["fresh_atoms"],
         "target_file": str(out_path),
         "record_file": str(rec_path),
     }, args.output)
@@ -247,7 +247,7 @@ def cmd_equiv(args) -> int:
     source = _load_program(args.source, args)
     target = _load_program(args.target, args)
     rec = _read(args.record, lambda text: record_from_json(json.loads(text), source, target))
-    report = verify_equivalence(rec, args.grid, args.tol,
+    report = verify_equivalence(source, target, rec, args.grid, args.tol,
                                 max_points=args.budget, max_iter=args.max_iter)
     if report["bijection"] == "indeterminate":
         print(f"note: {len(report['source_undecided'])} source and "
@@ -404,10 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the grid walk drops points more than PREFILTER_TOL off a fixpoint, whatever --tol is
+GRID_TOL_CEILING = PREFILTER_TOL / 10
+
+
 def _check_numbers(args) -> None:
     """Reject numeric flags that parse but that no search or fixpoint can use."""
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise MalpError(f"--tol must be finite and > 0, got {args.tol}")
+    if getattr(args, "grid", None) is not None and args.tol > GRID_TOL_CEILING:
+        raise MalpError(f"--tol must be at most {GRID_TOL_CEILING:g} with --grid, got "
+                        f"{args.tol}: the grid search drops points more than "
+                        f"{PREFILTER_TOL:g} off a fixpoint, which a larger --tol could accept")
     if args.max_iter < 1:
         raise MalpError(f"--max-iter must be at least 1, got {args.max_iter}")
     if getattr(args, "seeds", 1) < 1:

@@ -1,7 +1,9 @@
 """Semantics-preserving program transformations.
 
-Three rewrites, each recorded in a TranslationRecord that names the
-fresh atoms it introduced and knows how to move interpretations across:
+Three rewrites, each returning its target and a record, the JSON object
+`transform --record` writes: {"method", "negation", "source_atoms",
+"target_atoms", "fresh_atoms"}, each fresh atom {"name", "role"} plus
+"value" for a constant witness or "source_atom" for a negation witness:
 
 * constraint elimination, threshold style ("fc"): every constraint
   <c <-i B; 1> becomes <p_bot <-i f(0, neg(p_bot)) & f(c, B); 1> with a
@@ -24,14 +26,13 @@ fresh atoms it introduced and knows how to move interpretations across:
   subtrahend, a divisor) is refused: the target would freeze that read.
 
 Lifting extends an interpretation to the fresh atoms (p_bot to 0, p_c
-to c, not_q to neg(q)); projection restricts to the source symbols.
+to c, not_q to neg(q)); projection restricts to the source atoms.
 `verify_equivalence` checks, exhaustively on a grid, that lift/project
 form a bijection between the stable-model sets of source and target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .lattice import DEFAULT_TOL, NEGATION_KINDS, eval_negation, truth_value
@@ -61,7 +62,6 @@ from .semantics import (
 
 __all__ = [
     "TransformError",
-    "TranslationRecord",
     "check_continuity",
     "eliminate_constraints_fc",
     "eliminate_constraints_janssen",
@@ -80,24 +80,10 @@ class TransformError(MalpError):
     pass
 
 
-@dataclass(frozen=True)
-class TranslationRecord:
-    method: str                      # one of METHODS
-    source: Program
-    target: Program
-    # as its JSON lists them: {"name", "role"}, plus "value" for a
-    # constant witness or "source_atom" for a negation witness
-    fresh_atoms: tuple[dict, ...] = ()
-    negation: str = "neg1"
-
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "negation": self.negation,
-            "source_atoms": list(self.source.atoms()),
-            "target_atoms": list(self.target.atoms()),
-            "fresh_atoms": list(self.fresh_atoms),
-        }
+def _record(method: str, negation: str, source: Program, target: Program, fresh=()) -> dict:
+    """The record of a rewrite, as `transform --record` writes it."""
+    return {"method": method, "negation": negation, "source_atoms": list(source.atoms()),
+            "target_atoms": list(target.atoms()), "fresh_atoms": list(fresh)}
 
 
 def _fresh_atom_from_json(d, source: Program) -> dict:
@@ -116,8 +102,9 @@ def _fresh_atom_from_json(d, source: Program) -> dict:
     return atom
 
 
-def record_from_json(data, source: Program, target: Program) -> TranslationRecord:
-    """Rebuild a record from its JSON form; a malformed record raises MalpError."""
+def record_from_json(data, source: Program, target: Program) -> dict:
+    """A record read back from its JSON form, its atom lists taken from the
+    programs; a malformed record raises MalpError."""
     if not isinstance(data, Mapping):
         raise MalpError("record must be a JSON object")
     method, negation = data.get("method"), data.get("negation", "neg1")
@@ -128,8 +115,8 @@ def record_from_json(data, source: Program, target: Program) -> TranslationRecor
     entries = data.get("fresh_atoms", [])
     if not isinstance(entries, list):
         raise MalpError("record: fresh_atoms must be a list")
-    fresh = tuple([_fresh_atom_from_json(d, source) for d in entries])
-    return TranslationRecord(method, source, target, fresh, negation)
+    return _record(method, negation, source, target,
+                   [_fresh_atom_from_json(d, source) for d in entries])
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -152,27 +139,27 @@ def _bottom_rule(p_bot: str, threshold: str, c: float, arg, impl: str, conj: str
 
 def eliminate_constraints_fc(program: Program, impl_choice: str = "lukasiewicz",
                              conj_choice: str = "godel",
-                             neg_choice: str = "neg1") -> TranslationRecord:
+                             neg_choice: str = "neg1") -> tuple[Program, dict]:
     """Rewrite each constraint into a threshold rule on a shared fresh atom.
 
     Non-constraint rules are copied verbatim, so the target has exactly
     as many rules as the source and is constraint-free.
     """
     if not program.constraints():
-        return TranslationRecord("fc", program, program, (), neg_choice)
+        return program, _record("fc", neg_choice, program, program)
     p_bot = _fresh_name("p_bot", set(program.atoms()))
     target = Program(tuple([
         _bottom_rule(p_bot, "f", r.head.value, r.body, impl_choice, conj_choice, neg_choice)
         if r.is_constraint else r
         for r in program.rules
     ]))
-    return TranslationRecord("fc", program, target,
-                             ({"name": p_bot, "role": "bottom_witness"},), neg_choice)
+    return target, _record("fc", neg_choice, program, target,
+                           [{"name": p_bot, "role": "bottom_witness"}])
 
 
 def eliminate_constraints_janssen(program: Program, impl_choice: str = "lukasiewicz",
                                   conj_choice: str = "godel",
-                                  neg_choice: str = "neg1") -> TranslationRecord:
+                                  neg_choice: str = "neg1") -> tuple[Program, dict]:
     """Replace constraint heads by witness atoms pinned to their constants.
 
     Per distinct constraint-head constant c, two rules create and guard
@@ -180,7 +167,7 @@ def eliminate_constraints_janssen(program: Program, impl_choice: str = "lukasiew
     """
     constraints = program.constraints()
     if not constraints:
-        return TranslationRecord("janssen", program, program, (), neg_choice)
+        return program, _record("janssen", neg_choice, program, program)
     taken = set(program.atoms())
     p_bot = _fresh_name("p_bot", taken)
     witnesses: dict[float, str] = {}
@@ -194,12 +181,12 @@ def eliminate_constraints_janssen(program: Program, impl_choice: str = "lukasiew
         rules.append(_bottom_rule(p_bot, "g", c, Atom(name), impl_choice, conj_choice,
                                   neg_choice))
     target = Program(tuple(rules))
-    fresh = ({"name": p_bot, "role": "bottom_witness"},) + tuple([
-        {"name": name, "role": "constant_witness", "value": c} for c, name in witnesses.items()])
-    return TranslationRecord("janssen", program, target, fresh, neg_choice)
+    fresh = [{"name": p_bot, "role": "bottom_witness"}] + [
+        {"name": name, "role": "constant_witness", "value": c} for c, name in witnesses.items()]
+    return target, _record("janssen", neg_choice, program, target, fresh)
 
 
-def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
+def to_manlp(program: Program, neg_choice: str = "neg1") -> tuple[Program, dict]:
     """Rewire order-reversing atom occurrences through fresh negation witnesses.
 
     Only defined for constraint-free programs and an involutive negation;
@@ -217,7 +204,7 @@ def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
                              "manlp would change its stable models")
     negative = {o.atom for occs in program.rule_occurrences() for o in occs if o.sign < 0}
     if not negative:
-        return TranslationRecord("manlp", program, program, (), neg_choice)
+        return program, _record("manlp", neg_choice, program, program)
     taken = set(program.atoms())
     witnesses = {q: _fresh_name(f"not_{q}", taken) for q in sorted(negative)}
 
@@ -229,27 +216,27 @@ def to_manlp(program: Program, neg_choice: str = "neg1") -> TranslationRecord:
     for q in sorted(negative):
         rules.append(Rule(Atom(witnesses[q]), "godel", Apply(neg_choice, (Atom(q),)), 1.0))
     target = Program(tuple(rules))
-    fresh = tuple([{"name": witnesses[q], "role": "negation_witness", "source_atom": q}
-                   for q in sorted(negative)])
-    return TranslationRecord("manlp", program, target, fresh, neg_choice)
+    fresh = [{"name": witnesses[q], "role": "negation_witness", "source_atom": q}
+             for q in sorted(negative)]
+    return target, _record("manlp", neg_choice, program, target, fresh)
 
 
-def lift_interpretation(M: Mapping[str, float], rec: TranslationRecord) -> dict[str, float]:
-    """Extend a source interpretation to the target's fresh atoms."""
-    out = {a: M[a] for a in rec.source.atoms()}
-    for a in rec.fresh_atoms:
+def lift_interpretation(M: Mapping[str, float], rec: dict) -> dict[str, float]:
+    """Extend a source interpretation to the record's fresh atoms."""
+    out = {a: M[a] for a in rec["source_atoms"]}
+    for a in rec["fresh_atoms"]:
         if a["role"] == "bottom_witness":
             out[a["name"]] = 0.0
         elif a["role"] == "constant_witness":
             out[a["name"]] = a["value"]
         else:
-            out[a["name"]] = eval_negation(rec.negation, M[a["source_atom"]])
+            out[a["name"]] = eval_negation(rec["negation"], M[a["source_atom"]])
     return out
 
 
-def project_interpretation(M: Mapping[str, float], rec: TranslationRecord) -> dict[str, float]:
-    """Restrict a target interpretation to the source's symbols."""
-    return {a: M[a] for a in rec.source.atoms()}
+def project_interpretation(M: Mapping[str, float], rec: dict) -> dict[str, float]:
+    """Restrict a target interpretation to the record's source atoms."""
+    return {a: M[a] for a in rec["source_atoms"]}
 
 
 def check_continuity(program: Program) -> dict:
@@ -293,7 +280,7 @@ def _contains(models, M, tol) -> bool:
     return any(interp_distance(M, other) <= tol for other in models)
 
 
-def verify_equivalence(rec: TranslationRecord, grid_step: float,
+def verify_equivalence(source: Program, target: Program, rec: dict, grid_step: float,
                        tol: float = DEFAULT_TOL, max_points: int = DEFAULT_BUDGET,
                        max_iter: int = DEFAULT_MAX_ITER) -> dict:
     """Exhaustive grid check that lift/project pair up the stable models,
@@ -306,19 +293,20 @@ def verify_equivalence(rec: TranslationRecord, grid_step: float,
     model whose bottom witness is not exactly 0, and any negation
     witness that differs from the negation of its atom.  A grid point
     whose stability is undecided on either side (the inner fixpoint hit
-    max_iter) is listed, and leaves the bijection "indeterminate".
+    max_iter) is listed, and leaves the bijection "indeterminate".  A record
+    that does not link source and target raises MalpError.
     """
-    atoms = set(rec.source.atoms())
-    fresh = [a["name"] for a in rec.fresh_atoms]
-    if (len(set(fresh)) < len(fresh) or atoms.intersection(fresh)
-            or set(rec.target.atoms()) != atoms.union(fresh)):
+    atoms = set(rec["source_atoms"])
+    fresh = [a["name"] for a in rec["fresh_atoms"]]
+    if (rec["source_atoms"] != list(source.atoms()) or len(set(fresh)) < len(fresh)
+            or atoms.intersection(fresh) or set(target.atoms()) != atoms.union(fresh)):
         raise MalpError("record does not link the given source and target programs")
-    points = check_grid_budget((rec.source, rec.target), grid_step, max_points)
+    points = check_grid_budget((source, target), grid_step, max_points)
     cfg = StableSearchConfig(mode="grid", grid_step=grid_step, tol=tol, max_iter=max_iter)
     source_undecided: list = []
     target_undecided: list = []
-    source_models = find_stable_models(rec.source, cfg, source_undecided)
-    target_models = find_stable_models(rec.target, cfg, target_undecided)
+    source_models = find_stable_models(source, cfg, source_undecided)
+    target_models = find_stable_models(target, cfg, target_undecided)
     problems: list[str] = []
 
     for M in source_models:
@@ -332,17 +320,17 @@ def verify_equivalence(rec: TranslationRecord, grid_step: float,
         if interp_distance(lift_interpretation(back, rec), N) > tol:
             problems.append(f"target model {N} differs from the lift of its projection")
 
-    bottom = [a["name"] for a in rec.fresh_atoms if a["role"] == "bottom_witness"]
+    bottom = [a["name"] for a in rec["fresh_atoms"] if a["role"] == "bottom_witness"]
     bottom_exact = None
     if bottom:
         bottom_exact = all(N[b] == 0.0 for N in target_models for b in bottom)
         if not bottom_exact:
             problems.append("a target stable model does not pin the bottom witness to 0")
-    negated = [(a["source_atom"], a["name"]) for a in rec.fresh_atoms
+    negated = [(a["source_atom"], a["name"]) for a in rec["fresh_atoms"]
                if a["role"] == "negation_witness"]
     witnesses_exact = None
     if negated:
-        witnesses_exact = all(abs(N[w] - eval_negation(rec.negation, N[q])) <= tol
+        witnesses_exact = all(abs(N[w] - eval_negation(rec["negation"], N[q])) <= tol
                               for N in target_models for q, w in negated)
         if not witnesses_exact:
             problems.append("a target stable model breaks a negation witness equation")

@@ -101,9 +101,9 @@ def test_criterion_3_stability_verdicts():
 
 def test_criterion_4_transformation_goldens():
     program = parse_program(MOTOR_TEXT)
-    rec1 = eliminate_constraints_fc(program, "lukasiewicz", "godel", "neg1")
-    assert len(rec1.target.rules) == 5
-    assert rec1.target.rules[2] == Rule(
+    target1, rec1 = eliminate_constraints_fc(program, "lukasiewicz", "godel", "neg1")
+    assert len(target1.rules) == 5
+    assert target1.rules[2] == Rule(
         Atom("p_bot"), "lukasiewicz",
         Apply("and_g", (
             Apply("f", (Const(0.0), Apply("neg1", (Atom("p_bot"),)))),
@@ -111,16 +111,16 @@ def test_criterion_4_transformation_goldens():
         )),
         1.0,
     )
-    rec2 = to_manlp(rec1.target, "neg1")
-    assert len(rec2.target.rules) == 9
-    assert rec2.target.classify() is ProgramClass.MANLP
-    bodies = {str(r.head): r.body for r in rec2.target.rules}
+    target2, rec2 = to_manlp(target1, "neg1")
+    assert len(target2.rules) == 9
+    assert target2.classify() is ProgramClass.MANLP
+    bodies = {str(r.head): r.body for r in target2.rules}
     assert bodies["p"] == parse_body(
         "min(div1(q, add(add(neg1(not_s), neg1(not_t)), 0.1)), 1)")
     assert bodies["q"] == parse_body("max(neg1(neg1(not_s)), neg2(neg1(not_t)))")
     assert bodies["p_bot"] == parse_body(
         "and_g(f(0, neg1(neg1(not_p_bot))), f(0.7, neg1(neg1(not_q))))")
-    for a in rec2.fresh_atoms:
+    for a in rec2["fresh_atoms"]:
         assert bodies[a["name"]] == Apply("neg1", (Atom(a["source_atom"]),))
 
     lifted1 = lift_interpretation(dict(N_INTERP), rec1)
@@ -128,8 +128,8 @@ def test_criterion_4_transformation_goldens():
     lifted2 = lift_interpretation(lifted1, rec2)
     for name, want in (("not_q", 0.64), ("not_s", 0.2), ("not_t", 0.2), ("not_p_bot", 1.0)):
         assert abs(lifted2[name] - want) <= 1e-12
-    assert is_stable(rec1.target, lifted1, 1e-9) is True
-    assert is_stable(rec2.target, lifted2, 1e-9) is True
+    assert is_stable(target1, lifted1, 1e-9) is True
+    assert is_stable(target2, lifted2, 1e-9) is True
     print("\ncriterion 4: PASS: 5-rule and 9-rule targets, lifted interpretations stable")
 
 
@@ -138,11 +138,11 @@ def test_criterion_5_rule_count_laws():
     for case in range(200):
         program = random_emalp(rng, max_atoms=6, max_rules=8, max_constraints=3,
                                values=(0.0, 0.25, 0.5, 0.75, 1.0))
-        fc = eliminate_constraints_fc(program)
-        assert len(fc.target.rules) == len(program.rules), f"case {case}"
-        janssen = eliminate_constraints_janssen(program)
+        fc = eliminate_constraints_fc(program)[0]
+        assert len(fc.rules) == len(program.rules), f"case {case}"
+        janssen = eliminate_constraints_janssen(program)[0]
         distinct = {r.head.value for r in program.constraints()}
-        assert len(janssen.target.rules) == len(program.rules) + 2 * len(distinct), f"case {case}"
+        assert len(janssen.rules) == len(program.rules) + 2 * len(distinct), f"case {case}"
     print("\ncriterion 5: PASS: fc and janssen rule-count laws on 200 random programs")
 
 
@@ -154,11 +154,11 @@ def test_criterion_6_theorem_suite_on_grids():
     for case in range(50):
         source = random_emalp(rng, max_atoms=3, max_rules=4, max_constraints=1,
                               values=(0.0, 0.5, 1.0))
-        rec1 = eliminate_constraints_fc(source)
-        rec2 = to_manlp(rec1.target)
+        target1, rec1 = eliminate_constraints_fc(source)
+        target2, rec2 = to_manlp(target1)
         s0 = find_stable_models(source, cfg)
-        s1 = find_stable_models(rec1.target, cfg)
-        s2 = find_stable_models(rec2.target, cfg)
+        s1 = find_stable_models(target1, cfg)
+        s2 = find_stable_models(target2, cfg)
         if not (len(s0) == len(s1) == len(s2)):
             violations.append(f"case {case}: counts {len(s0)}/{len(s1)}/{len(s2)}")
         for M in s0:
@@ -169,13 +169,13 @@ def test_criterion_6_theorem_suite_on_grids():
             if not _contains(s2, lift_interpretation(up1, rec2), 1e-9):
                 violations.append(f"case {case}: lift misses normalized target")
         for N in s1:
-            for a in rec1.fresh_atoms:   # the bottom witness, where the source has constraints
+            for a in rec1["fresh_atoms"]:   # the bottom witness, where the source has constraints
                 if N[a["name"]] != 0.0:
                     violations.append(f"case {case}: bottom witness {N[a['name']]} != 0")
             if not _contains(s0, project_interpretation(N, rec1), 1e-9):
                 violations.append(f"case {case}: projection not stable on source")
         for N in s2:
-            for q, w in ((a["source_atom"], a["name"]) for a in rec2.fresh_atoms):
+            for q, w in ((a["source_atom"], a["name"]) for a in rec2["fresh_atoms"]):
                 if N[w] != eval_negation("neg1", N[q]):
                     violations.append(f"case {case}: witness {w} != neg1({q}) exactly")
             if not _contains(s1, project_interpretation(N, rec2), 1e-9):
@@ -222,7 +222,7 @@ def test_criterion_9_continuity_and_search():
     program = parse_program(MOTOR_TEXT)
     unconstrained = Program(program.definite_rules())
     assert check_continuity(unconstrained)["continuous"] is True
-    assert check_continuity(eliminate_constraints_fc(program).target)["continuous"] is False
+    assert check_continuity(eliminate_constraints_fc(program)[0])["continuous"] is False
     cfg = StableSearchConfig(mode="iterate", seeds=16, rng_seed=0)
     models = find_stable_models(unconstrained, cfg)
     assert any(interp_distance(m, dict(N_INTERP)) <= 1e-6 for m in models)

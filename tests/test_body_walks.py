@@ -76,20 +76,20 @@ def test_manlp_rewiring_matches_oracle(motor):
     rewired = 0
     for program in PROGRAMS + [motor]:
         for source in (Program(program.definite_rules()),
-                       eliminate_constraints_fc(program).target,
-                       eliminate_constraints_janssen(program).target):
-            rec = to_manlp(source)
-            witnesses = {a["source_atom"]: a["name"] for a in rec.fresh_atoms}
+                       eliminate_constraints_fc(program)[0],
+                       eliminate_constraints_janssen(program)[0]):
+            target, rec = to_manlp(source)
+            witnesses = {a["source_atom"]: a["name"] for a in rec["fresh_atoms"]}
             want = reference.rewire(source, witnesses, "neg1").rules
-            assert rec.target.rules[:len(source.rules)] == want
-            rewired += bool(rec.fresh_atoms)
+            assert target.rules[:len(source.rules)] == want
+            rewired += bool(rec["fresh_atoms"])
     assert rewired > N_PROGRAMS
 
 
 def test_body_interval_matches_oracle(motor):
     for program in PROGRAMS + [motor]:
-        for source in (program, eliminate_constraints_fc(program).target,
-                       eliminate_constraints_janssen(program).target):
+        for source in (program, eliminate_constraints_fc(program)[0],
+                       eliminate_constraints_janssen(program)[0]):
             assert not validate_program(source)
             for r in source.rules:
                 for node in (r.body, *body_ops(r.body)):

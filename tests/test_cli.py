@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import emalp
-from emalp import eliminate_constraints_fc, parse_program, to_manlp, verify_equivalence
+from emalp import (
+    eliminate_constraints_fc,
+    eliminate_constraints_janssen,
+    parse_program,
+    record_from_json,
+    serialize_program,
+    to_manlp,
+    verify_equivalence,
+)
 from emalp.cli import main
 from emalp.parser import MAX_DEPTH
 
@@ -324,11 +332,11 @@ def test_transform_then_equiv(capsys, tmp_path):
 def test_equiv_flags_a_vacuous_bijection(capsys, motor_file, tmp_path, motor):
     # motor's one stable model has p = 9/85, on no grid: the check compares
     # 0 models with 0, and says so on stderr; JSON and exit code are unchanged
-    rec = eliminate_constraints_fc(motor)
+    target, rec = eliminate_constraints_fc(motor)
     src, out_path, rec_path = _fc_files(capsys, tmp_path, motor_file.read_text())
     code, out, err = run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5")
     assert (code, err) == (0, VACUOUS)
-    assert json.loads(out) == verify_equivalence(rec, 0.5)
+    assert json.loads(out) == verify_equivalence(motor, target, rec, 0.5)
     assert json.loads(out)["source_count"] == json.loads(out)["target_count"] == 0
     # with models on the grid there is no note
     src, out_path, rec_path = _fc_files(capsys, tmp_path)
@@ -663,11 +671,74 @@ TOL_EDGE = "p <-g add(mul(q, 0.5), 0.505) with 1;\nq <-g 0.5 with 1;\n"
 def test_tol_reaches_validation(capsys, tmp_path, argv):
     path = tmp_path / "edge.malp"
     path.write_text(TOL_EDGE)
-    code, out, _ = run(capsys, *argv, path, "--tol", "0.01")
-    assert code == 0
+    code, out, err = run(capsys, *argv, path, "--tol", "0.01")
+    if "--grid" in argv:   # above the grid mode's --tol ceiling: refused before reading
+        assert (code, out) == (1, "") and err.startswith("--tol must be at most 1e-07")
+    else:
+        assert code == 0
     code, out, err = run(capsys, *argv, path)
     assert code == 1
     assert "body may leave [0, 1]" in err
+
+
+def test_grid_mode_refuses_a_tol_it_cannot_honour(capsys, tmp_path):
+    # the walk prunes p = 0.25 at PREFILTER_TOL, yet a verdict at --tol 0.06 accepts it
+    path, interp = tmp_path / "p.malp", tmp_path / "i.json"
+    path.write_text("p <-g 0.3 with 1;\n")
+    interp.write_text('{"p": 0.25}')
+    code, out, _ = run(capsys, "stable", "verify", path, "-i", interp, "--tol", "0.06")
+    assert (code, json.loads(out)["stable"]) == (0, True)
+    refusal = ("--tol must be at most 1e-07 with --grid, got {}: the grid search drops points "
+               "more than 1e-06 off a fixpoint, which a larger --tol could accept\n")
+    for tol in ("0.06", "1.1e-07"):
+        assert run(capsys, "stable", "search", path, "--grid", "0.25", "--tol", tol) == (
+            1, "", refusal.format(tol))
+    src, out_path, rec_path = _fc_files(capsys, tmp_path)
+    assert run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5",
+               "--tol", "0.06") == (1, "", refusal.format("0.06"))
+    # at the ceiling, and in --seeds mode, any --tol runs
+    code, out, _ = run(capsys, "stable", "search", path, "--grid", "0.25", "--tol", "1e-7")
+    assert (code, json.loads(out)["count"]) == (0, 0)
+    code, out, _ = run(capsys, "stable", "search", path, "--seeds", "2", "--tol", "0.06")
+    assert (code, json.loads(out)["stable_models"]) == (0, [{"p": 0.3}])
+    code, out, _ = run(capsys, "equiv", src, out_path, "--record", rec_path, "--grid", "0.5",
+                       "--tol", "1e-7")
+    assert (code, json.loads(out)["bijection"]) == (0, True)
+
+
+# every transform call's exit code, stdout, stderr and written files, byte for byte,
+# on motor and a three-atom program with two constraints: fc, janssen, manlp (refused
+# on a program with constraints) and manlp on the fc target, once more as a table
+GOLDEN = json.loads((Path(__file__).resolve().parent / "transform_golden.json")
+                    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_transform_writes_the_pinned_bytes(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    Path(f"{name}.malp").write_text(GOLDEN[name]["source"], encoding="utf-8")
+    for call in GOLDEN[name]["runs"]:
+        before = set(os.listdir("."))
+        code, out, err = run(capsys, *call["argv"])
+        written = {n: Path(n).read_bytes().decode("utf-8")
+                   for n in sorted(set(os.listdir(".")) - before)}
+        assert (code, out, err, written) == (call["code"], call["stdout"], call["stderr"],
+                                             call["files"]), call["argv"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_written_record_reads_back_as_the_rewrites_record(capsys, tmp_path, name):
+    source = parse_program(GOLDEN[name]["source"])
+    fc = eliminate_constraints_fc(source)[0]
+    for program, method, rewrite in ((source, "fc", eliminate_constraints_fc),
+                                     (source, "janssen", eliminate_constraints_janssen),
+                                     (fc, "manlp", to_manlp)):
+        path = tmp_path / f"{name}.malp"
+        path.write_text(serialize_program(program))
+        assert run(capsys, "transform", path, "--method", method)[0] == 0
+        target = parse_program((tmp_path / f"{name}.{method}.malp").read_text())
+        data = json.loads((tmp_path / f"{name}.{method}.record.json").read_text())
+        assert record_from_json(data, program, target) == rewrite(program)[1], method
 
 
 def _fc_files(capsys, tmp_path, source_text=CONSTRAINED):
@@ -800,7 +871,7 @@ def test_transform_target_at_the_limit_reads_back(capsys, tmp_path, method):
     code, out, _ = run(capsys, "transform", path, "--method", method)
     assert code == 0
     rewrite = eliminate_constraints_fc if method == "fc" else to_manlp
-    target = rewrite(parse_program(path.read_text())).target
+    target = rewrite(parse_program(path.read_text()))[0]
     assert parse_program(Path(json.loads(out)["target_file"]).read_text()) == target
 
 

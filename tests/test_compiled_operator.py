@@ -97,8 +97,8 @@ MOTOR = parse_program(gen.MOTOR_TEXT)
 
 
 def targets(program):
-    fc = eliminate_constraints_fc(program).target
-    return [fc, eliminate_constraints_janssen(program).target, to_manlp(fc).target]
+    fc = eliminate_constraints_fc(program)[0]
+    return [fc, eliminate_constraints_janssen(program)[0], to_manlp(fc)[0]]
 
 
 @pytest.mark.parametrize("tol", TOLS)

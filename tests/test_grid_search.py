@@ -112,9 +112,9 @@ def motor_target(motor, method):
     if method == "source":
         return motor
     if method == "janssen":
-        return eliminate_constraints_janssen(motor).target
-    target = eliminate_constraints_fc(motor).target
-    return to_manlp(target).target if method == "chain" else target
+        return eliminate_constraints_janssen(motor)[0]
+    target = eliminate_constraints_fc(motor)[0]
+    return to_manlp(target)[0] if method == "chain" else target
 
 
 @pytest.mark.parametrize("pre_tol", [PRE_TOL, 0.5])

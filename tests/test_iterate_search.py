@@ -108,7 +108,7 @@ def test_motor_matches_full_cap(motor, rng_seed):
 
 
 def test_motor_fc_target_matches_full_cap(motor):
-    target = eliminate_constraints_fc(motor).target
+    target = eliminate_constraints_fc(motor)[0]
     cfg = StableSearchConfig(mode="iterate", seeds=8, rng_seed=3)
     assert find_stable_models(target, cfg) == full_cap_search(target, cfg)
 
