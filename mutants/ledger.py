@@ -158,8 +158,7 @@ MUTANTS = [
             "test_cli.py::test_body_at_depth_limit_runs")),
     # a verdict keeps every iterate it makes
     Mutant("src/emalp/semantics.py",
-           "deque([_raise_heads(by_level, J, frozen, J)], maxlen=1)",
-           "[_raise_heads(by_level, J, frozen, J)]",
+           "deque([J], maxlen=1)", "[J]",
            ("test_fixpoint_stop.py::test_a_verdict_that_reaches_the_cap_keeps_one_iterate",)),
     # `check` names an atom of both signs by its last sign, or gives each sign the other's word
     Mutant("src/emalp/cli.py",
@@ -196,7 +195,7 @@ MUTANTS = [
            ("test_transform.py::test_record_json_round_trip",)),
     # the components come out top first: a head before what its bodies read
     Mutant("src/emalp/semantics.py",
-           "    return out\n\n\nRules = ", "    return out[::-1]\n\n\nRules = ",
+           "    return out\n\n\nHeadRules = ", "    return out[::-1]\n\n\nHeadRules = ",
            ("test_grid_search.py::test_the_walk_takes_the_atoms_component_by_component",
             "test_compiled_operator.py::test_the_analysis_splits_the_rules_as_the_reference_levels_them")),
     # the compile pass records the reads inside a freeze site as the reduct's
@@ -217,4 +216,21 @@ MUTANTS = [
     Mutant("src/emalp/program.py",
            "return Apply(body.op, tuple([", "return Apply(body.op, tuple(a for a in [",
            ("test_allocations.py::test_a_reduct_strands_no_tuples",)),
+    # T at a head starts its sup above bottom
+    Mutant("src/emalp/semantics.py",
+           "    t = 0.0\n    for impl, weight, body in rules:",
+           "    t = 0.25\n    for impl, weight, body in rules:",
+           ("test_grid_search.py::test_each_check_agrees_with_the_reference",)),
+    # the walk's constraint test is taken without the tolerance
+    Mutant("src/emalp/semantics.py",
+           "f(M, None)) + tol, None))", "f(M, None)), None))",
+           ("test_grid_search.py::test_each_check_agrees_with_the_reference",)),
+    # the level pass skips the lowest head
+    Mutant("src/emalp/semantics.py",
+           "for head, rules in by_level:", "for head, rules in by_level[1:]:",
+           ("test_compiled_operator.py::test_the_level_pass_gives_the_stable_operators_value",)),
+    # iterate mode takes a budget it only just exceeds
+    Mutant("src/emalp/semantics.py",
+           "if seeds * cap > budget:", "if seeds * cap >= budget:",
+           ("test_cli.py::test_iterate_budget_exceeded_exits_two",)),
 ]

@@ -27,6 +27,7 @@ from .semantics import (
     FixpointTrace,
     StableSearchConfig,
     check_grid_budget,
+    check_iterate_budget,
     find_stable_models,
     is_stable,
     least_model,
@@ -190,6 +191,8 @@ def cmd_stable_search(args) -> int:
     program = _load_program(args.file, args)
     if args.grid is not None:
         check_grid_budget((program,), args.grid, args.budget)
+    else:
+        check_iterate_budget(args.seeds, args.max_iter, args.budget)
     cfg = StableSearchConfig(
         mode="grid" if args.grid is not None else "iterate",
         grid_step=args.grid if args.grid is not None else StableSearchConfig.grid_step,
@@ -210,6 +213,9 @@ def cmd_stable_search(args) -> int:
         if undecided:
             print(f"note: {len(undecided)} grid point(s) undecided: the inner fixpoint "
                   f"did not converge within --max-iter {args.max_iter}", file=sys.stderr)
+    elif not models:
+        print(f"note: no stable model found from {cfg.seeds} start(s): iterate mode is not "
+              "exhaustive, while --grid checks every point of its grid", file=sys.stderr)
     _emit(report, args.output)
     return 0
 

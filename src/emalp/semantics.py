@@ -15,17 +15,20 @@ Least models are computed by Kleene iteration of the immediate
 consequence operator from the bottom interpretation, with a tolerance
 and an iteration cap; non-convergence is a flagged result, never an
 exception.  The operators run on an analysis made once per program and
-tolerance: the definite bodies compiled to closures, their freeze sites,
-and the rules split by their heads' levels in the reduct.  The stable
+tolerance: the definite bodies compiled to closures and grouped by head,
+their freeze sites, and the heads split by their levels in the reduct.
+One routine, `_at_head`, computes T at a head for T itself, for the
+stable operator and for the grid walk's head tests.  The stable
 operator evaluates the sites at M and runs the program's own closures
 on those values, so it builds no reduct.  For search steps and verdicts
 its value comes from one pass over the heads of finite level, in level
-order as for a stratified program, then Kleene iteration of the rules
-on or downstream of a cycle alone (of every rule from bottom, when T
+order as for a stratified program, then Kleene iteration of the heads
+on or downstream of a cycle alone (of every head from bottom, when T
 is not monotone or the cap leaves the pass no room).  `reduct` builds
 its trees with `rewrite` alone and reads no analysis.  Constraints
-never feed the operator (they have no head atom to update); a verdict
-reads them from their own reduct, unless the operator's value converged away from M.
+never feed the operator (they have no head atom to update).  The grid
+walk tests them on bodies it compiles once per search; a verdict reads
+them from their own reduct, unless the operator's value converged away from M.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ITER = 10_000
-DEFAULT_BUDGET = 2_000_000   # grid points one search or check may enumerate
+DEFAULT_BUDGET = 2_000_000   # grid points, or iterate steps, one search or check may take
+ITERATE_STEPS = 100   # the most stable-operator steps one iterate-mode start takes
 PREFILTER_TOL = 1e-6   # slack of the grid fixpoint prune |T(M)[a] - M[a]|
 
 Interpretation = dict[str, float]
@@ -171,30 +175,30 @@ def components(graph: Mapping[str, set[str]]) -> list[list[str]]:
     return out
 
 
-Rules = tuple[tuple[str, str, float, Compiled], ...]
+HeadRules = tuple[tuple[str, float, Compiled], ...]   # (implication, weight, compiled body)
 
 
 @dataclass(frozen=True)
 class _Analysis:
     """What the operators need of a program, derived once per (program, tol).
 
-    The definite rules, in program order, as (head, implication, weight,
-    compiled body): read with frozen=None a body is the program's as
-    written, read with the values of the freeze `sites` at M it is the
-    reduct's.  Constraint bodies are not compiled: a verdict reducts
-    `constraints`, the constraints alone.  A head's level is 1 + the
-    highest level its bodies read outside their sites (0 for an atom that
-    heads no rule), inf on or downstream of a cycle; from bottom, it is
-    final from that Kleene step on.  `by_level` holds the rules of finite
-    level, stably sorted by it, `top` is the highest finite level (0 if
-    none) and `cyclic` the rest, in program order.  If some level is inf,
-    `antitone` is the first rule that reads an atom order-reversingly
-    outside its sites: T is not monotone, so every rule is cyclic, `top` 0.
+    `heads` maps each head, in order of its first rule, to its definite
+    rules in program order: with frozen=None a body reads as written, with
+    the values of the freeze `sites` at M as the reduct's.  Constraint
+    bodies are not compiled: a verdict reducts `constraints`, the
+    constraints alone.  A head's level is 1 + the highest level its
+    bodies read outside their sites (0 for an atom that heads no rule),
+    inf on or downstream of a cycle; from bottom, it is final from that
+    Kleene step on.  `by_level` holds the (head, rules) items of finite
+    level, stably sorted by it, `top` is the highest (0 if none) and
+    `cyclic` the rest.  If some level is inf, `antitone` is the first rule
+    that reads an atom order-reversingly outside its sites: T is not
+    monotone, so every head is cyclic, `top` 0.
     """
-    rules: Rules
+    heads: dict[str, HeadRules]
     sites: tuple[Compiled, ...]
-    by_level: Rules
-    cyclic: Rules
+    by_level: tuple[tuple[str, HeadRules], ...]
+    cyclic: tuple[tuple[str, HeadRules], ...]
     top: int
     antitone: Optional[Rule]
     constraints: Program
@@ -205,27 +209,31 @@ def _analysis(program: Program, tol: float) -> _Analysis:
     if tol in analyses:
         return analyses[tol]   # allocates nothing
     sites: list[Compiled] = []
-    reads: list[dict[str, int]] = [{} for _ in program.definite_rules()]
-    rules = [(r.head.name, r.impl, r.weight, compile_body(r.body, tol, sites, read))
-             for r, read in zip(program.definite_rules(), reads)]
+    heads: dict[str, HeadRules] = {}
     graph: dict[str, set[str]] = {}
-    for (head, *_), read in zip(rules, reads):
-        graph.setdefault(head, set()).update(read)
+    antitone = None
+    for r in program.definite_rules():
+        read: dict[str, int] = {}
+        rule = (r.impl, r.weight, compile_body(r.body, tol, sites, read))
+        heads[r.head.name] = heads.get(r.head.name, ()) + (rule,)
+        graph.setdefault(r.head.name, set()).update(read)
+        if antitone is None and -1 in read.values():
+            antitone = r
     level: dict[str, float] = {}
     for c in components(graph):   # a read in c itself is not levelled yet: inf
         below = [level.get(a, math.inf) for h in c for a in graph.get(h, ())]
         level.update(dict.fromkeys(c, 1 + max(below, default=0) if c[0] in graph else 0))
     top = max((n for n in level.values() if n < math.inf), default=0)
-    by_level = tuple(sorted((r for r in rules if level[r[0]] <= top), key=lambda r: level[r[0]]))
-    cyclic = tuple([r for r in rules if level[r[0]] > top])
-    antitone = next((r for r, read in zip(program.definite_rules(), reads)
-                     if -1 in read.values()), None) if math.inf in level.values() else None
+    by_level = tuple(sorted((g for g in heads.items() if level[g[0]] <= top),
+                            key=lambda g: level[g[0]]))
+    cyclic = tuple([g for g in heads.items() if level[g[0]] > top])
+    antitone = antitone if math.inf in level.values() else None
     if antitone is not None:
-        by_level, cyclic, top = (), tuple(rules), 0
+        by_level, cyclic, top = (), tuple(heads.items()), 0
     part = Program(program.constraints())   # with the program's occurrences of them
     occurrences = [o for r, o in zip(program.rules, program.rule_occurrences()) if r.is_constraint]
     part.derived("occurrences", lambda: tuple(occurrences))
-    analyses[tol] = _Analysis(tuple(rules), tuple(sites), by_level, cyclic, top, antitone, part)
+    analyses[tol] = _Analysis(heads, tuple(sites), by_level, cyclic, top, antitone, part)
     return analyses[tol]
 
 
@@ -258,16 +266,18 @@ def immediate_consequence(program: Program, I: Mapping[str, float],
     Atoms with no rule map to bottom (the sup over an empty set).  Given
     the freeze sites' values at M as `frozen`, it is the T of reduct(P, M).
     """
-    return _raise_heads(_analysis(program, tol).rules, I, frozen, dict.fromkeys(I, 0.0))
+    heads = _analysis(program, tol).heads.items()
+    return dict.fromkeys(I, 0.0) | {head: _at_head(rules, I, frozen) for head, rules in heads}
 
 
-def _raise_heads(rules: Rules, I, frozen, out: Interpretation) -> Interpretation:
-    """Raise out[head] to each rule's weight &_i body(I), in order; I may be out."""
-    for head, impl, weight, body in rules:
+def _at_head(rules: HeadRules, I, frozen) -> float:
+    """T(I) at one head: the sup of weight &_i body(I) over its rules, from 0."""
+    t = 0.0
+    for impl, weight, body in rules:
         v = eval_conjunctor(impl, weight, body(I, frozen))
-        if head not in out or v > out[head]:
-            out[head] = v
-    return out
+        if v > t:
+            t = v
+    return t
 
 
 def least_model(program: Program, tol: float = DEFAULT_TOL,
@@ -329,12 +339,13 @@ def _stable_value(program: Program, M: Mapping[str, float], tol: float,
     J = dict.fromkeys(require_total(M, program), 0.0)
     analysis = _analysis(program, tol)
     by_level, cyclic, top = ((analysis.by_level, analysis.cyclic, analysis.top)
-                             if max_iter > analysis.top else ((), analysis.rules, 0))
+                             if max_iter > analysis.top else ((), analysis.heads.items(), 0))
     frozen = tuple([site(M, None) for site in analysis.sites])
-    iterates = deque([_raise_heads(by_level, J, frozen, J)], maxlen=1)   # the last only
-    bottom = dict.fromkeys([r[0] for r in cyclic], 0.0)
-    converged = not bottom or _kleene(lambda I: _raise_heads(
-        cyclic, I, frozen, {**I, **bottom}), iterates, tol, max_iter - top)
+    for head, rules in by_level:   # each reads only heads of lower levels
+        J[head] = _at_head(rules, J, frozen)
+    iterates = deque([J], maxlen=1)   # the last only
+    converged = not cyclic or _kleene(lambda I: I | {
+        head: _at_head(rules, I, frozen) for head, rules in cyclic}, iterates, tol, max_iter - top)
     return iterates[-1], converged
 
 
@@ -371,6 +382,16 @@ def check_grid_budget(programs, step: float, budget: int) -> int:
     return points
 
 
+def check_iterate_budget(seeds: int, max_iter: int, budget: int) -> int:
+    """The most stable-operator steps iterate mode may take, seeds * min(max_iter,
+    ITERATE_STEPS).  Raises BudgetExceeded when it is above the budget."""
+    cap = min(max_iter, ITERATE_STEPS)
+    if seeds * cap > budget:
+        raise BudgetExceeded(f"{seeds * cap} iterate steps ({seeds} seeds x {cap} steps) "
+                             f"exceed the budget of {budget}")
+    return seeds * cap
+
+
 @dataclass(frozen=True)
 class StableSearchConfig:
     mode: str = "grid"            # "grid" | "iterate"
@@ -399,37 +420,30 @@ def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
 
     A head reads itself and the bodies of its rules; an atom that heads
     no rule reads only itself, so its test pins it to 0 (the sup over an
-    empty set).  A constraint reads its body and has no propagator.
-    A head's fit(M, values) computes T(M)[a] once and keeps the values
-    v with |T(M)[a] - v| <= pre_tol; its test is fit at M[a] alone.  A
-    head whose bodies do not read it, inside a freeze site or not, has
-    the propagator (a, fit).
+    empty set).  T(M)[a] is `_at_head` on the analysis's closures; a
+    head's test is |T(M)[a] - M[a]| <= pre_tol.  A head whose bodies do
+    not read it, inside a freeze site or not, has the propagator (a, fit):
+    fit(M, values) keeps the values v the test would pass.  A constraint
+    reads its body, compiled here, and tests as `satisfies` does.
     """
-    by_head: dict[str, list] = {a: [] for a in atoms}
+    heads = _analysis(program, tol).heads
     reads: dict[str, set] = {a: set() for a in atoms}   # what a's bodies read
     constraints = []
-    compiled = iter(_analysis(program, tol).rules)
     for r, occs in zip(program.rules, program.rule_occurrences()):
         if r.is_constraint:
-            constraints.append(({o.atom for o in occs}, lambda M, r=r: satisfies(M, r, tol), None))
+            constraints.append(({o.atom for o in occs}, lambda M, r=r, f=compile_body(r.body, tol):
+                r.weight <= eval_implication(r.impl, r.head.value, f(M, None)) + tol, None))
         else:
-            head, *rule = next(compiled)
-            by_head[head].append(rule)
-            reads[head].update(o.atom for o in occs)
+            reads[r.head.name].update(o.atom for o in occs)
 
     def head_check(a, rules):
         def fit(M, values):
-            t = 0.0
-            for impl, weight, body in rules:
-                v = eval_conjunctor(impl, weight, body(M, None))
-                if v > t:
-                    t = v
+            t = _at_head(rules, M, None)
             return [v for v in values if abs(t - v) <= pre_tol]
-
-        return (reads[a] | {a}, lambda M: bool(fit(M, (M[a],))),
+        return (reads[a] | {a}, lambda M: abs(_at_head(rules, M, None) - M[a]) <= pre_tol,
                 None if a in reads[a] else (a, fit))
 
-    return [head_check(a, rules) for a, rules in by_head.items()] + constraints
+    return [head_check(a, heads.get(a, ())) for a in atoms] + constraints
 
 
 def _assignment_order(atoms, checks) -> list[str]:
@@ -525,10 +539,10 @@ def find_stable_models(program: Program, cfg: StableSearchConfig,
     runs the stable operator to a fixpoint from bottom, top, and seeded
     random starts, then verifies the candidates.  The operator is a pure
     function, so a start stops at a state that an earlier visit reached
-    with at least as many of the min(max_iter, 100) steps left: that
-    visit found first all the start could still find.  An even cycle's
-    orbit thus stops at once, and a start that joins an earlier orbit in
-    no fewer steps repeats none of its steps or its verdict.  Results
+    with at least as many of the min(max_iter, ITERATE_STEPS) steps left:
+    that visit found first all the start could still find.  An even
+    cycle's orbit thus stops at once, and a start that joins an earlier
+    orbit in no fewer steps repeats none of its steps or its verdict.  Results
     are deduplicated within tol (earliest kept) and sorted
     lexicographically by atom values.
     """
@@ -545,7 +559,7 @@ def find_stable_models(program: Program, cfg: StableSearchConfig,
         rng = random.Random(cfg.rng_seed)
         starts = [bottom_interpretation(atoms), top_interpretation(atoms)][:max(1, cfg.seeds)]
         draws = ({a: rng.random() for a in atoms} for _ in range(cfg.seeds - 2))  # one at a time
-        outer_cap = min(cfg.max_iter, 100)
+        outer_cap = min(cfg.max_iter, ITERATE_STEPS)
         fewest: dict[tuple, int] = {}   # state -> the fewest steps any start took to it
         for M in itertools.chain(starts, draws):
             for steps in range(outer_cap):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -424,6 +425,41 @@ def test_search_budget_exceeded_exits_two(capsys, tmp_path):
     assert "9 grid points exceed the budget of 8" in err
     code, out, _ = run(capsys, "stable", "search", path, "--grid", "0.5", "--budget", "9")
     assert code == 0 and json.loads(out)["count"] == 3
+
+
+def test_iterate_budget_exceeded_exits_two(capsys, tmp_path):
+    # 3 seeds of at most min(5, 100) steps: a budget of 14 refuses them, 15 admits them
+    path = tmp_path / "mutual.malp"
+    path.write_text(MUTUAL)
+    argv = ("stable", "search", path, "--seeds", "3", "--max-iter", "5")
+    code, out, err = run(capsys, *argv, "--budget", "14")
+    assert (code, out, err) == (2, "", "15 iterate steps (3 seeds x 5 steps) exceed the budget "
+                                       "of 14\n")
+    code, out, _ = run(capsys, *argv, "--budget", "15")
+    assert code == 0 and json.loads(out)["mode"] == "iterate"
+    # a mistyped --seeds is refused before any start runs, under the default budget
+    start = time.perf_counter()
+    code, _, err = run(capsys, "stable", "search", path, "--seeds", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (2, "100000000000 iterate steps (1000000000 seeds x 100 steps) "
+                              "exceed the budget of 2000000\n")
+
+
+def test_iterate_mode_says_when_it_finds_nothing(capsys, tmp_path):
+    # the even cycle's orbits swing between two states and settle on none,
+    # while the grid at 0.25 holds five stable models
+    path = tmp_path / "mutual.malp"
+    path.write_text(MUTUAL)
+    code, out, err = run(capsys, "stable", "search", path, "--seeds", "32")
+    assert (code, json.loads(out)["count"]) == (0, 0)
+    assert err == ("note: no stable model found from 32 start(s): iterate mode is not "
+                   "exhaustive, while --grid checks every point of its grid\n")
+    code, out, err = run(capsys, "stable", "search", path, "--grid", "0.25")
+    assert (code, json.loads(out)["count"], err) == (0, 5, "")
+    # a search that finds a model prints no note
+    path.write_text("p <-g 0.5 with 1;\n")
+    code, out, err = run(capsys, "stable", "search", path, "--seeds", "32")
+    assert (code, json.loads(out)["count"], err) == (0, 1, "")
 
 
 def test_bad_grid_step_exits_one(capsys, tmp_path):

@@ -192,18 +192,19 @@ LEVELLED = ("a <-g 0.5 with 1;\nb <-g min(a, f) with 1;\nc <-g min(b, neg1(d)) w
 def test_levels_count_only_what_the_reduct_reads():
     # c reads d only inside a freeze site, so its level comes from b
     # alone; f heads no rule (level 0); d reads a and e reads d.  The
-    # rules are sorted stably by level, and program order stays within one.
+    # heads are sorted stably by level, and each keeps its rules together,
+    # in program order: c's first body reads b and its site, the second is 0.25
     analysis = _analysis(parse_program(LEVELLED.format("a")), 1e-9)
     assert analysis.top == 3 and analysis.cyclic == ()
-    assert [r[0] for r in analysis.by_level] == ["a", "b", "d", "c", "e", "c"]
-    assert [r[3] for r in analysis.by_level if r[0] == "c"] == [
-        r[3] for r in analysis.rules if r[0] == "c"]
+    assert [h for h, _ in analysis.by_level] == ["a", "b", "d", "c", "e"]
+    assert dict(analysis.by_level)["c"] is analysis.heads["c"]
+    assert [body({"b": 0.5}, (0.3,)) for _, _, body in analysis.heads["c"]] == [0.3, 0.25]
     # once d reads itself, d and e (downstream) have no level: they are
     # cyclic, in program order, and top is c's level
     cyclic = _analysis(parse_program(LEVELLED.format("d")), 1e-9)
     assert cyclic.top == 3
-    assert [r[0] for r in cyclic.by_level] == ["a", "b", "c", "c"]
-    assert [r[0] for r in cyclic.cyclic] == ["d", "e"]
+    assert [h for h, _ in cyclic.by_level] == ["a", "b", "c"]
+    assert [h for h, _ in cyclic.cyclic] == ["d", "e"]
 
 
 LIVE_REVERSAL = "r <-g 0.5 with 1;\nq <-g neg1(r) with 1;\np <-g sub(1, q) with 1;"
@@ -283,9 +284,10 @@ def test_components_take_linear_time_on_a_deep_chain():
 
 
 def test_the_analysis_splits_the_rules_as_the_reference_levels_them():
-    # by_level (stably sorted by level), cyclic, top and the antitone rule,
-    # from the reference's levels of the reduct's trees, on the benchmark's
-    # pools and their targets, and on random programs with arithmetic wraps
+    # each head's rules in program order, by_level (stably sorted by
+    # level), cyclic, top and the antitone rule, from the reference's
+    # levels of the reduct's trees, on the benchmark's pools and their
+    # targets, and on random programs with arithmetic wraps
     pools = [parse_program(gen.grid_program(n, i)) for n in (5, 6, 7) for i in range(20)]
     pools += [parse_program(gen.equiv_program(c, i)) for c in (1, 2) for i in range(20)]
     programs = pools + CYCLES + [MOTOR] + GENPROG[:100]
@@ -297,19 +299,20 @@ def test_the_analysis_splits_the_rules_as_the_reference_levels_them():
         level, antitone = reference.levels(program)
         analysis = _analysis(program, 1e-9)
         definite = program.definite_rules()
-        assert [r[0] for r in analysis.rules] == [r.head.name for r in definite]
-        place = {id(r[3]): i for i, r in enumerate(analysis.rules)}
+        heads = list(dict.fromkeys(r.head.name for r in definite))
+        assert list(analysis.heads) == heads
+        assert [(h, impl, weight) for h in heads for impl, weight, _ in analysis.heads[h]] == [
+            (h, r.impl, r.weight) for h in heads for r in definite if r.head.name == h]
         top = max((n for n in level.values() if n < math.inf), default=0)
-        finite = sorted((i for i, r in enumerate(definite) if level[r.head.name] <= top),
-                        key=lambda i: level[definite[i].head.name])
-        cyclic = [i for i, r in enumerate(definite) if level[r.head.name] > top]
+        finite = sorted((h for h in heads if level[h] <= top), key=lambda h: level[h])
+        cyclic = [h for h in heads if level[h] > top]
         if antitone is not None:
             assert analysis.antitone is program.rules[antitone]
-            finite, cyclic, top = [], list(range(len(definite))), 0
+            finite, cyclic, top = [], heads, 0
         else:
             assert analysis.antitone is None
-        assert [place[id(r[3])] for r in analysis.by_level] == finite
-        assert [place[id(r[3])] for r in analysis.cyclic] == cyclic
+        assert analysis.by_level == tuple([(h, analysis.heads[h]) for h in finite])
+        assert analysis.cyclic == tuple([(h, analysis.heads[h]) for h in cyclic])
         assert analysis.top == top
         kinds["antitone" if antitone is not None else reduct_kind(analysis)] += 1
     assert min(kinds.values()) > 10 and len(kinds) == 4
@@ -638,7 +641,8 @@ def test_a_cycle_that_reads_order_reversingly_is_iterated_from_bottom():
     # the pass stays exact and is kept
     program = parse_program(ANTITONE_CYCLE)
     analysis = _analysis(program, 1e-9)
-    assert (analysis.by_level, analysis.cyclic, analysis.top) == ((), analysis.rules, 0)
+    assert (analysis.by_level, analysis.cyclic, analysis.top) == (
+        (), tuple(analysis.heads.items()), 0)
     for M, stable in (({"a": 1.0, "p": 1.0}, True), ({"a": 1.0, "p": 0.0}, False)):
         want, trace = stable_operator(program, M, 1e-9)
         assert want == {"a": 1.0, "p": 1.0} and trace.converged

@@ -9,12 +9,15 @@ same walk with every propagator taken away, so each head is tested at
 every grid value as the full product would test it.
 """
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from emalp import (
+    Program,
     StableSearchConfig,
     eliminate_constraints_fc,
     eliminate_constraints_janssen,
@@ -163,6 +166,57 @@ def test_only_heads_that_do_not_read_themselves_propagate():
                             "r <-g min(neg1(s), p) with 1;\n0.5 <-g r with 1;\n")
     checks = _grid_checks(program, program.atoms(), PRE_TOL, TOL)
     assert [prop and prop[0] for _, _, prop in checks] == [None, None, "r", "s", None]
+
+
+_rng = random.Random(2025)
+CHECKED = ([parse_program(gen.grid_program(n, i)) for n in (5, 6, 7) for i in range(20)]
+           + [parse_program(gen.equiv_program(c, i)) for c in (1, 2) for i in range(20)]
+           + [parse_program(gen.MOTOR_TEXT)]
+           + [random_emalp(_rng, max_atoms=4, max_rules=5, max_constraints=2)
+              for _ in range(100)])
+
+
+def assignments(reads, values):
+    """Every point that gives the atoms read one of the values, and no other atom one."""
+    names = sorted(reads)
+    return (dict(zip(names, p)) for p in itertools.product(values, repeat=len(names)))
+
+
+def test_each_check_agrees_with_the_reference():
+    # each head test keeps M where the reference's T of the head's own
+    # rules is within the slack of M[a], its propagator keeps the grid
+    # values the test would, and each constraint test is reference.satisfies,
+    # also at tol 0.3, where the tolerance decides many of them.  A check
+    # is given its read atoms alone, as the walk gives them, at every point
+    # of the 0.5 grid over them: the grid programs (g7 has 10), the equiv
+    # pools, motor and genprog
+    values = lattice_grid(0.5)
+    seen = Counter()
+    for program in CHECKED:
+        atoms = program.atoms()
+        checks = _grid_checks(program, atoms, PRE_TOL, TOL)
+        assert len(checks) == len(atoms) + len(program.constraints())
+        for (reads, test, prop), a in zip(checks, atoms):
+            rules = Program(tuple([r for r in program.definite_rules() if r.head.name == a]))
+            for M in assignments(reads, values):
+                t = reference.consequence(rules, M, TOL)[a]
+                kept = test(M)
+                assert kept is (abs(t - M[a]) <= PRE_TOL)
+                seen["head", kept] += 1
+                if prop is not None:
+                    assert prop[0] == a
+                    unset = {b: v for b, v in M.items() if b != a}   # as the walk calls it
+                    assert prop[1](unset, values) == [v for v in values if abs(t - v) <= PRE_TOL]
+                    seen["fit"] += 1
+        for tol in (TOL, 0.3):
+            tests = _grid_checks(program, atoms, PRE_TOL, tol)[len(atoms):]
+            for (reads, test, prop), r in zip(tests, program.constraints()):
+                assert prop is None
+                for M in assignments(reads, values):
+                    kept = test(M)
+                    assert kept is reference.satisfies(M, r, tol)
+                    seen["constraint", tol, kept] += 1
+    assert min(seen.values()) > 100 and len(seen) == 7
 
 
 @pytest.mark.parametrize("text, order", [

@@ -435,8 +435,9 @@ def test_trace_json_shape(motor, model_n):
 @pytest.mark.parametrize("tol", [1e-9, 0.3])
 def test_analysis_compiles_each_body_in_one_pass(motor, model_n, tol, monkeypatch):
     # one closure per definite body serves T, the reduct's T and the grid
-    # prune; q's body has two freeze sites, p's and t's none, and the
-    # constraint's body is not compiled
+    # prune; q's body has two freeze sites, p's and t's none.  The
+    # constraint's body is compiled once per grid search, for the walk's
+    # test, and not for T or a verdict
     compiled = []
 
     def counting(body, *args):
@@ -447,4 +448,5 @@ def test_analysis_compiles_each_body_in_one_pass(motor, model_n, tol, monkeypatc
     stable_operator(motor, model_n, tol)
     is_stable(motor, model_n, tol)
     find_stable_models(motor, StableSearchConfig(grid_step=0.5, tol=tol))
-    assert compiled == [r.body for r in motor.definite_rules()]
+    find_stable_models(motor, StableSearchConfig(grid_step=0.5, tol=tol))
+    assert compiled == [r.body for r in motor.definite_rules() + motor.constraints() * 2]
