@@ -106,9 +106,10 @@ MUTANTS = [
     Mutant("src/emalp/lattice.py",
            "abs(n * step - 1.0) > 1e-9", "abs(n * step - 1.0) > 0.1",
            ("test_lattice.py::test_grid_count_checks_the_step_as_lattice_grid_does",)),
-    # the walk unassigns an atom that a fit gave no value
+    # the walk takes a fit that keeps no value for one that keeps every value
     Mutant("src/emalp/semantics.py",
-           "M.pop(a, None)", "M.pop(a)",
+           "for v in values if fit is None else fit(M, values):",
+           "for v in values if fit is None else fit(M, values) or values:",
            ("test_grid_search.py::test_an_empty_value_list_yields_nothing",)),
     # every head propagates, also one whose bodies read it
     Mutant("src/emalp/semantics.py",
@@ -195,42 +196,56 @@ MUTANTS = [
            ("test_transform.py::test_record_json_round_trip",)),
     # the components come out top first: a head before what its bodies read
     Mutant("src/emalp/semantics.py",
-           "    return out\n\n\nHeadRules = ", "    return out[::-1]\n\n\nHeadRules = ",
+           "    return out\n\n\n# (implication", "    return out[::-1]\n\n\n# (implication",
            ("test_grid_search.py::test_the_walk_takes_the_atoms_component_by_component",
             "test_compiled_operator.py::test_the_analysis_splits_the_rules_as_the_reference_levels_them")),
     # the compile pass records the reads inside a freeze site as the reduct's
     Mutant("src/emalp/program.py",
-           "site = _compile(node, sign, tol, None, {})", "site = _compile(node, sign, tol, None, reads)",
+           "_compile(node, sign, tol, index, None, {})",
+           "_compile(node, sign, tol, index, None, reads)",
            ("test_compiled_operator.py::test_levels_count_only_what_the_reduct_reads",
             "test_transform.py::test_to_manlp_accepts_motor_and_its_targets")),
     # a verdict's reduct of the constraints drops the last one
     Mutant("src/emalp/semantics.py",
            "part = Program(program.constraints())", "part = Program(program.constraints()[:-1])",
            ("test_compiled_operator.py::test_verdict_matches_tree_oracle",)),
-    # the stable operator's freeze-site values go back to a tuple of unknown length
+    # an iterate search's state keys go back to tuples of unknown length
     Mutant("src/emalp/semantics.py",
-           "frozen = tuple([site(M, None) for site in analysis.sites])",
-           "frozen = tuple(site(M, None) for site in analysis.sites)",
-           ("test_allocations.py::test_the_stable_operator_strands_no_tuples",)),
+           "key = tuple(M)", "key = tuple(v for v in M)",
+           ("test_allocations.py::test_an_iterate_search_strands_no_tuples",)),
     # a rebuilt node's arguments go back to a tuple of unknown length
     Mutant("src/emalp/program.py",
            "return Apply(body.op, tuple([", "return Apply(body.op, tuple(a for a in [",
            ("test_allocations.py::test_a_reduct_strands_no_tuples",)),
     # T at a head starts its sup above bottom
     Mutant("src/emalp/semantics.py",
-           "    t = 0.0\n    for impl, weight, body in rules:",
-           "    t = 0.25\n    for impl, weight, body in rules:",
+           "    t = 0.0\n    for impl, weight, body, tol, tree, own in rules:",
+           "    t = 0.25\n    for impl, weight, body, tol, tree, own in rules:",
            ("test_grid_search.py::test_each_check_agrees_with_the_reference",)),
     # the walk's constraint test is taken without the tolerance
     Mutant("src/emalp/semantics.py",
-           "f(M, None)) + tol, None))", "f(M, None)), None))",
+           "in_range(f(M), tol, r.body)) + tol, None))", "in_range(f(M), tol, r.body)), None))",
            ("test_grid_search.py::test_each_check_agrees_with_the_reference",)),
     # the level pass skips the lowest head
     Mutant("src/emalp/semantics.py",
-           "for head, rules in by_level:", "for head, rules in by_level[1:]:",
+           "for i, rules in by_level:", "for i, rules in by_level[1:]:",
            ("test_compiled_operator.py::test_the_level_pass_gives_the_stable_operators_value",)),
     # iterate mode takes a budget it only just exceeds
     Mutant("src/emalp/semantics.py",
            "if seeds * cap > budget:", "if seeds * cap >= budget:",
            ("test_cli.py::test_iterate_budget_exceeded_exits_two",)),
+    # a fused operator on a constant and then an atom or site reads them swapped
+    Mutant("src/emalp/program.py",
+           '"cv": lambda fn, a, b: lambda V: fn(a, V[b]),',
+           '"cv": lambda fn, a, b: lambda V: fn(V[b], a),',
+           ("test_compiled_operator.py::test_every_operator_compiles_like_eval",)),
+    # a body reads the freeze site after its own
+    Mutant("src/emalp/program.py",
+           'return "v", n + k', 'return "v", n + k + 1',
+           ("test_compiled_operator.py::test_motor_and_wraps_match_oracle",)),
+    # T at a head clamps every body's value, however far out of [0, 1]
+    Mutant("src/emalp/semantics.py",
+           "        if v < -tol or v > 1.0 + tol:\n            in_range(",
+           "        if False:\n            in_range(",
+           ("test_compiled_operator.py::test_out_of_range_body_raises_alike",)),
 ]

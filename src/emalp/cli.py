@@ -228,13 +228,24 @@ _TRANSFORMS = {
 
 def cmd_transform(args) -> int:
     program = _load_program(args.file, args)
+    stem = Path(args.file).with_suffix("")
+    out_path = Path(args.out) if args.out else Path(f"{stem}.{args.method}.malp")
+    rec_path = Path(args.record) if args.record else Path(f"{stem}.{args.method}.record.json")
+    seen: dict = {}   # (inode, device), or the absolute path not written yet -> (flag, path)
+    paths = (("the source", Path(args.file)), ("--out", out_path), ("--record", rec_path))
+    for what, path in paths:
+        try:
+            key = path.stat()[1:3]
+        except OSError:
+            key = path.absolute()
+        first, same = seen.setdefault(key, (what, path))
+        if same is not path:
+            raise MalpError(f"{what} {path} and {first} {same} are the same file; "
+                            "transform writes neither")
     if args.method == "manlp":
         target, rec = to_manlp(program, args.neg)
     else:
         target, rec = _TRANSFORMS[args.method](program, args.impl, args.conj, args.neg)
-    stem = Path(args.file).with_suffix("")
-    out_path = Path(args.out) if args.out else Path(f"{stem}.{args.method}.malp")
-    rec_path = Path(args.record) if args.record else Path(f"{stem}.{args.method}.record.json")
     out_path.write_text(serialize_program(target), encoding="utf-8")
     rec_path.write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _emit({

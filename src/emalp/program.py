@@ -266,7 +266,7 @@ def eval_expr(node: BodyExpr, env: Mapping[str, float], tol: float = DEFAULT_TOL
         try:
             return env[node.name]
         except KeyError:
-            raise _missing_atom(node.name) from None
+            raise missing_atom(node.name) from None
     fn = _function(op_spec(node.op), tol)
     return fn(*[eval_expr(a, env, tol) for a in node.args])
 
@@ -277,18 +277,24 @@ def eval_body(body: BodyExpr, env: Mapping[str, float], tol: float = DEFAULT_TOL
     Values within tol of the interval are clamped onto it; anything
     further out raises RangeViolation.
     """
-    v = eval_expr(body, env, tol)
+    return in_range(eval_expr(body, env, tol), tol, body)
+
+
+def in_range(v: float, tol: float, body: BodyExpr,
+             frozen: Optional[Sequence[float]] = None) -> float:
+    """v, a value of the body, clamped onto [0, 1] within tol of it;
+    further out, RangeViolation.  Its message names the body, or given the
+    values of the body's own freeze sites in order as `frozen`, its reduct's."""
     if v < -tol or v > 1.0 + tol:
-        raise _range_violation(v, body)
+        if frozen is not None:
+            values = iter(frozen)
+            body = freeze(body, lambda site: next(values))
+        raise RangeViolation(f"body value {v} outside [0, 1]: {body}")
     return _clamp01(v)
 
 
-def _missing_atom(name: str) -> MalpError:
+def missing_atom(name: str) -> MalpError:
     return MalpError(f"interpretation is not total: missing atom {name!r}")
-
-
-def _range_violation(v: float, body: BodyExpr) -> RangeViolation:
-    return RangeViolation(f"body value {v} outside [0, 1]: {body}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,71 +384,69 @@ def body_interval(body: BodyExpr) -> Interval:
 # ---------------------------------------------------------------------------
 # compilation
 
-Compiled = Callable[[Mapping[str, float], Optional[Sequence[float]]], float]
+Compiled = Callable[[Sequence[float]], float]
 
 
-def compile_body(body: BodyExpr, tol: float = DEFAULT_TOL,
+def compile_body(body: BodyExpr, tol: float, index: Mapping[str, int],
                  sites: Optional[list[Compiled]] = None,
                  reads: Optional[dict[str, int]] = None) -> Compiled:
-    """Compile a body into f(env, frozen) -> float, evaluated as eval_body does.
+    """Compile a body into f(V) -> float, its value as eval_expr gives it:
+    `in_range` takes it onto [0, 1] as eval_body does.
 
-    f(env, None) is the body as written.  With a `sites` list, the closure
-    that evaluates freeze site k's subtree is appended to `sites` as entry
-    k; f(env, frozen) then reads frozen[k] there, so it is the reduct's
-    body when frozen holds [site(M, None) for site in sites].  Bodies may
-    share one list.  Each operator calls the function eval_expr calls, on
-    the same arguments in the same order, so the floats are the same, as
-    are the range check, the clamp and the RangeViolation message, whose
-    reduct body `freeze` builds only on error, from the values in frozen
-    of this body's own sites.  A `reads` dict gets each atom the reduct's
-    body reads, -1 if some such read is order-reversing, else 1.
+    V is one list: atom a at V[index[a]], then the freeze sites.  With a
+    `sites` list, the closure that evaluates freeze site k's subtree from
+    V's atoms is appended to `sites` as entry k, and f reads V[n + k]
+    there, n = len(index): the body as written when that slot holds the
+    site's value at V, the reduct's body when it holds its value at M.
+    Bodies may share one list.  Each operator calls the function eval_expr
+    calls, on the same arguments in the same order, so the floats are the
+    same; an argument that is an atom, a constant or a site is read inline.
+    A `reads` dict gets each atom the reduct's body reads, -1 if some such
+    read is order-reversing, else 1.
     """
-    first = None if sites is None else len(sites)   # this body's sites come next
-    expr = _compile(body, 1, tol, sites, {} if reads is None else reads)
-
-    def evaluate(env, frozen):
-        v = expr(env, frozen)
-        if v < -tol or v > 1.0 + tol:
-            read = body
-            if frozen is not None and first is not None:
-                values = iter(frozen[first:])
-                read = freeze(body, lambda site: next(values))
-            raise _range_violation(v, read)
-        return _clamp01(v)
-    return evaluate
+    return _closure(*_compile(body, 1, tol, index, sites, {} if reads is None else reads))
 
 
-def _compile(node: BodyExpr, sign: int, tol: float, sites: Optional[list[Compiled]],
-             reads: dict[str, int]) -> Compiled:
+def _compile(node: BodyExpr, sign: int, tol: float, index: Mapping[str, int],
+             sites: Optional[list[Compiled]], reads: dict[str, int]) -> tuple[str, object]:
+    """(kind, what): "v" and a slot of V, "c" and a constant, or "f" and a closure of V."""
     if isinstance(node, Const):
-        value = node.value
-        return lambda env, frozen: value
+        return "c", node.value
     if isinstance(node, Atom):
-        name = node.name
-        reads[name] = min(sign, reads.get(name, sign))
-
-        def atom(env, frozen):
-            try:
-                return env[name]
-            except KeyError:
-                raise _missing_atom(name) from None
-        return atom
+        reads[node.name] = min(sign, reads.get(node.name, sign))
+        return "v", index[node.name]
     if sites is not None and is_freeze_site(node, sign):
-        k = len(sites)
-        site = _compile(node, sign, tol, None, {})
-        sites.append(site)
-        return lambda env, frozen: site(env, None) if frozen is None else frozen[k]
+        n, k = len(index), len(sites)
+        sites.append(_closure(*_compile(node, sign, tol, index, None, {})))
+        return "v", n + k
     spec = op_spec(node.op)
-    args = [_compile(a, sign * spec.polarity(i), tol, sites, reads)
+    args = [_compile(a, sign * spec.polarity(i), tol, index, sites, reads)
             for i, a in enumerate(node.args)]
-    fn = _function(spec, tol)
-    if len(args) == 1:
-        (a,) = args
-        return lambda env, frozen: fn(a(env, frozen))
-    if len(args) == 2:
-        a, b = args
-        return lambda env, frozen: fn(a(env, frozen), b(env, frozen))
-    return lambda env, frozen: fn(*[a(env, frozen) for a in args])
+    fn, kinds = _function(spec, tol), "".join([kind for kind, _ in args])
+    if kinds not in _FUSED:   # three arguments or more, or constants alone
+        fs = [_closure(*arg) for arg in args]
+        return "f", lambda V: fn(*[f(V) for f in fs])
+    return "f", _FUSED[kinds](fn, *[what for _, what in args])
+
+
+def _closure(kind: str, what) -> Compiled:
+    if kind == "v":
+        return operator.itemgetter(what)
+    return what if kind == "f" else lambda V: what
+
+
+_FUSED = {   # argument kinds -> the operator's closure, each slot or constant read inline
+    "v": lambda fn, a: lambda V: fn(V[a]),
+    "f": lambda fn, a: lambda V: fn(a(V)),
+    "vv": lambda fn, a, b: lambda V: fn(V[a], V[b]),
+    "vc": lambda fn, a, b: lambda V: fn(V[a], b),
+    "cv": lambda fn, a, b: lambda V: fn(a, V[b]),
+    "vf": lambda fn, a, b: lambda V: fn(V[a], b(V)),
+    "fv": lambda fn, a, b: lambda V: fn(a(V), V[b]),
+    "cf": lambda fn, a, b: lambda V: fn(a, b(V)),
+    "fc": lambda fn, a, b: lambda V: fn(a(V), b),
+    "ff": lambda fn, a, b: lambda V: fn(a(V), b(V)),
+}
 
 
 # ---------------------------------------------------------------------------

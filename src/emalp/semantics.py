@@ -15,20 +15,22 @@ Least models are computed by Kleene iteration of the immediate
 consequence operator from the bottom interpretation, with a tolerance
 and an iteration cap; non-convergence is a flagged result, never an
 exception.  The operators run on an analysis made once per program and
-tolerance: the definite bodies compiled to closures and grouped by head,
-their freeze sites, and the heads split by their levels in the reduct.
-One routine, `_at_head`, computes T at a head for T itself, for the
-stable operator and for the grid walk's head tests.  The stable
-operator evaluates the sites at M and runs the program's own closures
-on those values, so it builds no reduct.  For search steps and verdicts
-its value comes from one pass over the heads of finite level, in level
-order as for a stratified program, then Kleene iteration of the heads
-on or downstream of a cycle alone (of every head from bottom, when T
-is not monotone or the cap leaves the pass no room).  `reduct` builds
-its trees with `rewrite` alone and reads no analysis.  Constraints
-never feed the operator (they have no head atom to update).  The grid
-walk tests them on bodies it compiles once per search; a verdict reads
-them from their own reduct, unless the operator's value converged away from M.
+tolerance: the definite bodies compiled to closures over one list, the
+atoms' values and then the freeze sites' values, and grouped by head, and
+the heads split by their levels in the reduct.  Inside the operators and
+searches an interpretation is that list, a dict only where it comes in or
+goes out.  One routine, `_at_head`, computes T at a head for T itself,
+for the stable operator and for the grid walk's head tests.  The stable
+operator puts the sites' values at M in their slots, so it builds no
+reduct.  For search steps and verdicts its value comes from one pass over
+the heads of finite level, in level order as for a stratified program,
+then Kleene iteration of the heads on or downstream of a cycle alone (of
+every head from bottom, when T is not monotone or the cap leaves the pass
+no room).  `reduct` builds its trees with `rewrite` alone and reads no
+analysis.  Constraints never feed the operator (they have no head atom to
+update).  The grid walk tests them on bodies it compiles once per search;
+a verdict reads them from their own reduct, unless the operator's value
+converged away from M.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from operator import sub
+from operator import le, sub
 from typing import Iterator, Mapping, MutableSequence, Optional
 
 from .lattice import DEFAULT_TOL, eval_conjunctor, eval_implication, grid_count, lattice_grid
 from .program import (
+    BodyExpr,
     Compiled,
     MalpError,
     Program,
@@ -51,6 +54,8 @@ from .program import (
     eval_body,
     eval_expr,
     freeze,
+    in_range,
+    missing_atom,
 )
 
 __all__ = [
@@ -175,30 +180,33 @@ def components(graph: Mapping[str, set[str]]) -> list[list[str]]:
     return out
 
 
-HeadRules = tuple[tuple[str, float, Compiled], ...]   # (implication, weight, compiled body)
+# (implication, weight, compiled body, tol, body, slice of V that holds its freeze sites)
+HeadRules = tuple[tuple[str, float, Compiled, float, BodyExpr, slice], ...]
 
 
 @dataclass(frozen=True)
 class _Analysis:
     """What the operators need of a program, derived once per (program, tol).
 
-    `heads` maps each head, in order of its first rule, to its definite
-    rules in program order: with frozen=None a body reads as written, with
-    the values of the freeze `sites` at M as the reduct's.  Constraint
-    bodies are not compiled: a verdict reducts `constraints`, the
-    constraints alone.  A head's level is 1 + the highest level its
+    The bodies read one list V: atom a at V[index[a]], n = len(index), then
+    freeze site k's value at V[n + k]: a body reads as written with the
+    `sites` at V, as the reduct's with them at M.  `heads` maps each head,
+    in order of its first rule, to its definite rules in program order.
+    Constraint bodies are not compiled: a verdict reducts `constraints`,
+    the constraints alone.  A head's level is 1 + the highest level its
     bodies read outside their sites (0 for an atom that heads no rule),
     inf on or downstream of a cycle; from bottom, it is final from that
-    Kleene step on.  `by_level` holds the (head, rules) items of finite
+    Kleene step on.  `by_level` holds the (V slot, rules) pairs of finite
     level, stably sorted by it, `top` is the highest (0 if none) and
     `cyclic` the rest.  If some level is inf, `antitone` is the first rule
     that reads an atom order-reversingly outside its sites: T is not
     monotone, so every head is cyclic, `top` 0.
     """
+    index: dict[str, int]
     heads: dict[str, HeadRules]
     sites: tuple[Compiled, ...]
-    by_level: tuple[tuple[str, HeadRules], ...]
-    cyclic: tuple[tuple[str, HeadRules], ...]
+    by_level: tuple[tuple[int, HeadRules], ...]
+    cyclic: tuple[tuple[int, HeadRules], ...]
     top: int
     antitone: Optional[Rule]
     constraints: Program
@@ -208,13 +216,16 @@ def _analysis(program: Program, tol: float) -> _Analysis:
     analyses = program.derived("analyses", dict)   # by tol
     if tol in analyses:
         return analyses[tol]   # allocates nothing
+    index = {a: i for i, a in enumerate(program.atoms())}
     sites: list[Compiled] = []
     heads: dict[str, HeadRules] = {}
     graph: dict[str, set[str]] = {}
     antitone = None
     for r in program.definite_rules():
         read: dict[str, int] = {}
-        rule = (r.impl, r.weight, compile_body(r.body, tol, sites, read))
+        first = len(index) + len(sites)   # this body's sites come next
+        rule = (r.impl, r.weight, compile_body(r.body, tol, index, sites, read), tol, r.body,
+                slice(first, len(index) + len(sites)))
         heads[r.head.name] = heads.get(r.head.name, ()) + (rule,)
         graph.setdefault(r.head.name, set()).update(read)
         if antitone is None and -1 in read.values():
@@ -224,16 +235,16 @@ def _analysis(program: Program, tol: float) -> _Analysis:
         below = [level.get(a, math.inf) for h in c for a in graph.get(h, ())]
         level.update(dict.fromkeys(c, 1 + max(below, default=0) if c[0] in graph else 0))
     top = max((n for n in level.values() if n < math.inf), default=0)
-    by_level = tuple(sorted((g for g in heads.items() if level[g[0]] <= top),
-                            key=lambda g: level[g[0]]))
-    cyclic = tuple([g for g in heads.items() if level[g[0]] > top])
+    slots = {h: (index[h], rules) for h, rules in heads.items()}   # by V slot
+    by_level = tuple([slots[h] for h in sorted(heads, key=level.get) if level[h] <= top])
+    cyclic = tuple([slots[h] for h in heads if level[h] > top])
     antitone = antitone if math.inf in level.values() else None
     if antitone is not None:
-        by_level, cyclic, top = (), tuple(heads.items()), 0
+        by_level, cyclic, top = (), tuple(slots.values()), 0
     part = Program(program.constraints())   # with the program's occurrences of them
     occurrences = [o for r, o in zip(program.rules, program.rule_occurrences()) if r.is_constraint]
     part.derived("occurrences", lambda: tuple(occurrences))
-    analyses[tol] = _Analysis(heads, tuple(sites), by_level, cyclic, top, antitone, part)
+    analyses[tol] = _Analysis(index, heads, tuple(sites), by_level, cyclic, top, antitone, part)
     return analyses[tol]
 
 
@@ -266,15 +277,25 @@ def immediate_consequence(program: Program, I: Mapping[str, float],
     Atoms with no rule map to bottom (the sup over an empty set).  Given
     the freeze sites' values at M as `frozen`, it is the T of reduct(P, M).
     """
-    heads = _analysis(program, tol).heads.items()
-    return dict.fromkeys(I, 0.0) | {head: _at_head(rules, I, frozen) for head, rules in heads}
+    analysis = _analysis(program, tol)
+    try:
+        V = [I[a] for a in analysis.index]
+    except KeyError as missing:
+        raise missing_atom(missing.args[0]) from None
+    V += [site(V) for site in analysis.sites] if frozen is None else frozen
+    return dict.fromkeys(I, 0.0) | {head: _at_head(rules, V, frozen is None)
+                                    for head, rules in analysis.heads.items()}
 
 
-def _at_head(rules: HeadRules, I, frozen) -> float:
-    """T(I) at one head: the sup of weight &_i body(I) over its rules, from 0."""
+def _at_head(rules: HeadRules, V: list[float], live: bool = False) -> float:
+    """T at one head: the sup of weight &_i in_range(body(V)) over its rules,
+    from 0; a range message names the body as written if `live`, else the reduct's."""
     t = 0.0
-    for impl, weight, body in rules:
-        v = eval_conjunctor(impl, weight, body(I, frozen))
+    for impl, weight, body, tol, tree, own in rules:
+        v = body(V)
+        if v < -tol or v > 1.0 + tol:
+            in_range(v, tol, tree, None if live else V[own])   # raises
+        v = eval_conjunctor(impl, weight, 0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
         if v > t:
             t = v
     return t
@@ -286,13 +307,15 @@ def least_model(program: Program, tol: float = DEFAULT_TOL,
     """Kleene iteration of T from the bottom interpretation, stopped by
     `_kleene`, else flagged unconverged at the cap: the least model when the
     program is positive.  `frozen` goes to every T step."""
-    iterates = [bottom_interpretation(program.atoms())]
-    converged = not iterates[0] or _kleene(
-        lambda I: immediate_consequence(program, I, tol, frozen), iterates, tol, max_iter)
-    return iterates[-1], FixpointTrace(tuple(iterates), converged)
+    atoms = program.atoms()
+    iterates = [[0.0] * len(atoms)]
+    converged = not atoms or _kleene(lambda I: list(immediate_consequence(
+        program, dict(zip(atoms, I)), tol, frozen).values()), iterates, tol, max_iter)
+    trace = FixpointTrace(tuple([dict(zip(atoms, I)) for I in iterates]), converged)
+    return trace.iterates[-1], trace
 
 
-def _kleene(T, iterates: MutableSequence[Interpretation], tol: float, max_iter: int) -> bool:
+def _kleene(T, iterates: MutableSequence[list[float]], tol: float, max_iter: int) -> bool:
     """Append up to max_iter iterates of T to `iterates`, from its last; whether
     it stopped first.  It stops at an iterate I with T(I) == I, or with
     |T(I) - I| < tol and T(X) <= X for X = T(I) raised by tol where it differs
@@ -301,12 +324,12 @@ def _kleene(T, iterates: MutableSequence[Interpretation], tol: float, max_iter: 
     I = iterates[-1]
     for _ in range(max_iter):
         J = T(I)
-        iterates.append(J)    # a new dict, never mutated, in the order of I
+        iterates.append(J)    # a new list, never mutated
         if J == I:
             return True
-        if max(map(abs, map(sub, I.values(), J.values()))) < tol:
-            X = {a: v if v == I[a] else min(1.0, v + tol) for a, v in J.items()}
-            if all(v <= X[a] for a, v in T(X).items()):
+        if max(map(abs, map(sub, I, J))) < tol:
+            X = [v if v == w else min(1.0, v + tol) for v, w in zip(J, I)]
+            if all(map(le, T(X), X)):
                 return True
         I = J
     return False
@@ -320,14 +343,15 @@ def stable_operator(program: Program, M: Mapping[str, float], tol: float = DEFAU
     stable models.  T reads each freeze site as its value at M, so the
     reduct's trees are never built.
     """
-    require_total(M, program)
-    frozen = tuple([site(M, None) for site in _analysis(program, tol).sites])
+    M = [M[a] for a in require_total(M, program)]
+    frozen = tuple([site(M) for site in _analysis(program, tol).sites])
     return least_model(program, tol, max_iter, frozen=frozen)
 
 
-def _stable_value(program: Program, M: Mapping[str, float], tol: float,
-                  max_iter: int) -> tuple[Interpretation, bool]:
-    """The stable operator's value at M and whether it converged.
+def _stable_value(program: Program, M: list[float], tol: float,
+                  max_iter: int) -> tuple[list[float], bool]:
+    """The stable operator's value at M, both lists in atoms() order, and
+    whether it converged.
 
     A pass over `by_level` sets the heads of finite level to their final
     values, from the calls Kleene's step `top` makes, and counts as `top`
@@ -336,25 +360,32 @@ def _stable_value(program: Program, M: Mapping[str, float], tol: float,
     the pass no room: then all rules are iterated from bottom, as Kleene does.
     The value is Kleene's where both stop at T(I) == I, within tol where one does.
     """
-    J = dict.fromkeys(require_total(M, program), 0.0)
     analysis = _analysis(program, tol)
-    by_level, cyclic, top = ((analysis.by_level, analysis.cyclic, analysis.top)
-                             if max_iter > analysis.top else ((), analysis.heads.items(), 0))
-    frozen = tuple([site(M, None) for site in analysis.sites])
-    for head, rules in by_level:   # each reads only heads of lower levels
-        J[head] = _at_head(rules, J, frozen)
+    by_level, cyclic, top = ((analysis.by_level, analysis.cyclic, analysis.top) if max_iter >
+                             analysis.top else ((), analysis.by_level + analysis.cyclic, 0))
+    J = [0.0] * len(M) + [site(M) for site in analysis.sites]   # bottom, then the sites at M
+    for i, rules in by_level:   # each reads only heads of lower levels
+        J[i] = _at_head(rules, J)
+    if not cyclic:
+        return J[:len(M)], True
+
+    def step(I):
+        J = I.copy()
+        for i, rules in cyclic:
+            J[i] = _at_head(rules, I)
+        return J
     iterates = deque([J], maxlen=1)   # the last only
-    converged = not cyclic or _kleene(lambda I: I | {
-        head: _at_head(rules, I, frozen) for head, rules in cyclic}, iterates, tol, max_iter - top)
-    return iterates[-1], converged
+    converged = _kleene(step, iterates, tol, max_iter - top)
+    return iterates[-1][:len(M)], converged
 
 
 def is_stable(program: Program, M: Mapping[str, float], tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> Optional[bool]:
     """True/False verdict, or None when the inner fixpoint fails to converge."""
     # M is stable when it is the operator's fixpoint and satisfies the reduct's constraints
-    value, converged = _stable_value(program, M, tol, max_iter)
-    if converged and interp_distance(value, M) > tol:
+    V = [M[a] for a in require_total(M, program)]
+    value, converged = _stable_value(program, V, tol, max_iter)
+    if converged and max(map(abs, map(sub, value, V)), default=0.0) > tol:
         return False
     if program.constraints() and not all(satisfies(M, r, tol) for r in reduct(
             _analysis(program, tol).constraints, M, tol).rules):
@@ -420,30 +451,40 @@ def _grid_checks(program: Program, atoms, pre_tol: float, tol: float):
 
     A head reads itself and the bodies of its rules; an atom that heads
     no rule reads only itself, so its test pins it to 0 (the sup over an
-    empty set).  T(M)[a] is `_at_head` on the analysis's closures; a
-    head's test is |T(M)[a] - M[a]| <= pre_tol.  A head whose bodies do
-    not read it, inside a freeze site or not, has the propagator (a, fit):
-    fit(M, values) keeps the values v the test would pass.  A constraint
-    reads its body, compiled here, and tests as `satisfies` does.
+    empty set).  M is the analysis's list V; T(M)[a] is `_at_head` with
+    the head's own sites set at M.  A head's test is |T(M)[a] - M[a]| <=
+    pre_tol.  A head whose bodies do not read it, inside a freeze site or
+    not, has the propagator (a, fit): fit(M, values) keeps the values v
+    the test would pass.  A constraint reads its body, compiled here, and
+    tests as `satisfies` does.
     """
-    heads = _analysis(program, tol).heads
+    analysis = _analysis(program, tol)
+    index, sites, n = analysis.index, analysis.sites, len(analysis.index)
     reads: dict[str, set] = {a: set() for a in atoms}   # what a's bodies read
     constraints = []
     for r, occs in zip(program.rules, program.rule_occurrences()):
         if r.is_constraint:
-            constraints.append(({o.atom for o in occs}, lambda M, r=r, f=compile_body(r.body, tol):
-                r.weight <= eval_implication(r.impl, r.head.value, f(M, None)) + tol, None))
+            constraints.append(({o.atom for o in occs}, lambda M, r=r, f=compile_body(
+                r.body, tol, index): r.weight <= eval_implication(
+                    r.impl, r.head.value, in_range(f(M), tol, r.body)) + tol, None))
         else:
             reads[r.head.name].update(o.atom for o in occs)
 
     def head_check(a, rules):
+        own = [(k, sites[k - n]) for *_, part in rules for k in range(part.start, part.stop)]
+
+        def T(M):
+            for k, site in own:
+                M[k] = site(M)
+            return _at_head(rules, M, True)
+
         def fit(M, values):
-            t = _at_head(rules, M, None)
+            t = T(M)
             return [v for v in values if abs(t - v) <= pre_tol]
-        return (reads[a] | {a}, lambda M: abs(_at_head(rules, M, None) - M[a]) <= pre_tol,
+        return (reads[a] | {a}, lambda M, i=index[a]: abs(T(M) - M[i]) <= pre_tol,
                 None if a in reads[a] else (a, fit))
 
-    return [head_check(a, heads.get(a, ())) for a in atoms] + constraints
+    return [head_check(a, analysis.heads.get(a, ())) for a in atoms] + constraints
 
 
 def _assignment_order(atoms, checks) -> list[str]:
@@ -481,16 +522,17 @@ def _grid_candidates(program: Program, step: float, pre_tol: float,
     points come back in lexicographic grid order over the sorted atoms,
     so `_dedup` keeps the same point as a full enumeration would.
     """
-    atoms = program.atoms()
     grid_count(step)   # checks the step; a program without atoms needs no grid
+    analysis = _analysis(program, tol)
+    atoms = tuple(analysis.index)   # program.atoms(), as the analysis numbers them
     return sorted(_grid_walk(atoms, lattice_grid(step) if atoms else [],
-                             _grid_checks(program, atoms, pre_tol, tol)),
+                             _grid_checks(program, atoms, pre_tol, tol), len(analysis.sites)),
                   key=lambda m: tuple([m[a] for a in atoms]))
 
 
-def _grid_walk(atoms, values: list[float], checks) -> Iterator[Interpretation]:
+def _grid_walk(atoms, values: list[float], checks, sites: int = 0) -> Iterator[Interpretation]:
     """Yield the points that give each atom one of `values` and pass every
-    (atoms read, test, propagator) check.
+    (atoms read, test, propagator) check, on a list M of the atoms, then `sites` slots.
 
     Depth first, one atom per level: each test runs once, at the
     shallowest level where every atom it reads is assigned, and a
@@ -509,23 +551,23 @@ def _grid_walk(atoms, values: list[float], checks) -> Iterator[Interpretation]:
         else:
             tests_at[top].append(test)
 
-    return _extend({}, 0, order, values, tests_at, fits, atoms)
+    return _extend([0.0] * (len(atoms) + sites), 0, [atoms.index(a) for a in order], values,
+                   tests_at, fits, atoms)
 
 
-def _extend(M: Interpretation, depth: int, order, values, tests_at, fits,
+def _extend(M: list[float], depth: int, order, values, tests_at, fits,
             atoms) -> Iterator[Interpretation]:
     """The walk below M, which assigns order[:depth]; module-level, so no walk refers to itself."""
     for test in tests_at[depth]:
         if not test(M):
             return
     if depth == len(order):
-        yield {a: M[a] for a in atoms}
+        yield dict(zip(atoms, M))
         return
-    a, fit = order[depth], fits[depth]
+    i, fit = order[depth], fits[depth]
     for v in values if fit is None else fit(M, values):
-        M[a] = v
+        M[i] = v
         yield from _extend(M, depth + 1, order, values, tests_at, fits, atoms)
-    M.pop(a, None)   # a fit that keeps no value assigned nothing
 
 
 def find_stable_models(program: Program, cfg: StableSearchConfig,
@@ -557,22 +599,23 @@ def find_stable_models(program: Program, cfg: StableSearchConfig,
                 undecided.append(M)
     elif cfg.mode == "iterate":
         rng = random.Random(cfg.rng_seed)
-        starts = [bottom_interpretation(atoms), top_interpretation(atoms)][:max(1, cfg.seeds)]
-        draws = ({a: rng.random() for a in atoms} for _ in range(cfg.seeds - 2))  # one at a time
+        starts = [[0.0] * len(atoms), [1.0] * len(atoms)][:max(1, cfg.seeds)]
+        draws = ([rng.random() for _ in atoms] for _ in range(cfg.seeds - 2))  # one at a time
         outer_cap = min(cfg.max_iter, ITERATE_STEPS)
         fewest: dict[tuple, int] = {}   # state -> the fewest steps any start took to it
         for M in itertools.chain(starts, draws):
             for steps in range(outer_cap):
-                key = tuple(M.values())   # every start and result is in atoms order
+                key = tuple(M)   # every start and result is a list in atoms order
                 if fewest.get(key, outer_cap) <= steps:
                     break   # an earlier visit went on from here with as many steps left
                 fewest[key] = steps
                 N, converged = _stable_value(program, M, cfg.tol, cfg.max_iter)
                 if not converged:
                     break
-                if max(map(abs, map(sub, M.values(), N.values())), default=0.0) <= cfg.tol:
-                    if is_stable(program, N, cfg.tol, cfg.max_iter) is True:
-                        found.append(N)
+                if max(map(abs, map(sub, M, N)), default=0.0) <= cfg.tol:
+                    model = dict(zip(atoms, N))
+                    if is_stable(program, model, cfg.tol, cfg.max_iter) is True:
+                        found.append(model)
                     break
                 M = N
     else:

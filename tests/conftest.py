@@ -57,14 +57,16 @@ def model_n():
 def walked_minimal(program, M, step, tol=1e-9):
     """No grid point below M is a model of the program, as the grid
     search's walker finds them: each atom's bound M[a] + tol and each
-    rule's `satisfies` are its checks.  The budget is the search's, on
-    the whole grid; `satisfies` is read from `emalp.semantics` at each
-    check, so a test can count the checks."""
+    rule's `satisfies` are its checks, on the walk's list N in atoms
+    order.  The budget is the search's, on the whole grid; `satisfies`
+    is read from `emalp.semantics` at each check, so a test can count
+    the checks."""
     semantics.check_grid_budget([program], step, semantics.DEFAULT_BUDGET)
     atoms = program.atoms()
-    checks = [({a}, lambda N, a=a: N[a] <= M[a] + tol, None) for a in atoms]
+    checks = [({a}, lambda N, i=i, a=a: N[i] <= M[a] + tol, None) for i, a in enumerate(atoms)]
     for r, occs in zip(program.rules, program.rule_occurrences()):
         reads = {o.atom for o in occs} | (set() if r.is_constraint else {r.head.name})
-        checks.append((reads, lambda N, r=r: semantics.satisfies(N, r, tol), None))
+        checks.append((reads, lambda N, r=r: semantics.satisfies(dict(zip(atoms, N)), r, tol),
+                       None))
     return not any(any(N[a] < M[a] - tol for a in atoms)
                    for N in semantics._grid_walk(atoms, lattice_grid(step), checks))

@@ -28,12 +28,12 @@ pytestmark = pytest.mark.skipif(platform.python_implementation() != "CPython",
 GROWTH = 500   # blocks a run may leave allocated
 
 
-def growth(run, calls: int) -> int:
-    """Allocated blocks after `calls` runs, less before, after 20 warm-up runs."""
+def growth(run, calls: int, warm_up: int = 20) -> int:
+    """Allocated blocks after `calls` runs, less before, after `warm_up` runs."""
     gc.collect()
     gc.disable()
     try:
-        for _ in range(20):
+        for _ in range(warm_up):
             run()
         before = sys.getallocatedblocks()
         for _ in range(calls):
@@ -46,8 +46,19 @@ def growth(run, calls: int) -> int:
 def test_the_stable_operator_strands_no_tuples():
     text, M = gen.iterate_program(8, True, 0)   # the benchmark's c8-000
     program = parse_program(text)
-    assert len(_analysis(program, 1e-9).sites) == 8   # a tuple of 8, not the 10 guessed
-    assert growth(lambda: _stable_value(program, M, 1e-9, 10_000), 8_000) < GROWTH
+    assert len(_analysis(program, 1e-9).sites) == 8
+    V = [M[a] for a in program.atoms()]   # the operator's list, in atoms order
+    assert growth(lambda: _stable_value(program, V, 1e-9, 10_000), 8_000) < GROWTH
+
+
+def test_an_iterate_search_strands_no_tuples():
+    # each step keys its state by a tuple of 8, built from the state's list,
+    # and a search holds its 99 keys to its end.  One warm-up search: the
+    # 1,980 keys of 20 would all but fill the free list of 8-tuples, and a
+    # full free list lets a generator-built key go back to the allocator unseen
+    program = parse_program(gen.iterate_program(8, True, 0)[0])
+    cfg = StableSearchConfig(mode="iterate", seeds=32)
+    assert growth(lambda: find_stable_models(program, cfg), 200, warm_up=1) < GROWTH
 
 
 def test_a_reduct_strands_no_tuples():

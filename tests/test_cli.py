@@ -297,6 +297,26 @@ def test_transform_writes_target_and_record(capsys, motor_file, tmp_path):
     assert not target.constraints()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--out", "two.malp"), "--out two.malp and the source two.malp are the same file"),
+    (("--record", "two.malp"), "--record two.malp and the source two.malp are the same file"),
+    (("--out", "x", "--record", "./x"), "--record x and --out x are the same file"),
+    (("--out", "link.malp"), "--out link.malp and the source two.malp are the same file"),
+])
+def test_transform_refuses_to_overwrite_its_source_or_its_target(capsys, tmp_path, monkeypatch,
+                                                                 flags, message):
+    # the check runs before anything is written: the source keeps its bytes
+    # and no other file appears.  link.malp is a symbolic link to the source
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.malp").write_text(CONSTRAINED)
+    (tmp_path / "link.malp").symlink_to("two.malp")
+    code, out, err = run(capsys, "transform", "two.malp", "--method", "fc", *flags)
+    assert (code, out) == (1, "")
+    assert err == message + "; transform writes neither\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.malp", "two.malp"]
+    assert (tmp_path / "two.malp").read_text() == CONSTRAINED
+
+
 @pytest.mark.parametrize("constraint", ["", "0.5 <-g p with 1;\n"], ids=["free", "constrained"])
 @pytest.mark.parametrize("method", ["fc", "janssen"])
 def test_transform_records_the_negation_asked_for(capsys, tmp_path, method, constraint):

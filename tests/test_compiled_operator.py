@@ -45,7 +45,7 @@ from emalp import (
     to_manlp,
 )
 import emalp.semantics as semantics
-from emalp.program import BUILTINS, RangeViolation, compile_body
+from emalp.program import BUILTINS, RangeViolation, compile_body, in_range
 from emalp.semantics import (
     StableSearchConfig,
     _analysis,
@@ -94,6 +94,18 @@ GENPROG = [random_emalp(_rng, max_atoms=4, max_rules=5, max_constraints=2)
 CYCLES = [parse_program(gen.iterate_program(n, cycle, i)[0])
           for n in (6, 7, 8) for cycle in (True, False) for i in range(15)]
 MOTOR = parse_program(gen.MOTOR_TEXT)
+
+
+def stable_value(program, M, tol, max_iter):
+    """`_stable_value` at M's values in atoms order, its value back as a dict."""
+    atoms = program.atoms()
+    value, converged = _stable_value(program, [M[a] for a in atoms], tol, max_iter)
+    return dict(zip(atoms, value)), converged
+
+
+def heads_of(program, pairs):
+    """The names of the heads in the analysis's (slot, rules) pairs."""
+    return [program.atoms()[i] for i, _ in pairs]
 
 
 def targets(program):
@@ -194,17 +206,21 @@ def test_levels_count_only_what_the_reduct_reads():
     # alone; f heads no rule (level 0); d reads a and e reads d.  The
     # heads are sorted stably by level, and each keeps its rules together,
     # in program order: c's first body reads b and its site, the second is 0.25
-    analysis = _analysis(parse_program(LEVELLED.format("a")), 1e-9)
+    program = parse_program(LEVELLED.format("a"))
+    analysis = _analysis(program, 1e-9)
     assert analysis.top == 3 and analysis.cyclic == ()
-    assert [h for h, _ in analysis.by_level] == ["a", "b", "d", "c", "e"]
-    assert dict(analysis.by_level)["c"] is analysis.heads["c"]
-    assert [body({"b": 0.5}, (0.3,)) for _, _, body in analysis.heads["c"]] == [0.3, 0.25]
+    assert heads_of(program, analysis.by_level) == ["a", "b", "d", "c", "e"]
+    assert dict(analysis.by_level)[analysis.index["c"]] is analysis.heads["c"]
+    V = [math.nan] * len(analysis.index) + [0.3]   # c's site is the only one
+    V[analysis.index["b"]] = 0.5
+    assert [body(V) for _, _, body, *_ in analysis.heads["c"]] == [0.3, 0.25]
     # once d reads itself, d and e (downstream) have no level: they are
     # cyclic, in program order, and top is c's level
-    cyclic = _analysis(parse_program(LEVELLED.format("d")), 1e-9)
+    program = parse_program(LEVELLED.format("d"))
+    cyclic = _analysis(program, 1e-9)
     assert cyclic.top == 3
-    assert [h for h, _ in cyclic.by_level] == ["a", "b", "c"]
-    assert [h for h, _ in cyclic.cyclic] == ["d", "e"]
+    assert heads_of(program, cyclic.by_level) == ["a", "b", "c"]
+    assert heads_of(program, cyclic.cyclic) == ["d", "e"]
 
 
 LIVE_REVERSAL = "r <-g 0.5 with 1;\nq <-g neg1(r) with 1;\np <-g sub(1, q) with 1;"
@@ -218,14 +234,14 @@ def test_a_live_reversal_off_a_cycle_makes_the_stable_operator_rise_with_m():
     program = parse_program(LIVE_REVERSAL)
     assert _analysis(program, 1e-9).antitone is None
     reads = {}
-    compile_body(program.rules[2].body, 1e-9, [], reads)
+    compile_body(program.rules[2].body, 1e-9, _analysis(program, 1e-9).index, [], reads)
     assert reads == {"q": -1}
     values = []
     for r in (0.2, 0.8):
         M = {"p": 0.0, "q": 0.0, "r": r}
         value, trace = stable_operator(program, M, 1e-9)
         assert trace.converged and value == {"p": 1 - (1 - r), "q": 1 - r, "r": 0.5}
-        assert _stable_value(program, M, 1e-9, MAX_ITER) == (value, True)
+        assert stable_value(program, M, 1e-9, MAX_ITER) == (value, True)
         values.append(value["p"])
     assert values == [pytest.approx(0.2), pytest.approx(0.8)]
 
@@ -240,7 +256,7 @@ def test_levels_take_linear_time_on_a_long_chain():
     assert is_stable(program, M, 1e-9) is False   # the least model has y = z = 0
     assert time.perf_counter() - start < 1.0
     assert len(analysis.by_level) == 3000 and analysis.top == 3000
-    assert [r[0] for r in analysis.cyclic] == ["y", "z"]
+    assert heads_of(program, analysis.cyclic) == ["y", "z"]
 
 
 def random_graph(rng):
@@ -301,7 +317,7 @@ def test_the_analysis_splits_the_rules_as_the_reference_levels_them():
         definite = program.definite_rules()
         heads = list(dict.fromkeys(r.head.name for r in definite))
         assert list(analysis.heads) == heads
-        assert [(h, impl, weight) for h in heads for impl, weight, _ in analysis.heads[h]] == [
+        assert [(h, impl, weight) for h in heads for impl, weight, *_ in analysis.heads[h]] == [
             (h, r.impl, r.weight) for h in heads for r in definite if r.head.name == h]
         top = max((n for n in level.values() if n < math.inf), default=0)
         finite = sorted((h for h in heads if level[h] <= top), key=lambda h: level[h])
@@ -311,8 +327,9 @@ def test_the_analysis_splits_the_rules_as_the_reference_levels_them():
             finite, cyclic, top = [], heads, 0
         else:
             assert analysis.antitone is None
-        assert analysis.by_level == tuple([(h, analysis.heads[h]) for h in finite])
-        assert analysis.cyclic == tuple([(h, analysis.heads[h]) for h in cyclic])
+        slot = analysis.index
+        assert analysis.by_level == tuple([(slot[h], analysis.heads[h]) for h in finite])
+        assert analysis.cyclic == tuple([(slot[h], analysis.heads[h]) for h in cyclic])
         assert analysis.top == top
         kinds["antitone" if antitone is not None else reduct_kind(analysis)] += 1
     assert min(kinds.values()) > 10 and len(kinds) == 4
@@ -334,7 +351,7 @@ def test_a_search_step_builds_no_tree(monkeypatch):
     monkeypatch.setattr(semantics, "freeze", boom)
     for program, M, want in cases:
         assert stable_operator(program, M, 1e-9, MAX_ITER) == want
-        assert _stable_value(program, M, 1e-9, MAX_ITER) == (want[0], want[1].converged)
+        assert stable_value(program, M, 1e-9, MAX_ITER) == (want[0], want[1].converged)
     # no start of the even cycle settles, so the search runs no verdict
     assert find_stable_models(cycle, cycle_cfg) == []
 
@@ -345,7 +362,7 @@ def test_a_verdict_builds_a_reduct_only_where_the_operator_reaches_m(monkeypatch
     # so no reduct is needed to reject it; a stable point (N) and an
     # undecided point of a program with constraints each build one reduct,
     # for its constraints, and a constraint-free undecided point builds none
-    assert _stable_value(MOTOR, model_m, 1e-9, MAX_ITER)[1]
+    assert stable_value(MOTOR, model_m, 1e-9, MAX_ITER)[1]
     assert all(reference.satisfies(model_m, r, 1e-9) for r in MOTOR.constraints())
     built = []
 
@@ -451,21 +468,23 @@ def operator_bodies(name, spec):
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 @pytest.mark.parametrize("tol", TOLS)
 def test_every_operator_compiles_like_eval(name, tol):
-    # the closure and eval_body each give the reference's value, or its error
+    # the closure, taken onto [0, 1] by in_range, and eval_body each give
+    # the reference's value, or its error
     grid = lattice_grid(0.1)
     points = 0
     for body, atoms in operator_bodies(name, BUILTINS[name]):
-        f = compile_body(body, tol)
-        for values in itertools.product(grid, repeat=len(atoms)):
+        f = compile_body(body, tol, {a: i for i, a in enumerate(atoms)})
+        for values in map(list, itertools.product(grid, repeat=len(atoms))):
             env = dict(zip(atoms, values))
             try:
                 want = reference.body_value(body, env, tol)
             except RangeViolation as exc:
-                for run in (lambda: f(env, None), lambda: eval_body(body, env, tol)):
+                for run in (lambda: in_range(f(values), tol, body),
+                            lambda: eval_body(body, env, tol)):
                     with pytest.raises(RangeViolation, match=re.escape(str(exc))):
                         run()
             else:
-                assert f(env, None) == eval_body(body, env, tol) == want
+                assert in_range(f(values), tol, body) == eval_body(body, env, tol) == want
             points += 1
     assert points >= 11
 
@@ -473,21 +492,23 @@ def test_every_operator_compiles_like_eval(name, tol):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9), st.sampled_from(TOLS))
 def test_one_closure_reads_the_body_as_written_and_as_the_reduct(seed, tol):
-    # f(I, None) is the body as written; with the site values at M it is
-    # the body of reduct(P, M)
+    # f reads the body as written with the site values at I in V, and the
+    # body of reduct(P, M) with their values at M
     rng = random.Random(seed)
     base = random_emalp(rng, max_atoms=4, max_rules=5, max_constraints=2,
                         values=(0.0, 0.25, 0.5, 0.75, 1.0))
     for program in [base] + [flipped(base, wrap) for wrap in WRAPS]:
-        sites = []
-        compiled = [compile_body(r.body, tol, sites) for r in program.rules]
+        sites, index = [], {a: i for i, a in enumerate(program.atoms())}
+        compiled = [compile_body(r.body, tol, index, sites) for r in program.rules]
         I = {a: rng.random() for a in program.atoms()}
         M = {a: rng.random() for a in program.atoms()}
-        frozen = [site(M, None) for site in sites]
+        written = [*I.values(), *[site(list(I.values())) for site in sites]]
+        frozen = [*I.values(), *[site(list(M.values())) for site in sites]]
         frozen_rules = reference.reduct(program, M, tol).rules
         for f, rule, frozen_rule in zip(compiled, program.rules, frozen_rules):
-            assert f(I, None) == reference.body_value(rule.body, I, tol)
-            assert f(I, frozen) == reference.body_value(frozen_rule.body, I, tol)
+            assert in_range(f(written), tol, rule.body) == reference.body_value(rule.body, I, tol)
+            assert in_range(f(frozen), tol, rule.body) == reference.body_value(
+                frozen_rule.body, I, tol)
 
 
 def test_analysis_is_cached_outside_the_fields(motor, motor_text):
@@ -576,7 +597,7 @@ def test_the_level_pass_gives_the_stable_operators_value():
             analysis = _analysis(program, tol)
             taken[reduct_kind(analysis)] += 1
             for M in points:
-                full, converged = _stable_value(program, M, tol, MAX_ITER)
+                full, converged = stable_value(program, M, tol, MAX_ITER)
                 want, trace = stable_operator(program, M, tol, MAX_ITER)
                 assert converged == trace.converged
                 if trace.iterations == 0 or trace.iterates[-2] == want:
@@ -586,7 +607,7 @@ def test_the_level_pass_gives_the_stable_operators_value():
                     taken["tol stop"] += 1
                 verdict = is_stable(program, M, tol, MAX_ITER)
                 for max_iter in PASS_CAPS:
-                    value, capped = _stable_value(program, M, tol, max_iter)
+                    value, capped = stable_value(program, M, tol, max_iter)
                     exact = True
                     if max_iter <= analysis.top:
                         kleene, kt = stable_operator(program, M, tol, max_iter)
@@ -617,7 +638,7 @@ def test_a_mixed_reduct_iterates_only_its_cyclic_rules(monkeypatch):
     analysis = _analysis(program, 1e-9)
     assert reduct_kind(analysis) == "mixed" and analysis.top == 2
     for max_iter in range(1, 7):
-        converged = _stable_value(program, M, 1e-9, max_iter)[1]
+        converged = stable_value(program, M, 1e-9, max_iter)[1]
         assert converged == stable_operator(program, M, 1e-9, max_iter)[1].converged
         assert converged == (max_iter >= 5)
     calls = Counter()
@@ -642,11 +663,11 @@ def test_a_cycle_that_reads_order_reversingly_is_iterated_from_bottom():
     program = parse_program(ANTITONE_CYCLE)
     analysis = _analysis(program, 1e-9)
     assert (analysis.by_level, analysis.cyclic, analysis.top) == (
-        (), tuple(analysis.heads.items()), 0)
+        (), tuple([(analysis.index[h], g) for h, g in analysis.heads.items()]), 0)
     for M, stable in (({"a": 1.0, "p": 1.0}, True), ({"a": 1.0, "p": 0.0}, False)):
         want, trace = stable_operator(program, M, 1e-9)
         assert want == {"a": 1.0, "p": 1.0} and trace.converged
-        assert _stable_value(program, M, 1e-9, MAX_ITER) == (want, True)
+        assert stable_value(program, M, 1e-9, MAX_ITER) == (want, True)
         assert is_stable(program, M, 1e-9) is stable
     assert reduct_kind(_analysis(MOTOR, 1e-9)) == "acyclic"
 
@@ -661,11 +682,11 @@ def test_a_kleene_stop_within_tol_is_within_tol_of_the_pass():
     M = {"a": 0.41, "b": 0.2}
     kleene, trace = stable_operator(program, M, 0.3)
     assert kleene == {"a": 0.1, "b": 0.2} and trace.iterations == 1 and trace.converged
-    assert _stable_value(program, M, 0.3, 10) == ({"a": 0.6 * 0.2, "b": 0.2}, True)
+    assert stable_value(program, M, 0.3, 10) == ({"a": 0.6 * 0.2, "b": 0.2}, True)
     # M is within 0.3 of the pass's value, not of Kleene's iterate; the
     # verdict reads the pass
     assert is_stable(program, M, 0.3) is True
-    assert _stable_value(program, M, 1e-9, 10) == (stable_operator(program, M, 1e-9)[0], True)
+    assert stable_value(program, M, 1e-9, 10) == (stable_operator(program, M, 1e-9)[0], True)
 
 
 def test_an_unvalidated_body_out_of_range_at_bottom_only():

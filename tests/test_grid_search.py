@@ -10,6 +10,7 @@ every grid value as the full product would test it.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -30,6 +31,7 @@ from emalp import (
 import emalp.semantics as semantics_module
 from emalp.semantics import (
     PREFILTER_TOL,
+    _analysis,
     _assignment_order,
     _dedup,
     _grid_candidates,
@@ -52,7 +54,7 @@ def unpropagated_candidates(program, step, pre_tol, tol):
     atoms = program.atoms()
     checks = [(reads, test, None)
               for reads, test, _ in _grid_checks(program, atoms, pre_tol, tol)]
-    found = _grid_walk(atoms, lattice_grid(step), checks)
+    found = _grid_walk(atoms, lattice_grid(step), checks, len(_analysis(program, tol).sites))
     return sorted(found, key=lambda m: tuple(m[a] for a in atoms))
 
 
@@ -189,31 +191,37 @@ def test_each_check_agrees_with_the_reference():
     # also at tol 0.3, where the tolerance decides many of them.  A check
     # is given its read atoms alone, as the walk gives them, at every point
     # of the 0.5 grid over them: the grid programs (g7 has 10), the equiv
-    # pools, motor and genprog
+    # pools, motor and genprog.  The walk's list holds the atoms in atoms
+    # order, then a slot per freeze site; an atom not read holds NaN
     values = lattice_grid(0.5)
     seen = Counter()
     for program in CHECKED:
         atoms = program.atoms()
         checks = _grid_checks(program, atoms, PRE_TOL, TOL)
         assert len(checks) == len(atoms) + len(program.constraints())
+        slots = [math.nan] * len(_analysis(program, TOL).sites)
+
+        def walked(M):
+            return [M.get(b, math.nan) for b in atoms] + slots
         for (reads, test, prop), a in zip(checks, atoms):
             rules = Program(tuple([r for r in program.definite_rules() if r.head.name == a]))
             for M in assignments(reads, values):
                 t = reference.consequence(rules, M, TOL)[a]
-                kept = test(M)
+                kept = test(walked(M))
                 assert kept is (abs(t - M[a]) <= PRE_TOL)
                 seen["head", kept] += 1
                 if prop is not None:
                     assert prop[0] == a
                     unset = {b: v for b, v in M.items() if b != a}   # as the walk calls it
-                    assert prop[1](unset, values) == [v for v in values if abs(t - v) <= PRE_TOL]
+                    assert prop[1](walked(unset), values) == [
+                        v for v in values if abs(t - v) <= PRE_TOL]
                     seen["fit"] += 1
         for tol in (TOL, 0.3):
             tests = _grid_checks(program, atoms, PRE_TOL, tol)[len(atoms):]
             for (reads, test, prop), r in zip(tests, program.constraints()):
                 assert prop is None
                 for M in assignments(reads, values):
-                    kept = test(M)
+                    kept = test(walked(M))
                     assert kept is reference.satisfies(M, r, tol)
                     seen["constraint", tol, kept] += 1
     assert min(seen.values()) > 100 and len(seen) == 7

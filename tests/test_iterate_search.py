@@ -28,13 +28,15 @@ from emalp import (
 )
 from emalp.semantics import _dedup, _sort_models
 
+from conftest import gen
 from genprog import random_emalp
 
 MUTUAL = "p <-g neg1(q) with 1;\nq <-g neg1(p) with 1;\n"
 
 
 def full_cap_search(program, cfg):
-    """Iterate-mode search with no repeat cut: each start runs to the cap."""
+    """Iterate-mode search with no repeat cut: each start runs to the cap.
+    The operator takes and gives lists in atoms order; a verdict, dicts."""
     atoms = program.atoms()
     rng = random.Random(cfg.rng_seed)
     starts = [bottom_interpretation(atoms), top_interpretation(atoms)]
@@ -42,14 +44,16 @@ def full_cap_search(program, cfg):
         starts.append({a: rng.random() for a in atoms})
     starts = starts[:max(1, cfg.seeds)]
     found = []
-    for M in starts:
+    for start in starts:
+        M = [start[a] for a in atoms]
         for _ in range(min(cfg.max_iter, 100)):
             N, converged = semantics._stable_value(program, M, cfg.tol, cfg.max_iter)
             if not converged:
                 break
-            if interp_distance(M, N) <= cfg.tol:
-                if is_stable(program, N, cfg.tol, cfg.max_iter) is True:
-                    found.append(N)
+            model = dict(zip(atoms, N))
+            if interp_distance(dict(zip(atoms, M)), model) <= cfg.tol:
+                if is_stable(program, model, cfg.tol, cfg.max_iter) is True:
+                    found.append(model)
                 break
             M = N
     return _sort_models(_dedup(found, cfg.tol), atoms)
@@ -59,15 +63,16 @@ def full_cap_search(program, cfg):
 def operator_calls(monkeypatch):
     """Count the search steps' stable-operator values, one entry per start.
 
-    A call whose argument is not the result of the previous call begins
-    a new start.  A verdict takes its value from the same function.
+    A call whose argument does not equal the result of the previous call
+    begins a new start.  A verdict takes its value from the same function,
+    at the values of that result.
     """
     per_start = []
     last = [None]
     original = semantics._stable_value
 
     def counting(program, M, *args):
-        if M is not last[0]:
+        if not per_start or M != last[0]:
             per_start.append(0)
         per_start[-1] += 1
         last[0], converged = original(program, M, *args)
@@ -97,6 +102,18 @@ def test_seeded_programs_match_full_cap(cycle_prob, rng_seed, seeds, operator_ca
     assert nonempty >= 5    # the comparison is not only between empty lists
     if cycle_prob:
         assert cut >= 10    # and the cut is taken on cycling programs
+
+
+ITERATE_POOL = [(n, cycle, i) for n in (6, 7, 8) for cycle in (True, False) for i in range(8)]
+
+
+@pytest.mark.parametrize("n, cycle, i", ITERATE_POOL)
+def test_benchmark_programs_match_full_cap(n, cycle, i):
+    # the first programs of each stratum the benchmark draws from, even
+    # cycles among them, at the benchmark's default rng seed
+    program = parse_program(gen.iterate_program(n, cycle, i)[0])
+    cfg = StableSearchConfig(mode="iterate", seeds=8)
+    assert find_stable_models(program, cfg) == full_cap_search(program, cfg)
 
 
 @pytest.mark.parametrize("rng_seed", [0, 7])

@@ -14,7 +14,7 @@ from emalp import (
     eval_threshold,
     lattice_grid,
 )
-from emalp.lattice import LatticeError, grid_count
+from emalp.lattice import DEFAULT_TOL, LatticeError, grid_count
 from emalp.program import compile_body
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -92,7 +92,8 @@ def test_thresholds_coincide_on_a_chain(c, x, d):
     for v in (x, min(1.0, max(0.0, c + d))):
         env = {"x": v}
         values = {eval_body(f, env), eval_body(g, env),
-                  compile_body(f)(env, None), compile_body(g)(env, None)}
+                  compile_body(f, DEFAULT_TOL, {"x": 0})([v]),
+                  compile_body(g, DEFAULT_TOL, {"x": 0})([v])}
         assert values == {eval_threshold(c, v)}
 
 
